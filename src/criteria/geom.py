@@ -18,6 +18,11 @@ from .errors import DegenerateHeadingError, InvalidMapError
 BOUNDARY_EPS = 1e-9
 # Vectors shorter than this have no usable direction (meters).
 DEGENERATE_EPS = 1e-6
+# Bounding boxes are padded by this much (meters). It must exceed
+# BOUNDARY_EPS: a point outside a ring's padded box then has even crossing
+# parity and is farther than the epsilon band from the boundary, so the exact
+# test would reject it anyway.
+BOX_PAD = 1e-6
 
 
 def as_points(obj) -> np.ndarray:
@@ -65,27 +70,136 @@ def distance_to_ring(points, ring) -> np.ndarray:
     return d.min(axis=1)
 
 
+def padded_box(ring) -> tuple[float, float, float, float]:
+    """``(min_x, min_y, max_x, max_y)`` of ``ring`` widened by ``BOX_PAD``."""
+    pts = as_points(ring)
+    lo = pts.min(axis=0) - BOX_PAD
+    hi = pts.max(axis=0) + BOX_PAD
+    return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
+
+
+class Ring:
+    """A validated polygon ring with its edges and padded bounding box laid
+    out once, for repeated containment tests.
+
+    ``contains`` is the even-odd test with an epsilon boundary band;
+    ``points_in_polygon`` runs it on a ring built for the call.
+    """
+
+    def __init__(self, ring):
+        pts = as_points(ring)
+        if len(pts) < 3 or abs(signed_area(pts)) < 1e-12:
+            raise InvalidMapError("degenerate polygon (zero area)")
+        self.points = pts
+        self.x1, self.y1 = pts[:, 0], pts[:, 1]
+        self.x2, self.y2 = np.roll(self.x1, -1), np.roll(self.y1, -1)
+        self.dx, self.dy = self.x2 - self.x1, self.y2 - self.y1
+        self.box = padded_box(pts)
+        # unpadded edge bounding boxes, (E,) each
+        self.ex0, self.ex1 = np.minimum(self.x1, self.x2), np.maximum(self.x1, self.x2)
+        self.ey0, self.ey1 = np.minimum(self.y1, self.y2), np.maximum(self.y1, self.y2)
+
+    def _near_edges(self, x: np.ndarray, y: np.ndarray, pad: float) -> np.ndarray:
+        """Flags of the points ``(x[i], y[i])`` that fall in some edge's box
+        padded by ``pad``; ``x`` and ``y`` are ``(N, 1)``."""
+        return (
+            (x >= self.ex0 - pad)
+            & (x <= self.ex1 + pad)
+            & (y >= self.ey0 - pad)
+            & (y <= self.ey1 + pad)
+        ).any(axis=1)
+
+    def contains(self, pts: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
+        """Inside flags of validated ``(N, 2)`` points; points within ``eps``
+        of the boundary count as inside.
+
+        The boundary distance is computed only for the points outside that
+        fall in some edge's box padded by ``eps + BOX_PAD``; no other point
+        can be within ``eps`` of the boundary.
+        """
+        x, y = pts[:, 0:1], pts[:, 1:2]  # (N, 1)
+        straddles = (self.y1 > y) != (self.y2 > y)  # half-open rule, (N, E)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = self.x1 + (y - self.y1) * self.dx / self.dy
+        hits = straddles & (x < x_cross)
+        inside = (hits.sum(axis=1) % 2).astype(bool)
+        if eps > 0:
+            out = np.flatnonzero(~inside)
+            if len(out):
+                out = out[self._near_edges(x[out], y[out], eps + BOX_PAD)]
+            if len(out):
+                near = distance_to_ring(pts[out], self.points) <= eps
+                inside[out[near]] = True
+        return inside
+
+
+def grid_in_rings(xs: np.ndarray, ys: np.ndarray, rings: list[Ring]) -> np.ndarray:
+    """Membership of every grid point ``(xs[i], ys[j])`` in the union of
+    ``rings`` as an ``(len(xs), len(ys))`` mask; equals ``Ring.contains``
+    (default band) on each point, or-ed over the rings. ``xs`` and ``ys``
+    must be ascending.
+
+    A grid row shares its ``y``, so each row computes its crossing with every
+    edge once, with the arithmetic of ``Ring.contains``. A closed ring
+    crosses a row an even number of times, and sorted by column its
+    crossings pair up into the column runs it covers; one difference array
+    sums the runs of all rings. The boundary band is tested exactly, with
+    ``Ring.contains``, on the points outside that fall in some edge's padded
+    box; no other point can be that close.
+    """
+    inside = np.zeros((len(xs), len(ys)), dtype=bool)
+    if not rings or not len(xs) or not len(ys):
+        return inside
+    n_edges = [len(r.x1) for r in rings]
+    ring_of = np.repeat(np.arange(len(rings)), n_edges)
+    x1, y1, y2, dx, dy, ex0, ex1, ey0, ey1 = (
+        np.concatenate([getattr(r, name) for r in rings])
+        for name in ("x1", "y1", "y2", "dx", "dy", "ex0", "ex1", "ey0", "ey1")
+    )
+    row, edge = np.nonzero((y1 > ys[:, None]) != (y2 > ys[:, None]))  # straddles
+    x_cross = x1[edge] + (ys[row] - y1[edge]) * dx[edge] / dy[edge]
+    col = np.searchsorted(xs, x_cross, "left")  # first column with x >= x_cross
+    order = np.lexsort((col, ring_of[edge], row))
+    # every (row, ring) group has even length, so it starts at an even index
+    # and its sorted crossings alternate run start, run end
+    sign = np.where(np.arange(len(order)) % 2 == 0, 1, -1)
+    runs = np.zeros((len(ys), len(xs) + 1), dtype=np.int64)
+    np.add.at(runs, (row[order], col[order]), sign)
+    inside[:] = (runs[:, :-1].cumsum(axis=1) > 0).T
+
+    # boundary band: a 2-D difference array over the padded edge boxes
+    a0 = np.searchsorted(xs, ex0 - BOX_PAD, "left")
+    a1 = np.searchsorted(xs, ex1 + BOX_PAD, "right")
+    b0 = np.searchsorted(ys, ey0 - BOX_PAD, "left")
+    b1 = np.searchsorted(ys, ey1 + BOX_PAD, "right")
+    keep = (a1 > a0) & (b1 > b0)
+    if keep.any():
+        a0, a1, b0, b1 = a0[keep], a1[keep], b0[keep], b1[keep]
+        boxes = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int64)
+        np.add.at(boxes, (a0, b0), 1)
+        np.add.at(boxes, (a1, b0), -1)
+        np.add.at(boxes, (a0, b1), -1)
+        np.add.at(boxes, (a1, b1), 1)
+        near_box = boxes.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0
+        ci, cj = np.nonzero(near_box & ~inside)
+        if len(ci):
+            px, py = xs[ci], ys[cj]
+            probe = np.column_stack([px, py])
+            hit = np.zeros(len(probe), dtype=bool)
+            for r in rings:
+                bx0, by0, bx1, by1 = r.box
+                todo = ~hit & (px >= bx0) & (px <= bx1) & (py >= by0) & (py <= by1)
+                if todo.any():
+                    hit[todo] = r.contains(probe[todo])
+            inside[ci[hit], cj[hit]] = True
+    return inside
+
+
 def points_in_polygon(points, ring, eps: float = BOUNDARY_EPS) -> np.ndarray:
     """Even-odd containment test; points within ``eps`` of the boundary count
     as inside."""
     pts = as_points(points)
-    ring = as_points(ring)
-    if len(ring) < 3 or abs(signed_area(ring)) < 1e-12:
-        raise InvalidMapError("degenerate polygon (zero area)")
-    x, y = pts[:, 0:1], pts[:, 1:2]  # (N, 1)
-    x1, y1 = ring[:, 0], ring[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    straddles = (y1 > y) != (y2 > y)  # half-open rule, (N, E)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-    hits = straddles & (x < x_cross)
-    inside = (hits.sum(axis=1) % 2).astype(bool)
-    if eps > 0:
-        outside = ~inside
-        if outside.any():
-            near = distance_to_ring(pts[outside], ring) <= eps
-            inside[np.flatnonzero(outside)[near]] = True
-    return inside
+    return Ring(ring).contains(pts, eps)
 
 
 def point_in_polygon(p, ring, eps: float = BOUNDARY_EPS) -> bool:
@@ -189,18 +303,26 @@ class GridIndex:
             return float(distance_to_ring(np.asarray(p, float).reshape(1, 2), pts)[0])
         return float(np.linalg.norm(pts - np.asarray(p, float), axis=1).min())
 
-    def query_radius(self, center, r: float) -> list[str]:
-        """Exact radius query: ids whose shape is within ``r`` of ``center``."""
+    def candidates(self, center, r: float) -> set[str]:
+        """Ids registered in any grid cell that the square of half-side ``r``
+        around ``center`` overlaps; a superset of the radius query."""
         if r <= 0:
             raise ValueError("radius must be positive")
         c = np.asarray(center, float)
         lo = np.floor((c - r) / self.cell_size).astype(int)
         hi = np.floor((c + r) / self.cell_size).astype(int)
-        candidates: set[str] = set()
+        found: set[str] = set()
         for cx in range(lo[0], hi[0] + 1):
             for cy in range(lo[1], hi[1] + 1):
-                candidates.update(self._cells.get((cx, cy), ()))
-        return sorted(i for i in candidates if self.min_distance(i, c) <= r)
+                found.update(self._cells.get((cx, cy), ()))
+        return found
+
+    def query_radius(self, center, r: float) -> list[str]:
+        """Exact radius query: ids whose shape is within ``r`` of ``center``."""
+        c = np.asarray(center, float)
+        return sorted(
+            i for i in self.candidates(c, r) if self.min_distance(i, c) <= r
+        )
 
 
 def rasterize_occupancy(points, roi, cell: float) -> set[tuple[int, int]]:

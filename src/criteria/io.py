@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -47,17 +48,39 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
+def _finite_number(c) -> bool:
+    """A JSON number that converts to a finite float; ``json`` parses
+    ``NaN`` and ``Infinity`` as floats, and big integers overflow."""
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(c))
+    except OverflowError:
+        return False
+
+
 def _coords(value, path: str, min_len: int) -> np.ndarray:
     if not isinstance(value, list) or len(value) < min_len:
         raise SchemaError(path, f"expected a list of >= {min_len} [x, y] pairs")
+    # fast path: pairs of plain ints and floats, as json.load builds them
+    if all(type(pt) is list and len(pt) == 2 for pt in value) and {
+        type(c) for pt in value for c in pt
+    } <= {int, float}:
+        try:
+            pts = np.asarray(value, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pts = None
+        if pts is not None and np.isfinite(pts).all():
+            return pts
     for i, pt in enumerate(value):
         if (
             not isinstance(pt, list)
             or len(pt) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       for c in pt)
+            or not all(_finite_number(c) for c in pt)
         ):
-            raise SchemaError(f"{path}[{i}]", "expected an [x, y] pair")
+            raise SchemaError(
+                f"{path}[{i}]", "expected an [x, y] pair of finite numbers"
+            )
     return np.asarray(value, dtype=float)
 
 

@@ -65,6 +65,14 @@ class RoadMap:
                 raise InvalidMapError(f"duplicate lane id {lane.id!r}")
             self.lanes[lane.id] = lane
         self.drivable = [geom.normalize_ring(r) for r in drivable]
+        self._drivable_rings = [geom.Ring(r) for r in self.drivable]
+        # (4, R): padded min_x, min_y, max_x, max_y of every drivable ring
+        self._drivable_boxes = np.array(
+            [ring.box for ring in self._drivable_rings], dtype=float
+        ).reshape(-1, 4).T
+        self._lane_rings = {
+            lane_id: geom.Ring(lane.polygon) for lane_id, lane in self.lanes.items()
+        }
         self._validate()
         self.lane_index = geom.GridIndex(
             {lane.id: lane.polygon for lane in lanes},
@@ -73,13 +81,23 @@ class RoadMap:
         )
 
     def _validate(self) -> None:
-        for lane in self.lanes.values():
+        # one drivable-area query for every lane polygon vertex
+        polygons = [lane.polygon for lane in self.lanes.values()]
+        covered = (
+            np.split(
+                self.contains_many(np.vstack(polygons)),
+                np.cumsum([len(p) for p in polygons])[:-1],
+            )
+            if polygons
+            else []
+        )
+        for lane, lane_covered in zip(self.lanes.values(), covered):
             for succ in lane.successors:
                 if succ not in self.lanes:
                     raise InvalidMapError(
                         f"lane {lane.id!r}: successor {succ!r} not in map"
                     )
-            inside = geom.points_in_polygon(lane.centerline, lane.polygon)
+            inside = self._lane_rings[lane.id].contains(lane.centerline)
             if not inside.all():
                 outside = lane.centerline[~inside]
                 d = geom.distance_to_ring(outside, lane.polygon)
@@ -88,7 +106,7 @@ class RoadMap:
                         f"lane {lane.id!r}: centerline strays "
                         f"{d.max():.2f} m outside its polygon"
                     )
-            if not self.contains_many(lane.polygon).all():
+            if not lane_covered.all():
                 log.warning(
                     "map %s: lane %s polygon not fully inside drivable area",
                     self.map_id,
@@ -98,11 +116,17 @@ class RoadMap:
     # -- queries ---------------------------------------------------------
 
     def lanes_containing(self, p) -> list[str]:
-        """Ids of every lane whose polygon contains ``p`` (boundary counts)."""
-        candidates = self.lane_index.query_radius(p, geom.BOUNDARY_EPS + 1e-6)
-        return [
-            i for i in candidates if geom.point_in_polygon(p, self.lanes[i].polygon)
-        ]
+        """Sorted ids of every lane whose polygon contains ``p`` (boundary
+        counts)."""
+        pt = geom.as_points(p)
+        x, y = float(pt[0, 0]), float(pt[0, 1])
+        hits = []
+        for i in sorted(self.lane_index.candidates(pt[0], geom.BOX_PAD)):
+            ring = self._lane_rings[i]
+            x0, y0, x1, y1 = ring.box
+            if x0 <= x <= x1 and y0 <= y <= y1 and ring.contains(pt)[0]:
+                hits.append(i)
+        return hits
 
     def lanes_within_radius(self, p, r: float) -> list[str]:
         return self.lane_index.query_radius(p, r)
@@ -112,16 +136,35 @@ class RoadMap:
         _, _, tangent = geom.nearest_on_polyline(p, lane.centerline)
         return tangent
 
-    def drivable_contains(self, p) -> bool:
-        return any(geom.point_in_polygon(p, ring) for ring in self.drivable)
-
     def contains_many(self, points) -> np.ndarray:
-        """Vectorized drivable-area membership for a batch of points."""
+        """Vectorized drivable-area membership for a batch of points.
+
+        Each ring runs the exact test only on the points not yet inside that
+        fall in its padded bounding box.
+        """
         pts = geom.as_points(points)
+        x, y = pts[:, 0:1], pts[:, 1:2]
+        x0, y0, x1, y1 = self._drivable_boxes
+        in_box = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)  # (N, R)
         inside = np.zeros(len(pts), dtype=bool)
-        for ring in self.drivable:
-            pending = ~inside
-            if not pending.any():
-                break
-            inside[pending] |= geom.points_in_polygon(pts[pending], ring)
+        for r in np.flatnonzero(in_box.any(axis=0)):
+            todo = in_box[:, r] & ~inside
+            if todo.any():
+                inside[todo] = self._drivable_rings[r].contains(pts[todo])
         return inside
+
+    def contains_grid(self, xs, ys) -> np.ndarray:
+        """Drivable-area membership of the grid points ``(xs[i], ys[j])`` as
+        an ``(len(xs), len(ys))`` mask; equals ``contains_many`` on them.
+        ``xs`` and ``ys`` must be ascending."""
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("grid coordinates contain NaN or inf")
+        if (np.diff(xs) < 0).any() or (np.diff(ys) < 0).any():
+            raise ValueError("grid coordinates must be ascending")
+        if not (len(xs) and len(ys)):
+            return np.zeros((len(xs), len(ys)), dtype=bool)
+        x0, y0, x1, y1 = self._drivable_boxes
+        overlaps = (x1 >= xs[0]) & (x0 <= xs[-1]) & (y1 >= ys[0]) & (y0 <= ys[-1])
+        rings = [self._drivable_rings[r] for r in np.flatnonzero(overlaps)]
+        return geom.grid_in_rings(xs, ys, rings)

@@ -180,22 +180,16 @@ def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
 
     nx = max(1, math.ceil(cfg.roi_side / cfg.cell))
     ny = nx
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    centers = np.column_stack(
-        [
-            roi[0] + (ix.ravel() + 0.5) * cfg.cell,
-            roi[1] + (iy.ravel() + 0.5) * cfg.cell,
-        ]
-    )
-    drivable_mask = road.contains_many(centers)
-    n_drivable = int(drivable_mask.sum())
+    # cell centers; drivable[ix, iy] is the center of cell (ix, iy)
+    xs = roi[0] + (np.arange(nx) + 0.5) * cfg.cell
+    ys = roi[1] + (np.arange(ny) + 0.5) * cfg.cell
+    drivable = road.contains_grid(xs, ys)
+    n_drivable = int(drivable.sum())
     if n_drivable == 0:
         return 0.0
-    drivable_cells = {
-        (int(cx), int(cy))
-        for cx, cy in zip(ix.ravel()[drivable_mask], iy.ravel()[drivable_mask])
-    }
-    return len(occupied & drivable_cells) / n_drivable * cfg.scale
+    # the occupancy grid may reach one cell further when the ROI edges round
+    hits = sum(1 for cx, cy in occupied if cx < nx and cy < ny and drivable[cx, cy])
+    return hits / n_drivable * cfg.scale
 
 
 # -- proposed diversity --------------------------------------------------------

@@ -1,11 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from criteria import synth
+from criteria import geom, synth
 from criteria.map_model import LaneSegment, RoadMap
 from criteria.trajectory import PredictionSet, Trajectory
 
+# Properties that compare a fast path with an exact reference scan may take
+# longer than hypothesis' default 200 ms deadline on a loaded machine.
+settings.register_profile("criteria", deadline=None)
+settings.load_profile("criteria")
+
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def reference_in_polygon(points, ring, eps=geom.BOUNDARY_EPS) -> np.ndarray:
+    """Even-odd test over every point and edge, with the boundary distance of
+    every point when ``eps > 0``: the unfiltered reference for the fast
+    containment paths."""
+    pts = np.asarray(points, float).reshape(-1, 2)
+    ring = np.asarray(ring, float)
+    x, y = pts[:, 0:1], pts[:, 1:2]
+    x1, y1 = ring[:, 0], ring[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    straddles = (y1 > y) != (y2 > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+    inside = ((straddles & (x < x_cross)).sum(axis=1) % 2).astype(bool)
+    if eps > 0:
+        inside |= geom.distance_to_ring(pts, ring) <= eps
+    return inside
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from criteria import synth
+from criteria import metrics, synth
 from criteria.bench import (
     METRIC_DIRECTIONS,
     METRIC_NAMES,
@@ -13,9 +13,11 @@ from criteria.bench import (
     aggregate,
     balance_data,
     evaluate_model,
+    evaluate_scenario,
     rank,
     rank_reports,
 )
+from criteria.metrics import AlignmentConfig, DaoConfig
 from criteria.errors import DataConsistencyError, ShapeError
 from criteria.scenario import (
     Difficulty,
@@ -23,7 +25,7 @@ from criteria.scenario import (
     ScenarioTag,
     Structure,
 )
-from criteria.trajectory import PredictionSet
+from criteria.trajectory import KinematicConfig, PredictionSet, Trajectory
 
 SPEC = synth.SynthSpec(kind=synth.MapKind.STRAIGHT, seed=5, n_scenarios=6)
 ROAD = synth.gen_map(SPEC)
@@ -95,6 +97,31 @@ def run_with_tags(difficulties):
         for sid, d in zip(sorted(run.per_scenario), difficulties)
     }
     return run, tags
+
+
+class TestEvaluateScenario:
+    @pytest.mark.parametrize("kind", list(synth.MapKind))
+    def test_dac_from_triad_equals_metric(self, kind):
+        spec = synth.SynthSpec(kind=kind, seed=2, n_scenarios=3)
+        road = synth.gen_map(spec)
+        dacs = set()
+        for rec in synth.gen_scenarios(road, spec):
+            for predictor in synth.PredictorKind:
+                pred = synth.toy_predict(predictor, rec, road, k=6, seed=2)
+                # move one mode off the map so every kind sees DAC < 1
+                off = Trajectory(pred.modes[0].points + 1000.0, pred.modes[0].dt)
+                pred_off = PredictionSet(
+                    scenario_id=rec.id, modes=[off, *pred.modes[1:]],
+                    anchor=pred.anchor,
+                )
+                for p in (pred, pred_off):
+                    got = evaluate_scenario(
+                        rec, road, p, AlignmentConfig(), KinematicConfig(),
+                        DaoConfig(),
+                    )
+                    assert got.values["DAC"] == metrics.dac(p, road)
+                    dacs.add(got.values["DAC"])
+        assert len(dacs) > 1
 
 
 class TestAggregate:

@@ -139,6 +139,21 @@ class TestEval:
             "--out", str(tmp_path / "m.json"),
         ]) == EXIT_SCHEMA
 
+    def test_nan_coordinate_is_schema_error(self, fixtures, tmp_path, capsys):
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        doc["predictions"][0]["modes"][1][3][0] = float("nan")
+        bad = tmp_path / "nan_preds.json"
+        bad.write_text(json.dumps(doc))  # json writes the bare token NaN
+        assert main([
+            "eval",
+            "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(bad),
+            "--tags", str(fixtures / "tags.json"),
+            "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_SCHEMA
+        assert "$.predictions[0].modes[1][3]" in capsys.readouterr().err
+
     def test_missing_tags_is_data_error(self, fixtures, tmp_path):
         empty_tags = tmp_path / "tags.json"
         empty_tags.write_text(json.dumps({"tags": {}}))

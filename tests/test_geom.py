@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from criteria import geom
 from criteria.errors import DegenerateHeadingError, InvalidMapError
 
+from conftest import reference_in_polygon
+
 
 def random_convex_polygon(rng, n=8, radius=10.0):
     angles = np.sort(rng.uniform(0, 2 * np.pi, size=n))
@@ -62,6 +64,65 @@ class TestPointInPolygon:
         )
         moved = geom.points_in_polygon(pts @ rot.T + shift, unit_square @ rot.T + shift)
         assert (base[off_band] == moved[off_band]).all()
+
+
+class TestRing:
+    @pytest.mark.parametrize("eps", [geom.BOUNDARY_EPS, 0.0, 0.05])
+    def test_contains_matches_reference(self, eps):
+        """Random points, and vertices and edge midpoints nudged by 0,
+        +-1e-9 and +-1e-6 on each axis."""
+        rng = np.random.default_rng(11)
+        poly = random_convex_polygon(rng)
+        anchors = np.vstack([poly, (poly + np.roll(poly, -1, axis=0)) / 2])
+        nudges = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-6, 0.03, -0.03])
+        dx, dy = np.meshgrid(nudges, nudges)
+        near = (anchors[:, None, :] + np.column_stack([dx.ravel(), dy.ravel()])).reshape(-1, 2)
+        pts = np.vstack([rng.uniform(-12, 12, size=(500, 2)), near])
+        want = reference_in_polygon(pts, poly, eps)
+        np.testing.assert_array_equal(geom.Ring(poly).contains(pts, eps), want)
+        np.testing.assert_array_equal(geom.points_in_polygon(pts, poly, eps), want)
+
+    def test_degenerate_polygon_rejected(self):
+        with pytest.raises(InvalidMapError):
+            geom.Ring(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 0.13])
+    def test_grid_matches_point_scan(self, seed, offset):
+        """Grid lines through the vertices, nudged by ``offset``, put points
+        on edges, on vertices and inside and outside the epsilon band."""
+        rng = np.random.default_rng(seed)
+        poly = random_convex_polygon(rng, n=6)
+        if seed % 2:
+            poly = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [2.0, 1.0],
+                             [0.0, 3.0]])  # concave, axis-aligned edges
+        xs = np.unique(np.concatenate([poly[:, 0] + offset,
+                                       np.linspace(-11.0, 11.0, 23)]))
+        ys = np.unique(np.concatenate([poly[:, 1] - offset,
+                                       np.linspace(-11.0, 11.0, 23)]))
+        grid = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+        want = reference_in_polygon(grid, poly).reshape(len(xs), len(ys))
+        got = geom.grid_in_rings(xs, ys, [geom.Ring(poly)])
+        np.testing.assert_array_equal(got, want)
+
+    def test_grid_of_overlapping_rings(self, unit_square):
+        """Runs of nested, overlapping and disjoint rings add up on a row."""
+        rings = [unit_square * 4, unit_square + 1.5, unit_square * 2 + 3.0,
+                 unit_square + 7.0]
+        xs = np.linspace(-1.0, 9.0, 41)
+        ys = np.linspace(-1.0, 9.0, 21)
+        grid = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+        want = np.zeros(len(grid), dtype=bool)
+        for ring in rings:
+            want |= reference_in_polygon(grid, ring)
+        got = geom.grid_in_rings(xs, ys, [geom.Ring(r) for r in rings])
+        np.testing.assert_array_equal(got, want.reshape(len(xs), len(ys)))
+
+    def test_grid_outside_every_ring_is_empty(self, unit_square):
+        got = geom.grid_in_rings(
+            np.array([5.0, 6.0]), np.array([0.5]), [geom.Ring(unit_square)]
+        )
+        assert got.shape == (2, 1) and not got.any()
 
 
 class TestArcLength:

@@ -107,6 +107,28 @@ class TestScenarioIO:
             io.load_scenarios(path)
         assert "scenarios[0].future[3]" in str(e.value)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [[True, 1.0], ["1.0", 2.0], [1.0, None], [1.0, [2.0]], [1.0, 2.0, 3.0],
+         [float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0.0]],
+    )
+    def test_bad_coordinate_values_name_path(self, tmp_path, pair):
+        doc = io.scenarios_to_dict(RECORDS)
+        doc["scenarios"][0]["past"][5] = pair
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as e:
+            io.load_scenarios(path)
+        assert "scenarios[0].past[5]" in str(e.value)
+
+    def test_int_coordinates_load_as_floats(self, tmp_path):
+        doc = io.scenarios_to_dict(RECORDS)
+        doc["scenarios"][0]["past"][5] = [3, -4]
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        past = io.load_scenarios(path)[0].past.points
+        assert past.dtype == float and past[5].tolist() == [3.0, -4.0]
+
 
 class TestPredictionIO:
     def test_roundtrip(self, tmp_path):

@@ -1,11 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from criteria import geom, io
+from criteria import geom, io, synth
 from criteria.errors import InvalidMapError
+from criteria.geom import BOX_PAD, padded_box
 from criteria.map_model import LaneSegment, RoadMap, Turn, is_turn_lane
 
-from conftest import simple_lane
+from conftest import reference_in_polygon, simple_lane
+
+OFFSETS = (0.0, geom.BOUNDARY_EPS, -geom.BOUNDARY_EPS, BOX_PAD, -BOX_PAD)
 
 
 def overlap_map():
@@ -14,6 +21,87 @@ def overlap_map():
     b = simple_lane("B", y=0.0, x0=40.0, x1=100.0)
     return RoadMap(map_id="overlap", lanes=[a, b],
                    drivable=[a.polygon, b.polygon])
+
+
+@functools.cache
+def synth_road(kind: synth.MapKind) -> RoadMap:
+    return synth.gen_map(synth.SynthSpec(kind=kind, seed=0))
+
+
+@functools.cache
+def probe_anchors(kind: synth.MapKind, lanes: bool) -> np.ndarray:
+    """Vertices and edge midpoints of every lane polygon or drivable ring,
+    plus the corners and edge midpoints of its padded bounding box."""
+    road = synth_road(kind)
+    rings = [lane.polygon for lane in road.lanes.values()] if lanes else road.drivable
+    out = []
+    for ring in rings:
+        x0, y0, x1, y1 = padded_box(ring)
+        xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+        out += [
+            ring,
+            (ring + np.roll(ring, -1, axis=0)) / 2,
+            [(x0, y0), (x1, y0), (x1, y1), (x0, y1),
+             (xm, y0), (x1, ym), (xm, y1), (x0, ym)],
+        ]
+    return np.vstack(out)
+
+
+@st.composite
+def probe(draw, anchors: np.ndarray) -> tuple[float, float]:
+    """An anchor nudged by 0, +-BOUNDARY_EPS or +-BOX_PAD on each axis, or a
+    uniform point over the synthetic road extent."""
+    if draw(st.booleans()):
+        lim = synth.ROAD_HALF + 10.0
+        return draw(st.floats(-lim, lim)), draw(st.floats(-lim, lim))
+    x, y = anchors[draw(st.integers(0, len(anchors) - 1))]
+    return float(x) + draw(st.sampled_from(OFFSETS)), float(y) + draw(
+        st.sampled_from(OFFSETS)
+    )
+
+
+class TestPrefilterMatchesReference:
+    """The padded-box prefilters against unfiltered exact scans."""
+
+    @given(kind=st.sampled_from(synth.MapKind), data=st.data())
+    def test_contains_many(self, kind, data):
+        road = synth_road(kind)
+        pts = np.array(
+            data.draw(st.lists(probe(probe_anchors(kind, False)), min_size=1,
+                               max_size=40))
+        )
+        want = np.zeros(len(pts), dtype=bool)
+        for ring in road.drivable:
+            want |= reference_in_polygon(pts, ring)
+        np.testing.assert_array_equal(road.contains_many(pts), want)
+
+    @given(kind=st.sampled_from(synth.MapKind), data=st.data())
+    def test_contains_grid(self, kind, data):
+        """A grid through a probe point, as DAO lays its cell centers."""
+        road = synth_road(kind)
+        x, y = data.draw(probe(probe_anchors(kind, False)))
+        step = data.draw(st.sampled_from((0.5, 1.85, 3.7)))
+        nx, ny = data.draw(st.integers(1, 15)), data.draw(st.integers(1, 15))
+        xs = x + (np.arange(nx) - data.draw(st.integers(0, nx - 1))) * step
+        ys = y + (np.arange(ny) - data.draw(st.integers(0, ny - 1))) * step
+        grid = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
+        want = np.zeros(len(grid), dtype=bool)
+        for ring in road.drivable:
+            want |= reference_in_polygon(grid, ring)
+        np.testing.assert_array_equal(
+            road.contains_grid(xs, ys), want.reshape(nx, ny)
+        )
+
+    @given(kind=st.sampled_from(synth.MapKind), data=st.data())
+    def test_lanes_containing(self, kind, data):
+        road = synth_road(kind)
+        p = data.draw(probe(probe_anchors(kind, True)))
+        want = sorted(
+            lane_id
+            for lane_id, lane in road.lanes.items()
+            if reference_in_polygon(p, lane.polygon)[0]
+        )
+        assert road.lanes_containing(p) == want
 
 
 class TestLanesContaining:
@@ -90,10 +178,10 @@ class TestLaneHeading:
 
 class TestDrivable:
     def test_on_lane_surface(self, straight_road):
-        assert straight_road.drivable_contains((5.0, -1.85))
+        assert straight_road.contains_many((5.0, -1.85))[0]
 
     def test_off_road_void(self, straight_road):
-        assert not straight_road.drivable_contains((0.0, 60.0))
+        assert not straight_road.contains_many((0.0, 60.0))[0]
 
     def test_matches_per_polygon_oracle(self, t_road):
         rng = np.random.default_rng(8)
@@ -147,11 +235,11 @@ class TestInvariants:
         loaded = io.load_map(path)
         rng = np.random.default_rng(12)
         probes = rng.uniform(-210, 210, size=(200, 2))
+        np.testing.assert_array_equal(
+            loaded.contains_many(probes), t_road.contains_many(probes)
+        )
         for p in probes:
             assert loaded.lanes_containing(p) == t_road.lanes_containing(p)
-            assert loaded.drivable_contains(tuple(p)) == t_road.drivable_contains(
-                tuple(p)
-            )
             assert loaded.lanes_within_radius(p, 50.0) == t_road.lanes_within_radius(
                 p, 50.0
             )
