@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -13,8 +11,6 @@ from .map_model import RoadMap
 from .metrics import AlignmentConfig, DaoConfig, Reduction, TriadResult
 from .scenario import Difficulty, ScenarioRecord, ScenarioTag
 from .trajectory import KinematicConfig, PredictionSet
-
-THREADS_ENV = "CRITERIA_THREADS"
 
 # metric name -> True when larger is better
 METRIC_DIRECTIONS = {
@@ -76,14 +72,6 @@ class MetricReport:
     att_ablation: dict[str, float]
 
 
-def _n_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_scenario(
     rec: ScenarioRecord,
     road: RoadMap,
@@ -135,14 +123,19 @@ def evaluate_model(
                 f"scenario {rec.id!r}: unknown map {rec.map_id!r}"
             )
         pred = predictions[rec.id]
-        if pred.modes[0].points.shape[0] != len(rec.future):
+        if pred.k < 2:
+            raise DataConsistencyError(
+                f"scenario {rec.id!r}: pairwise metrics need >= 2 modes, "
+                f"got {pred.k}"
+            )
+        if pred.points.shape[1] != len(rec.future):
             raise ShapeError(
                 f"scenario {rec.id!r}: prediction horizon "
-                f"{len(pred.modes[0])} != ground truth {len(rec.future)}"
+                f"{pred.points.shape[1]} != ground truth {len(rec.future)}"
             )
 
-    def one(rec: ScenarioRecord) -> tuple[str, ScenarioResult]:
-        return rec.id, evaluate_scenario(
+    per_scenario = {
+        rec.id: evaluate_scenario(
             rec,
             maps[rec.map_id],
             predictions[rec.id],
@@ -152,15 +145,8 @@ def evaluate_model(
             amv_reduction,
             aae_unit,
         )
-
-    threads = _n_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, records))
-    else:
-        results = [one(rec) for rec in records]
-    # fixed assembly order regardless of thread count
-    per_scenario = dict(sorted(results, key=lambda kv: kv[0]))
+        for rec in sorted(records, key=lambda r: r.id)
+    }
     return EvaluationRun(
         model_name=model_name,
         per_scenario=per_scenario,

@@ -36,10 +36,16 @@ def as_points(obj) -> np.ndarray:
     return pts
 
 
+def _successors(a: np.ndarray) -> np.ndarray:
+    """Each element's successor along axis 0, the first one last; the values
+    of ``np.roll(a, -1, axis=0)`` without its per-call overhead."""
+    return np.concatenate([a[1:], a[:1]])
+
+
 def signed_area(ring: np.ndarray) -> float:
     """Shoelace area; positive for counter-clockwise rings."""
     x, y = ring[:, 0], ring[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _successors(x), _successors(y)
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
@@ -59,7 +65,7 @@ def distance_to_ring(points, ring) -> np.ndarray:
     pts = as_points(points)
     ring = as_points(ring)
     a = ring
-    b = np.roll(ring, -1, axis=0)
+    b = _successors(ring)
     ab = b - a  # (E, 2)
     denom = np.einsum("ij,ij->i", ab, ab)  # (E,)
     ap = pts[:, None, :] - a[None, :, :]  # (N, E, 2)
@@ -92,7 +98,7 @@ class Ring:
             raise InvalidMapError("degenerate polygon (zero area)")
         self.points = pts
         self.x1, self.y1 = pts[:, 0], pts[:, 1]
-        self.x2, self.y2 = np.roll(self.x1, -1), np.roll(self.y1, -1)
+        self.x2, self.y2 = _successors(self.x1), _successors(self.y1)
         self.dx, self.dy = self.x2 - self.x1, self.y2 - self.y1
         self.box = padded_box(pts)
         # unpadded edge bounding boxes, (E,) each
@@ -224,16 +230,74 @@ def heading(v) -> float:
     return h
 
 
-def angle_between(v1, v2) -> float:
-    """Unsigned angle in [0, pi] via clamped dot product (no wrap-around)."""
-    v1 = np.asarray(v1, float)
-    v2 = np.asarray(v2, float)
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 <= DEGENERATE_EPS or n2 <= DEGENERATE_EPS:
+def lengths(v: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of ``(N, 2)`` vectors. ``np.vecdot`` runs the BLAS
+    dot of ``np.dot`` on each row, so every length equals the 1-D
+    ``np.linalg.norm`` of its row bit for bit."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def angles_between(v1, v2) -> np.ndarray:
+    """Unsigned angles in [0, pi] between the rows of two ``(N, 2)`` vector
+    arrays via the clamped dot product (no wrap-around).
+
+    Row by row this is the one-vector computation with ``np.dot`` and
+    ``np.linalg.norm``, bit for bit (see ``lengths``); ``math.acos`` rounds
+    differently from ``np.arccos``, so the last step stays per row.
+    """
+    v1 = np.asarray(v1, float).reshape(-1, 2)
+    v2 = np.asarray(v2, float).reshape(-1, 2)
+    n1, n2 = lengths(v1), lengths(v2)
+    if (n1 <= DEGENERATE_EPS).any() or (n2 <= DEGENERATE_EPS).any():
         raise DegenerateHeadingError("degenerate heading in angle_between")
-    c = float(np.dot(v1, v2) / (n1 * n2))
-    return math.acos(max(-1.0, min(1.0, c)))
+    c = np.clip(np.vecdot(v1, v2) / (n1 * n2), -1.0, 1.0)
+    return np.array([math.acos(x) for x in c.tolist()])
+
+
+def angle_between(v1, v2) -> float:
+    """Unsigned angle in [0, pi] between two vectors; see ``angles_between``."""
+    return float(angles_between(v1, v2)[0])
+
+
+class Polyline:
+    """A validated polyline with its segments laid out once, for repeated
+    nearest-point queries."""
+
+    def __init__(self, polyline):
+        pts = as_points(polyline)
+        if len(pts) < 2:
+            raise ValueError("polyline needs >= 2 points")
+        self.a = pts[:-1]
+        self.ab = pts[1:] - pts[:-1]
+        self.denom = np.einsum("ij,ij->i", self.ab, self.ab)
+        self.seg_len = np.sqrt(self.denom)
+
+    def nearest(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each of the ``(N, 2)`` points: the index of the segment holding
+        its closest point, the foot's parameter along that segment, and the
+        foot. When feet tie (within 1e-12) the later segment wins, so a foot
+        on a shared vertex belongs to the following segment."""
+        pts = np.asarray(points, float).reshape(-1, 2)
+        ap = pts[:, None, :] - self.a  # (N, S, 2)
+        ok = self.denom > 0
+        t = np.einsum("nsj,sj->ns", ap, self.ab) / np.where(ok, self.denom, 1.0)
+        t = np.where(ok, np.clip(t, 0.0, 1.0), 0.0)
+        foot = self.a + t[:, :, None] * self.ab
+        d = np.linalg.norm(pts[:, None, :] - foot, axis=2)
+        ties = d <= d.min(axis=1, keepdims=True) + 1e-12
+        i = ties.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
+        rows = np.arange(len(pts))
+        return i, t[rows, i], foot[rows, i]
+
+    def tangent(self, i: int) -> float:
+        """Heading of segment ``i``; a degenerate segment falls back to the
+        first usable one."""
+        if self.denom[i] > 0:
+            return heading(self.ab[i])
+        usable = np.flatnonzero(self.seg_len > DEGENERATE_EPS)
+        if len(usable) == 0:
+            raise DegenerateHeadingError("polyline has no usable direction")
+        return heading(self.ab[usable[0]])
 
 
 def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float, float]:
@@ -242,30 +306,11 @@ def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float, float]:
     Returns ``(foot, arc_offset, tangent_heading)``. When the foot lands on a
     shared vertex the following segment supplies the heading.
     """
-    p = np.asarray(p, float)
-    pts = as_points(polyline)
-    if len(pts) < 2:
-        raise ValueError("polyline needs >= 2 points")
-    a = pts[:-1]
-    b = pts[1:]
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.einsum("ij,ij->i", p[None, :] - a, ab) / np.where(denom > 0, denom, 1.0)
-    t = np.where(denom > 0, np.clip(t, 0.0, 1.0), 0.0)
-    foot = a + t[:, None] * ab
-    d = np.linalg.norm(p[None, :] - foot, axis=1)
-    ties = np.flatnonzero(d <= d.min() + 1e-12)
-    i = int(ties[-1])  # later segment wins at shared vertices
-    seg_len = np.sqrt(denom)
-    offset = float(seg_len[:i].sum() + t[i] * seg_len[i])
-    if denom[i] > 0:
-        tangent = heading(ab[i])
-    else:  # degenerate segment; fall back to any non-degenerate one
-        usable = np.flatnonzero(seg_len > DEGENERATE_EPS)
-        if len(usable) == 0:
-            raise DegenerateHeadingError("polyline has no usable direction")
-        tangent = heading(ab[usable[0]])
-    return foot[i].copy(), offset, tangent
+    line = Polyline(polyline)
+    idx, t, foot = line.nearest(p)
+    i = int(idx[0])
+    offset = float(line.seg_len[:i].sum() + t[0] * line.seg_len[i])
+    return foot[0].copy(), offset, line.tangent(i)
 
 
 class GridIndex:
@@ -325,8 +370,9 @@ class GridIndex:
         )
 
 
-def rasterize_occupancy(points, roi, cell: float) -> set[tuple[int, int]]:
-    """Grid cells of ``roi = (min_x, min_y, max_x, max_y)`` touched by points.
+def rasterize_occupancy(points, roi, cell: float) -> np.ndarray:
+    """Grid cells of ``roi = (min_x, min_y, max_x, max_y)`` touched by points,
+    as the ``(M, 2)`` array of distinct ``(ix, iy)`` in lexicographic order.
 
     Points on the max edge are clamped into the last cell.
     """
@@ -338,10 +384,7 @@ def rasterize_occupancy(points, roi, cell: float) -> set[tuple[int, int]]:
     pts = as_points(points) if len(points) else np.empty((0, 2))
     nx = max(1, math.ceil((max_x - min_x) / cell))
     ny = max(1, math.ceil((max_y - min_y) / cell))
-    cells: set[tuple[int, int]] = set()
-    for x, y in pts:
-        if min_x <= x <= max_x and min_y <= y <= max_y:
-            ix = min(int((x - min_x) // cell), nx - 1)
-            iy = min(int((y - min_y) // cell), ny - 1)
-            cells.add((ix, iy))
-    return cells
+    x, y = pts[:, 0], pts[:, 1]
+    pts = pts[(min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)]
+    cells = np.floor_divide(pts - [min_x, min_y], cell).astype(np.int64)
+    return np.unique(np.minimum(cells, [nx - 1, ny - 1]), axis=0)

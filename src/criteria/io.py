@@ -35,13 +35,20 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _require_dt(doc: dict, path: str) -> float:
+    dt = _require(doc, "dt", float, path)
+    if dt <= 0:
+        raise SchemaError(f"{path}.dt", "expected a positive number")
+    return dt
+
+
 def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise SchemaError(f"{path}.{key}", "missing required field")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{path}.{key}", "expected a number")
+        if not _finite_number(value):
+            raise SchemaError(f"{path}.{key}", "expected a finite number")
         return float(value)
     if not isinstance(value, kind):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
@@ -57,6 +64,21 @@ def _finite_number(c) -> bool:
         return math.isfinite(float(c))
     except OverflowError:
         return False
+
+
+def _probabilities(value, k: int, path: str):
+    """Validated per-mode probabilities: ``k`` finite, non-negative numbers
+    summing to 1 within 1e-6; an absent or null field stays ``None``."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != k:
+        raise SchemaError(path, f"expected a list of {k} numbers, one per mode")
+    for j, p in enumerate(value):
+        if not _finite_number(p) or p < 0:
+            raise SchemaError(f"{path}[{j}]", "expected a finite non-negative number")
+    if abs(sum(value) - 1.0) > 1e-6:
+        raise SchemaError(path, "probabilities must sum to 1 within 1e-6")
+    return value
 
 
 def _coords(value, path: str, min_len: int) -> np.ndarray:
@@ -316,7 +338,7 @@ def scenarios_from_dict(doc: dict, path: str = "$") -> list[ScenarioRecord]:
         if sid in seen:
             raise DataConsistencyError(f"duplicate scenario id {sid!r}")
         seen.add(sid)
-        dt = _require(rec_doc, "dt", float, rp)
+        dt = _require_dt(rec_doc, rp)
         records.append(
             ScenarioRecord(
                 id=sid,
@@ -376,7 +398,7 @@ def predictions_from_dict(
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     model = _require(doc, "model", str, path)
-    dt = _require(doc, "dt", float, path)
+    dt = _require_dt(doc, path)
     items = _require(doc, "predictions", list, path)
     out: dict[str, PredictionSet] = {}
     for i, pdoc in enumerate(items):
@@ -402,7 +424,9 @@ def predictions_from_dict(
         out[sid] = PredictionSet(
             scenario_id=sid,
             modes=modes,
-            probabilities=pdoc.get("probabilities"),
+            probabilities=_probabilities(
+                pdoc.get("probabilities"), len(modes), f"{pp}.probabilities"
+            ),
             anchor=anchor,
         )
     return model, out

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import geom
-from .errors import InvalidMapError
+from .errors import DegenerateHeadingError, InvalidMapError
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +42,13 @@ class LaneSegment:
         object.__setattr__(self, "centerline", cl)
         object.__setattr__(self, "polygon", geom.normalize_ring(self.polygon))
         object.__setattr__(self, "successors", tuple(self.successors))
+
+
+def _tangent_or_nan(line: geom.Polyline, i: int) -> float:
+    try:
+        return line.tangent(i)
+    except DegenerateHeadingError:
+        return math.nan
 
 
 def is_turn_lane(lane: LaneSegment) -> bool:
@@ -79,6 +87,20 @@ class RoadMap:
             cell_size=cell_size,
             closed=True,
         )
+        # lane ids in sorted order; lanes_containing's mask columns follow it
+        self.lane_ids = tuple(sorted(self.lanes))
+        self._lane_boxes = np.array(
+            [self._lane_rings[i].box for i in self.lane_ids], dtype=float
+        ).reshape(-1, 4).T
+        self._centerlines = {
+            lane_id: geom.Polyline(lane.centerline)
+            for lane_id, lane in self.lanes.items()
+        }
+        # every segment's tangent heading; NaN where none is usable
+        self._tangents = {
+            lane_id: np.array([_tangent_or_nan(line, i) for i in range(len(line.a))])
+            for lane_id, line in self._centerlines.items()
+        }
 
     def _validate(self) -> None:
         # one drivable-area query for every lane polygon vertex
@@ -115,26 +137,42 @@ class RoadMap:
 
     # -- queries ---------------------------------------------------------
 
-    def lanes_containing(self, p) -> list[str]:
-        """Sorted ids of every lane whose polygon contains ``p`` (boundary
-        counts)."""
-        pt = geom.as_points(p)
-        x, y = float(pt[0, 0]), float(pt[0, 1])
-        hits = []
-        for i in sorted(self.lane_index.candidates(pt[0], geom.BOX_PAD)):
-            ring = self._lane_rings[i]
-            x0, y0, x1, y1 = ring.box
-            if x0 <= x <= x1 and y0 <= y <= y1 and ring.contains(pt)[0]:
-                hits.append(i)
-        return hits
+    def lanes_containing(self, points):
+        """Lane membership of ``(N, 2)`` points (boundary counts) as an
+        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
+        ``(2,)`` point, the sorted ids of the lanes that contain it.
+
+        Each lane runs the exact test only on the points inside its padded
+        bounding box.
+        """
+        pts = geom.as_points(points)
+        x, y = pts[:, 0:1], pts[:, 1:2]
+        x0, y0, x1, y1 = self._lane_boxes
+        in_box = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)  # (N, L)
+        mask = np.zeros_like(in_box)
+        for col in np.flatnonzero(in_box.any(axis=0)):
+            rows = np.flatnonzero(in_box[:, col])
+            ring = self._lane_rings[self.lane_ids[col]]
+            mask[rows, col] = ring.contains(pts[rows])
+        if np.ndim(points) == 1:
+            return [self.lane_ids[col] for col in np.flatnonzero(mask[0])]
+        return mask
 
     def lanes_within_radius(self, p, r: float) -> list[str]:
         return self.lane_index.query_radius(p, r)
 
-    def lane_heading_at(self, lane_id: str, p) -> float:
-        lane = self.lanes[lane_id]
-        _, _, tangent = geom.nearest_on_polyline(p, lane.centerline)
-        return tangent
+    def lane_heading_at(self, lane_id: str, points):
+        """Tangent heading of the lane's centerline at the point nearest to
+        each of ``(N, 2)`` points, as an ``(N,)`` array; a float for one
+        ``(2,)`` point."""
+        pts = np.asarray(points, float)
+        seg, _, _ = self._centerlines[lane_id].nearest(pts)
+        headings = self._tangents[lane_id][seg]
+        if np.isnan(headings).any():
+            raise DegenerateHeadingError(
+                f"lane {lane_id!r}: centerline has no usable direction there"
+            )
+        return float(headings[0]) if pts.ndim == 1 else headings
 
     def contains_many(self, points) -> np.ndarray:
         """Vectorized drivable-area membership for a batch of points.

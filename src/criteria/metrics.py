@@ -1,8 +1,14 @@
 """Scalar metrics: accuracy, baseline diversity/admissibility, and the
 angular-expansion, magnitude-variation, and triad-test metrics.
 
-All functions are deterministic and iterate modes and unordered pairs in a
-fixed order, so identical inputs give bit-identical outputs.
+Every metric reads the prediction set's ``(K, T, 2)`` mode stack and computes
+all K modes, or all K(K-1)/2 unordered pairs in ``itertools.combinations``
+order (``np.triu_indices``), as array operations. Each reduction runs over
+the same values in the same order as a per-mode or per-pair loop would, and
+the means over modes and pairs are sequential Python sums in that order, so
+identical inputs give bit-identical outputs.
+
+The triad tests take a ``Trajectory`` too and then answer for that one mode.
 """
 
 from __future__ import annotations
@@ -10,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
 from . import geom
-from .errors import InsufficientModesError, ShapeError
+from .errors import ShapeError
 from .map_model import RoadMap
 from .trajectory import (
     KinematicConfig,
@@ -25,6 +30,7 @@ from .trajectory import (
     kinematic_clip,
     kinematic_window_check,
     require_modes,
+    scalar_or_array,
     step_vectors,
 )
 
@@ -103,71 +109,72 @@ class TriadResult:
 
 
 def _check_shapes(pred: PredictionSet, gt: Trajectory) -> None:
-    for k, m in enumerate(pred.modes):
-        if len(m) != len(gt):
-            raise ShapeError(
-                f"{pred.scenario_id!r}: mode {k} has {len(m)} points, "
-                f"ground truth has {len(gt)}"
-            )
+    if pred.points.shape[1] != len(gt):
+        raise ShapeError(
+            f"{pred.scenario_id!r}: modes have {pred.points.shape[1]} points, "
+            f"ground truth has {len(gt)}"
+        )
 
 
-def _ade(mode: Trajectory, gt: Trajectory) -> float:
-    return float(np.linalg.norm(mode.points - gt.points, axis=1).mean())
-
-
-def _fde(mode: Trajectory, gt: Trajectory) -> float:
-    return float(np.linalg.norm(mode.points[-1] - gt.points[-1]))
+def _fdes(pred: PredictionSet, gt: Trajectory) -> np.ndarray:
+    _check_shapes(pred, gt)
+    return geom.lengths(pred.points[:, -1] - gt.points[-1])
 
 
 def min_ade(pred: PredictionSet, gt: Trajectory) -> float:
     _check_shapes(pred, gt)
-    return min(_ade(m, gt) for m in pred.modes)
+    ades = np.linalg.norm(pred.points - gt.points, axis=2).mean(axis=1)
+    return float(ades.min())
 
 
 def min_fde(pred: PredictionSet, gt: Trajectory) -> float:
-    _check_shapes(pred, gt)
-    return min(_fde(m, gt) for m in pred.modes)
+    return float(_fdes(pred, gt).min())
 
 
 def rf(pred: PredictionSet, gt: Trajectory) -> float:
     """Average FDE over minimum FDE; saturates at avg/RF_EPS when the best
     mode hits the ground-truth endpoint exactly."""
-    _check_shapes(pred, gt)
-    fdes = [_fde(m, gt) for m in pred.modes]
+    fdes = _fdes(pred, gt).tolist()
     return max(1.0, (sum(fdes) / len(fdes)) / max(min(fdes), RF_EPS))
 
 
 # -- baseline diversity ------------------------------------------------------
 
 
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the unordered mode pairs in ``combinations`` order."""
+    return np.triu_indices(k, 1)
+
+
 def min_asd(pred: PredictionSet) -> float:
     require_modes(pred)
-    return min(
-        float(np.linalg.norm(a.points - b.points, axis=1).mean())
-        for a, b in combinations(pred.modes, 2)
-    )
+    i, j = _pairs(pred.k)
+    pts = pred.points
+    return float(np.linalg.norm(pts[i] - pts[j], axis=2).mean(axis=1).min())
 
 
 def min_fsd(pred: PredictionSet) -> float:
     require_modes(pred)
-    return min(
-        float(np.linalg.norm(a.points[-1] - b.points[-1]))
-        for a, b in combinations(pred.modes, 2)
-    )
+    i, j = _pairs(pred.k)
+    ends = pred.points[:, -1]
+    return float(geom.lengths(ends[i] - ends[j]).min())
 
 
 # -- map admissibility --------------------------------------------------------
 
 
-def test_boundary(mode: Trajectory, road: RoadMap) -> bool:
-    """True iff every point lies in the drivable area."""
-    return bool(road.contains_many(mode.points).all())
+def test_boundary(modes, road: RoadMap):
+    """True iff every point of a mode lies in the drivable area; per mode,
+    from one drivable-area query, for a prediction set."""
+    pts = modes.points
+    inside = road.contains_many(pts.reshape(-1, 2)).reshape(pts.shape[:-1])
+    return scalar_or_array(inside.all(axis=-1))
 
 
 def dac(pred: PredictionSet, road: RoadMap) -> float:
     """Fraction of modes entirely inside the drivable area."""
-    passed = [test_boundary(m, road) for m in pred.modes]
-    return sum(passed) / len(passed)
+    passed = test_boundary(pred, road)
+    return int(passed.sum()) / len(passed)
 
 
 def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
@@ -175,8 +182,7 @@ def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
     ax, ay = float(anchor[0]), float(anchor[1])
     half = cfg.roi_side / 2.0
     roi = (ax - half, ay - half, ax + half, ay + half)
-    all_points = np.vstack([m.points for m in pred.modes])
-    occupied = geom.rasterize_occupancy(all_points, roi, cfg.cell)
+    occupied = geom.rasterize_occupancy(pred.points.reshape(-1, 2), roi, cfg.cell)
 
     nx = max(1, math.ceil(cfg.roi_side / cfg.cell))
     ny = nx
@@ -188,7 +194,9 @@ def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
     if n_drivable == 0:
         return 0.0
     # the occupancy grid may reach one cell further when the ROI edges round
-    hits = sum(1 for cx, cy in occupied if cx < nx and cy < ny and drivable[cx, cy])
+    ix, iy = occupied.T
+    on_grid = (ix < nx) & (iy < ny)
+    hits = int(drivable[ix[on_grid], iy[on_grid]].sum())
     return hits / n_drivable * cfg.scale
 
 
@@ -199,18 +207,15 @@ def aae(pred: PredictionSet, unit: str = "deg") -> float:
     """Mean pairwise angle between mode displacement vectors.
 
     Zero-displacement modes carry no direction and are excluded from pairs.
+    A set with fewer than two usable modes has no angular spread: 0.
     """
     require_modes(pred)
-    vectors = []
-    for m in pred.modes:
-        v = displacement_vector(m)
-        if np.linalg.norm(v) > geom.DEGENERATE_EPS:
-            vectors.append(v)
+    vectors = displacement_vector(pred)
+    vectors = vectors[geom.lengths(vectors) > geom.DEGENERATE_EPS]
     if len(vectors) < 2:
-        raise InsufficientModesError(
-            f"{pred.scenario_id!r}: fewer than 2 modes with usable displacement"
-        )
-    angles = [geom.angle_between(a, b) for a, b in combinations(vectors, 2)]
+        return 0.0
+    i, j = _pairs(len(vectors))
+    angles = geom.angles_between(vectors[i], vectors[j]).tolist()
     mean = sum(angles) / len(angles)
     return math.degrees(mean) if unit == "deg" else mean
 
@@ -223,64 +228,89 @@ def amv(
     """Mean pairwise accumulated speed-magnitude difference after clipping.
 
     Each mode is clipped to its kinematically compliant prefix first; a pair
-    is compared over the shorter of the two prefixes.
+    is compared over the shorter of the two prefixes. Pairs are reduced in
+    groups of equal prefix length, so each reduction keeps its length.
     """
     require_modes(pred)
-    mags = []
-    for m in pred.modes:
-        clipped = kinematic_clip(m, kin)
-        mags.append(np.linalg.norm(step_vectors(clipped, kin.anchor), axis=1))
-    pair_values = []
-    for a, b in combinations(mags, 2):
-        n = min(len(a), len(b))
-        diffs = np.abs(a[:n] - b[:n])
-        pair_values.append(
-            float(diffs.sum() if reduction is Reduction.SUM else diffs.mean())
+    mags = np.linalg.norm(step_vectors(pred, kin.anchor), axis=2)  # (K, steps)
+    kept = kinematic_clip(pred, kin)  # points per mode
+    steps = kept if kin.anchor is not None else kept - 1
+    i, j = _pairs(pred.k)
+    lengths = np.minimum(steps[i], steps[j])
+    pair_values = np.empty(len(i))
+    for n in np.unique(lengths):
+        sel = np.flatnonzero(lengths == n)
+        diffs = np.abs(mags[i[sel], :n] - mags[j[sel], :n])
+        pair_values[sel] = (
+            diffs.sum(axis=1) if reduction is Reduction.SUM else diffs.mean(axis=1)
         )
-    return sum(pair_values) / len(pair_values)
+    values = pair_values.tolist()
+    return sum(values) / len(values)
 
 
 # -- triad tests -----------------------------------------------------------
 
 
-def alignment_confidence(delta_theta: float) -> float:
-    """Orientation-variance confidence: 1 at zero deviation, 0 at pi."""
-    return max(0.0, 1.0 - delta_theta / math.pi)
+def alignment_confidence(delta_theta):
+    """Orientation-variance confidence: 1 at zero deviation, 0 at pi;
+    elementwise for an array of deviations."""
+    delta = np.asarray(delta_theta, dtype=float)
+    return scalar_or_array(np.maximum(0.0, 1.0 - delta / math.pi))
 
 
-def test_alignment(
-    mode: Trajectory, road: RoadMap, cfg: AlignmentConfig
-) -> tuple[bool, float]:
-    """Lane-alignment over the trajectory tail.
+def _unit(headings) -> np.ndarray:
+    """``(N, 2)`` unit vectors ``(cos h, sin h)`` of headings, computed with
+    ``math`` like the headings themselves."""
+    return np.array([(math.cos(h), math.sin(h)) for h in headings]).reshape(-1, 2)
+
+
+def test_alignment(modes, road: RoadMap, cfg: AlignmentConfig):
+    """Lane-alignment over the trajectory tail; ``(passed, confidence)``, per
+    mode for a prediction set.
 
     The trajectory heading is the chord over the last ``tail_steps`` points;
     confidence is maximized over (tail point, containing lane) pairs and
     compared strictly against the threshold. A stationary tail falls back to
-    the configured policy.
+    the configured policy. The tail points of all modes go through one lane
+    query, and each lane's centerline headings through one lookup.
     """
-    pts = mode.points
-    if len(pts) < cfg.tail_steps:
+    pts = modes.points
+    n_tail = cfg.tail_steps
+    if pts.shape[-2] < n_tail:
         raise ShapeError(
-            f"alignment test needs >= {cfg.tail_steps} points, got {len(pts)}"
+            f"alignment test needs >= {n_tail} points, got {pts.shape[-2]}"
         )
-    tail = pts[-cfg.tail_steps :]
-    chord = tail[-1] - tail[0]
-    if np.linalg.norm(chord) < max(cfg.stationary_eps, geom.DEGENERATE_EPS):
-        return cfg.stationary_policy is StationaryPolicy.PASS, 0.0
-    traj_heading = geom.heading(chord)
-    hvec = np.array([math.cos(traj_heading), math.sin(traj_heading)])
-    max_conf = 0.0
-    for p in tail:
-        for lane_id in road.lanes_containing(p):
-            lane_heading = road.lane_heading_at(lane_id, p)
-            lvec = np.array([math.cos(lane_heading), math.sin(lane_heading)])
-            delta = geom.angle_between(hvec, lvec)
-            max_conf = max(max_conf, alignment_confidence(delta))
-    return max_conf > cfg.threshold_lac, max_conf
+    tails = pts.reshape(-1, *pts.shape[-2:])[:, -n_tail:]  # (K, n_tail, 2)
+    chords = tails[:, -1] - tails[:, 0]
+    moving = np.flatnonzero(
+        geom.lengths(chords) >= max(cfg.stationary_eps, geom.DEGENERATE_EPS)
+    )
+    passed = np.full(len(tails), cfg.stationary_policy is StationaryPolicy.PASS)
+    conf = np.zeros(len(tails))
+    if len(moving):
+        hvec = _unit([geom.heading(c) for c in chords[moving]])
+        probe = tails[moving].reshape(-1, 2)
+        mode_of = np.repeat(np.arange(len(moving)), n_tail)
+        point, lane = np.nonzero(road.lanes_containing(probe))
+        lane_heading = np.empty(len(point))
+        for col in np.unique(lane):
+            sel = np.flatnonzero(lane == col)
+            lane_heading[sel] = road.lane_heading_at(
+                road.lane_ids[col], probe[point[sel]]
+            )
+        hit_mode = mode_of[point]
+        delta = geom.angles_between(hvec[hit_mode], _unit(lane_heading.tolist()))
+        best = np.zeros(len(moving))
+        np.maximum.at(best, hit_mode, alignment_confidence(delta))
+        conf[moving] = best
+        passed[moving] = best > cfg.threshold_lac
+    return scalar_or_array(passed.reshape(pts.shape[:-2])), scalar_or_array(
+        conf.reshape(pts.shape[:-2])
+    )
 
 
-def test_kinematic(mode: Trajectory, kin: KinematicConfig) -> bool:
-    ok, _, _ = kinematic_window_check(mode, kin)
+def test_kinematic(modes, kin: KinematicConfig):
+    ok, _, _ = kinematic_window_check(modes, kin)
     return ok
 
 
@@ -291,7 +321,9 @@ def att(
     kin_cfg: KinematicConfig,
 ) -> TriadResult:
     """Per-mode triad of boundary, alignment, and kinematic tests."""
-    boundary = tuple(test_boundary(m, road) for m in pred.modes)
-    alignment = tuple(test_alignment(m, road, align_cfg)[0] for m in pred.modes)
-    kinematic = tuple(test_kinematic(m, kin_cfg) for m in pred.modes)
-    return TriadResult(boundary, alignment, kinematic)
+    boundary = test_boundary(pred, road)
+    alignment, _ = test_alignment(pred, road, align_cfg)
+    kinematic = test_kinematic(pred, kin_cfg)
+    return TriadResult(
+        tuple(boundary.tolist()), tuple(alignment.tolist()), tuple(kinematic.tolist())
+    )

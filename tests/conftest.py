@@ -1,8 +1,12 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from criteria import geom, synth
+from criteria.errors import DegenerateHeadingError
 from criteria.map_model import LaneSegment, RoadMap
 from criteria.trajectory import PredictionSet, Trajectory
 
@@ -30,6 +34,172 @@ def reference_in_polygon(points, ring, eps=geom.BOUNDARY_EPS) -> np.ndarray:
     if eps > 0:
         inside |= geom.distance_to_ring(pts, ring) <= eps
     return inside
+
+
+# -- per-mode and per-pair references for the batched metric kernels --------
+# These loop over ``pred.modes`` one mode or one pair at a time, with the
+# 1-D numpy calls the metrics made before they read the ``(K, T, 2)`` stack.
+
+
+def reference_angle_between(v1, v2) -> float:
+    v1, v2 = np.asarray(v1, float), np.asarray(v2, float)
+    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
+    c = float(np.dot(v1, v2) / (n1 * n2))
+    return math.acos(max(-1.0, min(1.0, c)))
+
+
+def reference_polyline_heading(p, polyline) -> float:
+    """Tangent heading at the point of ``polyline`` nearest to ``p``: the
+    later segment wins ties, a degenerate one falls back to the first
+    usable segment."""
+    p = np.asarray(p, float)
+    a, b = polyline[:-1], polyline[1:]
+    ab = b - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.einsum("ij,ij->i", p[None, :] - a, ab) / np.where(denom > 0, denom, 1.0)
+    t = np.where(denom > 0, np.clip(t, 0.0, 1.0), 0.0)
+    d = np.linalg.norm(p[None, :] - (a + t[:, None] * ab), axis=1)
+    i = int(np.flatnonzero(d <= d.min() + 1e-12)[-1])
+    if denom[i] > 0:
+        return geom.heading(ab[i])
+    usable = np.flatnonzero(np.sqrt(denom) > geom.DEGENERATE_EPS)
+    if len(usable) == 0:
+        raise DegenerateHeadingError("polyline has no usable direction")
+    return geom.heading(ab[usable[0]])
+
+
+def reference_lanes_containing(road, p) -> list[str]:
+    return sorted(
+        lane_id
+        for lane_id, lane in road.lanes.items()
+        if reference_in_polygon(p, lane.polygon)[0]
+    )
+
+
+def reference_test_boundary(points, road) -> bool:
+    inside = np.zeros(len(points), dtype=bool)
+    for ring in road.drivable:
+        inside |= reference_in_polygon(points, ring)
+    return bool(inside.all())
+
+
+def reference_test_alignment(points, road, cfg) -> tuple[bool, float]:
+    from criteria.metrics import StationaryPolicy, alignment_confidence
+
+    tail = points[-cfg.tail_steps :]
+    chord = tail[-1] - tail[0]
+    if np.linalg.norm(chord) < max(cfg.stationary_eps, geom.DEGENERATE_EPS):
+        return cfg.stationary_policy is StationaryPolicy.PASS, 0.0
+    h = geom.heading(chord)
+    hvec = np.array([math.cos(h), math.sin(h)])
+    max_conf = 0.0
+    for p in tail:
+        for lane_id in reference_lanes_containing(road, p):
+            lh = reference_polyline_heading(p, road.lanes[lane_id].centerline)
+            lvec = np.array([math.cos(lh), math.sin(lh)])
+            conf = alignment_confidence(reference_angle_between(hvec, lvec))
+            max_conf = max(max_conf, conf)
+    return max_conf > cfg.threshold_lac, max_conf
+
+
+def reference_accels(points, dt, anchor) -> np.ndarray:
+    if anchor is not None:
+        points = np.vstack([np.asarray(anchor, float).reshape(1, 2), points])
+    speeds = np.linalg.norm(np.diff(points, axis=0), axis=1) / dt
+    return np.diff(speeds) / dt
+
+
+def reference_window_check(points, dt, cfg) -> tuple[bool, float, float]:
+    accels = reference_accels(points, dt, cfg.anchor)
+    w = min(cfg.window, len(accels))
+    a_init, a_final = float(accels[:w].mean()), float(accels[-w:].mean())
+    ok = cfg.a_min <= a_init <= cfg.a_max and cfg.a_min <= a_final <= cfg.a_max
+    return ok, a_init, a_final
+
+
+def reference_clip_length(points, dt, cfg) -> int:
+    """Points kept by the kinematic clip."""
+    accels = reference_accels(points, dt, cfg.anchor)
+    bad = np.flatnonzero((accels < cfg.a_min) | (accels > cfg.a_max))
+    if len(accels) == 0 or len(bad) == 0:
+        return len(points)
+    j = int(bad[0])
+    return max(j if cfg.anchor is not None else j + 1, 1) + 1
+
+
+def reference_min_ade(pred, gt) -> float:
+    return min(
+        float(np.linalg.norm(m.points - gt.points, axis=1).mean()) for m in pred.modes
+    )
+
+
+def reference_fdes(pred, gt) -> list[float]:
+    return [float(np.linalg.norm(m.points[-1] - gt.points[-1])) for m in pred.modes]
+
+
+def reference_rf(pred, gt) -> float:
+    fdes = reference_fdes(pred, gt)
+    return max(1.0, (sum(fdes) / len(fdes)) / max(min(fdes), 1e-6))
+
+
+def reference_min_asd(pred) -> float:
+    return min(
+        float(np.linalg.norm(a.points - b.points, axis=1).mean())
+        for a, b in combinations(pred.modes, 2)
+    )
+
+
+def reference_min_fsd(pred) -> float:
+    return min(
+        float(np.linalg.norm(a.points[-1] - b.points[-1]))
+        for a, b in combinations(pred.modes, 2)
+    )
+
+
+def reference_aae(pred) -> float:
+    vectors = [m.points[-1] - m.points[0] for m in pred.modes]
+    vectors = [v for v in vectors if np.linalg.norm(v) > geom.DEGENERATE_EPS]
+    if len(vectors) < 2:
+        return 0.0
+    angles = [reference_angle_between(a, b) for a, b in combinations(vectors, 2)]
+    return math.degrees(sum(angles) / len(angles))
+
+
+def reference_amv(pred, kin, mean: bool = False) -> float:
+    mags = []
+    for m in pred.modes:
+        pts = m.points[: reference_clip_length(m.points, m.dt, kin)]
+        if kin.anchor is not None:
+            pts = np.vstack([kin.anchor.reshape(1, 2), pts])
+        mags.append(np.linalg.norm(np.diff(pts, axis=0), axis=1))
+    values = []
+    for a, b in combinations(mags, 2):
+        n = min(len(a), len(b))
+        diffs = np.abs(a[:n] - b[:n])
+        values.append(float(diffs.mean() if mean else diffs.sum()))
+    return sum(values) / len(values)
+
+
+def reference_rasterize_occupancy(points, roi, cell) -> set[tuple[int, int]]:
+    min_x, min_y, max_x, max_y = roi
+    nx = max(1, math.ceil((max_x - min_x) / cell))
+    ny = max(1, math.ceil((max_y - min_y) / cell))
+    cells = set()
+    for x, y in np.asarray(points, float).reshape(-1, 2):
+        if min_x <= x <= max_x and min_y <= y <= max_y:
+            cells.add((min(int((x - min_x) // cell), nx - 1),
+                       min(int((y - min_y) // cell), ny - 1)))
+    return cells
+
+
+def assert_ulp_close(got, want, ulps: int = 4) -> None:
+    """Each float of ``got`` within ``ulps`` units in the last place of
+    ``want``."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    tol = ulps * np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    bad = np.abs(got - want) > tol
+    assert not bad.any(), (got[bad], want[bad])
 
 
 @pytest.fixture

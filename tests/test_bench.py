@@ -74,15 +74,6 @@ class TestEvaluateModel:
         with pytest.raises(ShapeError, match=RECORDS[0].id):
             evaluate_model("m", RECORDS, MAPS, preds)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv("CRITERIA_THREADS", raising=False)
-        run1 = evaluate_model("m", RECORDS, MAPS, PREDS)
-        monkeypatch.setenv("CRITERIA_THREADS", "4")
-        run4 = evaluate_model("m", RECORDS, MAPS, PREDS)
-        assert list(run1.per_scenario) == list(run4.per_scenario)
-        for sid in run1.per_scenario:
-            assert run1.per_scenario[sid].values == run4.per_scenario[sid].values
-
 
 @functools.lru_cache(maxsize=1)
 def base_run():

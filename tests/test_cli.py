@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -153,6 +154,87 @@ class TestEval:
             "--out", str(tmp_path / "m.json"),
         ]) == EXIT_SCHEMA
         assert "$.predictions[0].modes[1][3]" in capsys.readouterr().err
+
+    def _eval(self, fixtures, tmp_path, predictions=None, scenarios=None):
+        return main([
+            "eval",
+            "--scenarios", str(scenarios or fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions",
+            str(predictions or fixtures / "predictions_noisy.json"),
+            "--tags", str(fixtures / "tags.json"),
+            "--out", str(tmp_path / "m.json"),
+        ])
+
+    @pytest.mark.parametrize("probs, path", [
+        ([math.nan] * 6, "$.predictions[0].probabilities[0]"),
+        ([0.2, math.nan, 0.2, 0.2, 0.2, 0.2], "$.predictions[0].probabilities[1]"),
+        ([math.inf, 0.0, 0.0, 0.0, 0.0, 0.0], "$.predictions[0].probabilities[0]"),
+        ([0.5, -0.25, 0.25, 0.25, 0.125, 0.125],
+         "$.predictions[0].probabilities[1]"),
+        ([0.5, "0.1", 0.1, 0.1, 0.1, 0.1], "$.predictions[0].probabilities[1]"),
+        ([0.5, 0.1, 0.1, 0.1, 0.1, True], "$.predictions[0].probabilities[5]"),
+        ([0.5] * 6, "$.predictions[0].probabilities"),
+        ([0.5, 0.5], "$.predictions[0].probabilities"),
+        ("uniform", "$.predictions[0].probabilities"),
+    ], ids=["nan", "one_nan", "inf", "negative", "string", "bool", "bad_sum",
+            "short", "not_a_list"])
+    def test_bad_probabilities_are_schema_errors(
+        self, fixtures, tmp_path, capsys, probs, path
+    ):
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        assert len(doc["predictions"][0]["modes"]) == 6
+        doc["predictions"][0]["probabilities"] = probs
+        bad = tmp_path / "bad_preds.json"
+        bad.write_text(json.dumps(doc))  # json writes the bare tokens NaN, Infinity
+        assert self._eval(fixtures, tmp_path, predictions=bad) == EXIT_SCHEMA
+        assert f"schema error: {path}: " in capsys.readouterr().err
+
+    def test_valid_probabilities_accepted(self, fixtures, tmp_path):
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        for pred in doc["predictions"]:
+            pred["probabilities"] = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]
+        good = tmp_path / "preds.json"
+        good.write_text(json.dumps(doc))
+        assert self._eval(fixtures, tmp_path, predictions=good) == EXIT_OK
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 10**400, 0, -0.1],
+                             ids=["nan", "inf", "-inf", "1e400", "zero", "negative"])
+    @pytest.mark.parametrize("target", ["predictions", "scenarios"])
+    def test_bad_dt_is_schema_error(self, fixtures, tmp_path, capsys, dt, target):
+        if target == "predictions":
+            doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+            doc["dt"], path = dt, "$.dt"
+        else:
+            doc = json.loads((fixtures / "scenarios.json").read_text())
+            doc["scenarios"][0]["dt"], path = dt, "$.scenarios[0].dt"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert self._eval(fixtures, tmp_path, **{target: bad}) == EXIT_SCHEMA
+        assert f"schema error: {path}: " in capsys.readouterr().err
+
+    def test_collapsed_modes_score_zero_aae(self, fixtures, tmp_path):
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        pred = doc["predictions"][0]
+        n = len(pred["modes"][0])
+        pred["modes"] = [[pred["anchor"]] * n for _ in pred["modes"]]
+        collapsed = tmp_path / "collapsed.json"
+        collapsed.write_text(json.dumps(doc))
+        assert self._eval(fixtures, tmp_path, predictions=collapsed) == EXIT_OK
+        out = json.loads((tmp_path / "m.json").read_text())
+        values = out["per_scenario"][pred["scenario_id"]]
+        assert values["AAE"] == 0.0
+        assert values["minASD"] == 0.0
+
+    def test_single_mode_is_data_error(self, fixtures, tmp_path, capsys):
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        pred = doc["predictions"][1]
+        pred["modes"] = pred["modes"][:1]
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps(doc))
+        assert self._eval(fixtures, tmp_path, predictions=single) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert pred["scenario_id"] in err and ">= 2 modes" in err
 
     def test_missing_tags_is_data_error(self, fixtures, tmp_path):
         empty_tags = tmp_path / "tags.json"

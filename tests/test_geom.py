@@ -259,15 +259,21 @@ class TestGridIndex:
         assert idx.query_radius(center, r) == want
 
 
+def _cells(points, roi, cell) -> set[tuple[int, int]]:
+    cells = geom.rasterize_occupancy(points, roi, cell)
+    assert cells.shape[1:] == (2,)
+    return set(map(tuple, cells.tolist()))
+
+
 class TestRasterizeOccupancy:
     ROI = (0.0, 0.0, 10.0, 10.0)
 
     def test_corner_point(self):
-        assert geom.rasterize_occupancy([(0.0, 0.0)], self.ROI, 1.0) == {(0, 0)}
+        assert _cells([(0.0, 0.0)], self.ROI, 1.0) == {(0, 0)}
 
     def test_dedup(self):
         cells = geom.rasterize_occupancy([(0.2, 0.2), (0.8, 0.9)], self.ROI, 1.0)
-        assert cells == {(0, 0)}
+        assert cells.tolist() == [[0, 0]]
 
     def test_line_of_points(self):
         pts = [(float(i) + 0.25, 0.25) for i in range(30)]
@@ -276,4 +282,4 @@ class TestRasterizeOccupancy:
         assert len(cells) == 30
 
     def test_outside_roi_ignored(self):
-        assert geom.rasterize_occupancy([(50.0, 50.0)], self.ROI, 1.0) == set()
+        assert _cells([(50.0, 50.0)], self.ROI, 1.0) == set()

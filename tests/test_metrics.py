@@ -114,8 +114,9 @@ class TestSelfDistances:
 
     def test_single_mode_rejected(self):
         pred = offset_pred([0.0])
-        with pytest.raises(InsufficientModesError):
-            metrics.min_asd(pred)
+        for pairwise in (metrics.min_asd, metrics.min_fsd, metrics.aae):
+            with pytest.raises(InsufficientModesError):
+                pairwise(pred)
 
 
 class TestBoundaryAndDac:
@@ -202,10 +203,13 @@ class TestAae:
         b = straight_mode((0, 0), (0.0, 1.0), 30)
         assert metrics.aae(make_pred([a, b, loop])) == pytest.approx(90.0)
 
-    def test_all_degenerate_rejected(self):
+    def test_all_degenerate_scores_zero(self):
+        # collapsed modes have no angular spread; one such scenario must not
+        # abort a whole evaluation
         loop = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]] * 10)
-        with pytest.raises(InsufficientModesError):
-            metrics.aae(make_pred([loop, loop.copy()]))
+        assert metrics.aae(make_pred([loop, loop.copy()])) == 0.0
+        a = straight_mode((0, 0), (1.0, 0.0), 30)
+        assert metrics.aae(make_pred([a, loop, loop.copy()])) == 0.0
 
     def test_radians_flag(self):
         a = straight_mode((0, 0), (1.0, 0.0), 30)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from criteria.errors import TooShortError
+from criteria.errors import ShapeError, TooShortError
 from criteria.trajectory import (
     KinematicConfig,
+    PredictionSet,
     Trajectory,
     accel_profile,
     displacement_vector,
@@ -23,6 +24,43 @@ def traj_from_speeds(speeds, dt=0.1):
     steps = np.asarray(speeds, float) * dt
     xs = np.concatenate([[0.0], np.cumsum(steps)])
     return Trajectory(np.column_stack([xs, np.zeros_like(xs)]), dt)
+
+
+class TestPredictionSet:
+    def modes(self, n=3):
+        return [make_traj(straight_mode((0, k), (1.0, 0.0), n)) for k in range(4)]
+
+    def test_points_stack_modes(self):
+        modes = self.modes()
+        pred = PredictionSet("s", modes)
+        assert pred.points.shape == (4, 3, 2) and pred.dt == 0.1
+        for k, m in enumerate(modes):
+            assert np.array_equal(pred.points[k], m.points)
+        with pytest.raises(ValueError):
+            pred.points[0, 0, 0] = 1.0  # read-only
+
+    @pytest.mark.parametrize("odd", [
+        make_traj(straight_mode((0, 9), (1.0, 0.0), 4)),
+        make_traj(straight_mode((0, 9), (1.0, 0.0), 3), dt=0.2),
+    ], ids=["length", "dt"])
+    def test_mismatched_mode_rejected(self, odd):
+        with pytest.raises(ShapeError, match="mode 4"):
+            PredictionSet("s", [*self.modes(), odd])
+
+    @pytest.mark.parametrize("probs", [
+        [math.nan] * 4,
+        [0.25, 0.25, 0.25, math.nan],
+        [math.inf, 0.0, 0.0, 0.0],
+        [0.5, 0.5, 0.5, -0.5],
+        [0.5] * 4,
+    ], ids=["all_nan", "one_nan", "inf", "negative", "bad_sum"])
+    def test_bad_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError):
+            PredictionSet("s", self.modes(), probabilities=probs)
+
+    def test_probabilities_length_checked(self):
+        with pytest.raises(ShapeError):
+            PredictionSet("s", self.modes(), probabilities=[0.5, 0.5])
 
 
 class TestStepVectors:
