@@ -110,6 +110,10 @@ def _min_fde_table(args, records) -> dict[str, list[float]]:
             if not isinstance(values, list) or not values:
                 raise SchemaError(f"$.min_fde.{sid}",
                                   "expected a non-empty list of numbers")
+            for j, v in enumerate(values):
+                if not io._finite_number(v):
+                    raise SchemaError(f"$.min_fde.{sid}[{j}]",
+                                      "expected a finite number")
             out[sid] = [float(v) for v in values]
         return out
     if not args.predictions:

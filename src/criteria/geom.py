@@ -314,23 +314,18 @@ def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float, float]:
 
 
 class GridIndex:
-    """Uniform-grid spatial index over labelled shapes.
-
-    ``closed=True`` treats each shape as a polygon ring (distance 0 inside),
-    otherwise as a bare point set. Immutable after construction.
-    """
+    """Uniform-grid spatial index over labelled point sets. Immutable after
+    construction."""
 
     def __init__(
         self,
         shapes: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
         cell_size: float = 10.0,
-        closed: bool = False,
     ):
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         items = dict(shapes)
         self.cell_size = float(cell_size)
-        self.closed = closed
         self._shapes = {k: as_points(v) for k, v in items.items()}
         self._cells: dict[tuple[int, int], list[str]] = {}
         for item_id, pts in self._shapes.items():
@@ -341,11 +336,8 @@ class GridIndex:
                     self._cells.setdefault((cx, cy), []).append(item_id)
 
     def min_distance(self, item_id: str, p) -> float:
+        """Distance from ``p`` to the nearest point of the set ``item_id``."""
         pts = self._shapes[item_id]
-        if self.closed:
-            if point_in_polygon(p, pts):
-                return 0.0
-            return float(distance_to_ring(np.asarray(p, float).reshape(1, 2), pts)[0])
         return float(np.linalg.norm(pts - np.asarray(p, float), axis=1).min())
 
     def candidates(self, center, r: float) -> set[str]:

@@ -201,13 +201,12 @@ class RunConfig:
     def from_dict(cls, doc: dict, path: str = "$") -> "RunConfig":
         if not isinstance(doc, dict):
             raise SchemaError(path, "expected an object")
-        cfg = cls()
+        defaults = cls().to_dict()
+        kin, ali, dao, sce, wts = (
+            _config_section(doc, name, defaults[name], path)
+            for name in ("kinematic", "alignment", "dao", "scenario", "weights")
+        )
         try:
-            kin = {**cfg.to_dict()["kinematic"], **doc.get("kinematic", {})}
-            ali = {**cfg.to_dict()["alignment"], **doc.get("alignment", {})}
-            dao = {**cfg.to_dict()["dao"], **doc.get("dao", {})}
-            sce = {**cfg.to_dict()["scenario"], **doc.get("scenario", {})}
-            wts = {**cfg.to_dict()["weights"], **doc.get("weights", {})}
             return cls(
                 kinematic=KinematicConfig(**kin),
                 alignment=AlignmentConfig(
@@ -228,6 +227,32 @@ class RunConfig:
             )
         except (TypeError, ValueError, KeyError) as e:
             raise SchemaError(path, f"invalid configuration: {e}") from e
+
+
+def _config_section(doc: dict, name: str, defaults: dict, path: str) -> dict:
+    """The defaults of section ``name`` overridden by ``doc[name]``. Each
+    override of a number must be a finite number, or an integer where the
+    default is one; each override of a list of numbers, as many of them."""
+    sp = f"{path}.{name}"
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise SchemaError(sp, "expected an object")
+    for key, value in section.items():
+        default = defaults.get(key)
+        if isinstance(default, list):
+            if not isinstance(value, list) or len(value) != len(default):
+                raise SchemaError(
+                    f"{sp}.{key}", f"expected a list of {len(default)} numbers"
+                )
+            for j, v in enumerate(value):
+                if not _finite_number(v):
+                    raise SchemaError(f"{sp}.{key}[{j}]", "expected a finite number")
+        elif type(default) is int:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchemaError(f"{sp}.{key}", "expected an integer")
+        elif type(default) is float and not _finite_number(value):
+            raise SchemaError(f"{sp}.{key}", "expected a finite number")
+    return {**defaults, **section}
 
 
 def load_config(path) -> RunConfig:

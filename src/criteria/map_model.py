@@ -57,14 +57,14 @@ def is_turn_lane(lane: LaneSegment) -> bool:
 
 
 class RoadMap:
-    """Immutable lane map with a grid index over lane polygons."""
+    """Immutable lane map whose drivable rings and lane polygons are prepared
+    once, with padded bounding boxes, for batched point queries."""
 
     def __init__(
         self,
         map_id: str,
         lanes: list[LaneSegment],
         drivable: list[np.ndarray],
-        cell_size: float = 10.0,
     ):
         self.map_id = map_id
         self.lanes = {}
@@ -82,12 +82,7 @@ class RoadMap:
             lane_id: geom.Ring(lane.polygon) for lane_id, lane in self.lanes.items()
         }
         self._validate()
-        self.lane_index = geom.GridIndex(
-            {lane.id: lane.polygon for lane in lanes},
-            cell_size=cell_size,
-            closed=True,
-        )
-        # lane ids in sorted order; lanes_containing's mask columns follow it
+        # lane ids in sorted order; the lane masks' columns follow it
         self.lane_ids = tuple(sorted(self.lanes))
         self._lane_boxes = np.array(
             [self._lane_rings[i].box for i in self.lane_ids], dtype=float
@@ -137,29 +132,44 @@ class RoadMap:
 
     # -- queries ---------------------------------------------------------
 
-    def lanes_containing(self, points):
-        """Lane membership of ``(N, 2)`` points (boundary counts) as an
+    def _lane_mask(self, points, eps: float):
+        """Lanes within ``eps`` of ``(N, 2)`` points (inside counts) as an
         ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
-        ``(2,)`` point, the sorted ids of the lanes that contain it.
+        ``(2,)`` point, the sorted ids of those lanes.
 
         Each lane runs the exact test only on the points inside its padded
-        bounding box.
+        bounding box widened by ``eps``; a point outside it is farther than
+        ``eps`` from the lane.
         """
         pts = geom.as_points(points)
         x, y = pts[:, 0:1], pts[:, 1:2]
         x0, y0, x1, y1 = self._lane_boxes
-        in_box = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)  # (N, L)
+        in_box = (
+            (x >= x0 - eps) & (x <= x1 + eps) & (y >= y0 - eps) & (y <= y1 + eps)
+        )  # (N, L)
         mask = np.zeros_like(in_box)
         for col in np.flatnonzero(in_box.any(axis=0)):
             rows = np.flatnonzero(in_box[:, col])
             ring = self._lane_rings[self.lane_ids[col]]
-            mask[rows, col] = ring.contains(pts[rows])
+            mask[rows, col] = ring.contains(pts[rows], eps)
         if np.ndim(points) == 1:
             return [self.lane_ids[col] for col in np.flatnonzero(mask[0])]
         return mask
 
-    def lanes_within_radius(self, p, r: float) -> list[str]:
-        return self.lane_index.query_radius(p, r)
+    def lanes_containing(self, points):
+        """Lane membership of ``(N, 2)`` points (boundary counts) as an
+        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
+        ``(2,)`` point, the sorted ids of the lanes that contain it."""
+        return self._lane_mask(points, geom.BOUNDARY_EPS)
+
+    def lanes_within_radius(self, points, r: float):
+        """Lanes inside or within ``r`` of each of ``(N, 2)`` points as an
+        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
+        ``(2,)`` point, the sorted ids of those lanes. A lane's boundary band
+        is never narrower than the containment test's."""
+        if not r > 0:
+            raise ValueError("radius must be positive")
+        return self._lane_mask(points, max(float(r), geom.BOUNDARY_EPS))
 
     def lane_heading_at(self, lane_id: str, points):
         """Tangent heading of the lane's centerline at the point nearest to

@@ -84,11 +84,9 @@ def tag_structure(
             f"got {road.map_id!r}"
         )
     points = np.vstack([rec.past.points, rec.future.points])
-    for p in points:
-        for lane_id in road.lanes_within_radius(p, cfg.turn_radius):
-            if is_turn_lane(road.lanes[lane_id]):
-                return Structure.TURN
-    return Structure.CRUISING
+    near = road.lanes_within_radius(points, cfg.turn_radius)
+    turn = [is_turn_lane(road.lanes[lane_id]) for lane_id in road.lane_ids]
+    return Structure.TURN if near[:, turn].any() else Structure.CRUISING
 
 
 def difficulty_scores(

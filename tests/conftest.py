@@ -7,7 +7,8 @@ from hypothesis import settings
 
 from criteria import geom, synth
 from criteria.errors import DegenerateHeadingError
-from criteria.map_model import LaneSegment, RoadMap
+from criteria.map_model import LaneSegment, RoadMap, is_turn_lane
+from criteria.scenario import Structure
 from criteria.trajectory import PredictionSet, Trajectory
 
 # Properties that compare a fast path with an exact reference scan may take
@@ -74,6 +75,25 @@ def reference_lanes_containing(road, p) -> list[str]:
         for lane_id, lane in road.lanes.items()
         if reference_in_polygon(p, lane.polygon)[0]
     )
+
+
+def reference_lane_within_radius(points, ring, r) -> np.ndarray:
+    """Flags of the ``(N, 2)`` points that lie in ``ring`` or within ``r`` of
+    its boundary, with no prefilter: the lane test of the radius query."""
+    pts = np.asarray(points, float).reshape(-1, 2)
+    near = geom.distance_to_ring(pts, ring) <= r
+    return reference_in_polygon(pts, ring) | near
+
+
+def reference_tag_structure(rec, road, cfg) -> Structure:
+    """The per-point tagging loop: TURN as soon as one ground-truth point has
+    a turn lane inside or within the radius."""
+    turn_lanes = [lane for lane in road.lanes.values() if is_turn_lane(lane)]
+    for p in np.vstack([rec.past.points, rec.future.points]):
+        for lane in turn_lanes:
+            if reference_lane_within_radius(p, lane.polygon, cfg.turn_radius)[0]:
+                return Structure.TURN
+    return Structure.CRUISING
 
 
 def reference_test_boundary(points, road) -> bool:

@@ -87,6 +87,28 @@ class TestTag:
             "--out", str(tmp_path / "tags.json"),
         ]) == EXIT_DATA
 
+    @pytest.mark.parametrize("value", ["1.5", {"a": 1}, math.nan, math.inf,
+                                       True, None],
+                             ids=["string", "object", "nan", "inf", "bool", "null"])
+    def test_bad_minfde_entry_is_schema_error(self, fixtures, tmp_path, capsys,
+                                              value):
+        records = io.load_scenarios(fixtures / "scenarios.json")
+        table = {r.id: [1.0, 2.0] for r in records}
+        sid = records[1].id
+        table[sid][1] = value
+        path = tmp_path / "minfde.json"
+        path.write_text(json.dumps({"min_fde": table}))
+        out = tmp_path / "tags.json"
+        assert main([
+            "tag",
+            "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--minfde", str(path),
+            "--out", str(out),
+        ]) == EXIT_SCHEMA
+        assert f"schema error: $.min_fde.{sid}[1]: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_score_source_is_data_error(self, fixtures, tmp_path):
         assert main([
             "tag",
@@ -247,6 +269,41 @@ class TestEval:
             "--tags", str(empty_tags),
             "--out", str(tmp_path / "m.json"),
         ]) == EXIT_DATA
+
+
+class TestConfig:
+    @pytest.mark.parametrize("doc, path", [
+        ({"kinematic": {"a_min": math.nan}, "dao": {"cell": math.nan}},
+         "$.kinematic.a_min"),
+        ({"dao": {"cell": math.inf}}, "$.dao.cell"),
+        ({"scenario": {"turn_radius": math.nan}}, "$.scenario.turn_radius"),
+        ({"scenario": {"alpha": [0.1, math.nan, 0.45]}}, "$.scenario.alpha[1]"),
+        ({"scenario": {"alpha": [0.5, 0.5]}}, "$.scenario.alpha"),
+        ({"weights": {"w_hard": True}}, "$.weights.w_hard"),
+        ({"alignment": {"stationary_eps": "0.1"}}, "$.alignment.stationary_eps"),
+        ({"kinematic": {"window": 3.5}}, "$.kinematic.window"),
+        ({"dao": [1, 2]}, "$.dao"),
+    ], ids=["nan", "inf", "turn_radius", "alpha", "alpha_length", "bool",
+            "string", "float_window", "not_an_object"])
+    @pytest.mark.parametrize("command", ["tag", "eval"])
+    def test_bad_value_is_schema_error(self, fixtures, tmp_path, capsys,
+                                       doc, path, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        args = {
+            "tag": ["--predictions", str(fixtures / "predictions_noisy.json")],
+            "eval": ["--predictions", str(fixtures / "predictions_noisy.json"),
+                     "--tags", str(fixtures / "tags.json")],
+        }[command]
+        assert main([
+            command,
+            "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            *args,
+            "--config", str(config),
+            "--out", str(tmp_path / "out.json"),
+        ]) == EXIT_SCHEMA
+        assert f"schema error: {path}: " in capsys.readouterr().err
 
 
 class TestReport:

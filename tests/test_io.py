@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ class TestRunConfig:
     def test_bad_value_is_schema_error(self):
         with pytest.raises(SchemaError):
             io.RunConfig.from_dict({"amv_reduction": "MEDIAN"})
+
+    def test_integer_overrides_of_floats_accepted(self):
+        cfg = io.RunConfig.from_dict(
+            {"scenario": {"turn_radius": 50}, "dao": {"cell": 1}}
+        )
+        assert cfg.scenario.turn_radius == 50
+        assert cfg.dao.cell == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400, True, "1"])
+    def test_non_finite_number_names_its_path(self, value):
+        with pytest.raises(SchemaError) as e:
+            io.RunConfig.from_dict({"weights": {"w_easy": value}})
+        assert e.value.path == "$.weights.w_easy"
 
 
 class TestMapIO:

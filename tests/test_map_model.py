@@ -10,9 +10,19 @@ from criteria.errors import InvalidMapError
 from criteria.geom import BOX_PAD, padded_box
 from criteria.map_model import LaneSegment, RoadMap, Turn, is_turn_lane
 
-from conftest import reference_in_polygon, simple_lane
+from conftest import (
+    reference_in_polygon,
+    reference_lane_within_radius,
+    simple_lane,
+)
 
 OFFSETS = (0.0, geom.BOUNDARY_EPS, -geom.BOUNDARY_EPS, BOX_PAD, -BOX_PAD)
+# radius-query radii: below and at the boundary band, the box pad, lane
+# widths, the default turn radius, or anything in between
+RADII = st.one_of(
+    st.sampled_from((1e-12, geom.BOUNDARY_EPS, BOX_PAD, 1.85, 3.7, 100.0, 150.0)),
+    st.floats(geom.BOUNDARY_EPS, 150.0),
+)
 
 
 def overlap_map():
@@ -102,6 +112,52 @@ class TestPrefilterMatchesReference:
             if reference_in_polygon(p, lane.polygon)[0]
         )
         assert road.lanes_containing(p) == want
+
+
+@st.composite
+def radius_probe(draw, anchors: np.ndarray, r: float) -> tuple[float, float]:
+    """An anchor nudged on each axis by 0, +-r, +-r+-BOX_PAD or
+    +-BOUNDARY_EPS, or a uniform point over the synthetic road extent widened
+    by ``r``."""
+    if draw(st.booleans()):
+        lim = synth.ROAD_HALF + 10.0 + r
+        return draw(st.floats(-lim, lim)), draw(st.floats(-lim, lim))
+    offsets = [0.0, geom.BOUNDARY_EPS, -geom.BOUNDARY_EPS]
+    offsets += [s * r + pad for s in (1, -1) for pad in (0.0, BOX_PAD, -BOX_PAD)]
+    x, y = anchors[draw(st.integers(0, len(anchors) - 1))]
+    return float(x) + draw(st.sampled_from(offsets)), float(y) + draw(
+        st.sampled_from(offsets)
+    )
+
+
+class TestRadiusMatchesReference:
+    """The batched radius query against an unfiltered scan of every lane."""
+
+    @given(kind=st.sampled_from(synth.MapKind), r=RADII, data=st.data())
+    def test_lanes_within_radius(self, kind, r, data):
+        road = synth_road(kind)
+        pts = np.array(
+            data.draw(st.lists(radius_probe(probe_anchors(kind, True), r),
+                               min_size=1, max_size=40))
+        )
+        want = np.column_stack([
+            reference_lane_within_radius(pts, road.lanes[lane_id].polygon, r)
+            for lane_id in road.lane_ids
+        ])
+        np.testing.assert_array_equal(road.lanes_within_radius(pts, r), want)
+
+    @given(kind=st.sampled_from(synth.MapKind), r=RADII, data=st.data())
+    def test_one_point_gives_its_row_as_ids(self, kind, r, data):
+        road = synth_road(kind)
+        p = data.draw(radius_probe(probe_anchors(kind, True), r))
+        row = road.lanes_within_radius(np.array([p]), r)[0]
+        want = [lane_id for lane_id, hit in zip(road.lane_ids, row) if hit]
+        assert road.lanes_within_radius(p, r) == want
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, straight_road, r):
+        with pytest.raises(ValueError):
+            straight_road.lanes_within_radius((0.0, 0.0), r)
 
 
 class TestLanesContaining:

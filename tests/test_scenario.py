@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from criteria import geom
+from criteria import geom, synth
 from criteria.errors import DataConsistencyError
-from criteria.map_model import is_turn_lane
 from criteria.scenario import (
     Difficulty,
     LengthClass,
@@ -18,7 +21,7 @@ from criteria.scenario import (
 )
 from criteria.trajectory import Trajectory
 
-from conftest import straight_mode
+from conftest import reference_tag_structure, straight_mode
 
 CFG = ScenarioConfig()
 
@@ -36,19 +39,6 @@ def record(road, start=(0.0, -1.85), step=(1.0, 0.0), sid="s0"):
     )
 
 
-def brute_force_structure(rec, road, cfg):
-    points = np.vstack([rec.past.points, rec.future.points])
-    for lane in road.lanes.values():
-        if not is_turn_lane(lane):
-            continue
-        for p in points:
-            if geom.point_in_polygon(p, lane.polygon):
-                return Structure.TURN
-            if geom.distance_to_ring(p.reshape(1, 2), lane.polygon)[0] <= cfg.turn_radius:
-                return Structure.TURN
-    return Structure.CRUISING
-
-
 class TestTagStructure:
     def test_straight_map_is_cruising(self, straight_road):
         assert tag_structure(record(straight_road), straight_road, CFG) is (
@@ -62,7 +52,7 @@ class TestTagStructure:
     def test_turn_lane_beyond_radius(self, t_road):
         # agent far west: nearest turn lane > 100 m from every gt point
         rec = record(t_road, start=(-190.0, -1.85), step=(0.2, 0.0))
-        assert tag_structure(rec, t_road, CFG) is brute_force_structure(
+        assert tag_structure(rec, t_road, CFG) is reference_tag_structure(
             rec, t_road, CFG
         )
         assert tag_structure(rec, t_road, CFG) is Structure.CRUISING
@@ -70,7 +60,7 @@ class TestTagStructure:
     def test_matches_brute_force(self, t_road):
         for x0 in (-190.0, -150.0, -120.0, -80.0, -40.0):
             rec = record(t_road, start=(x0, -1.85), step=(0.3, 0.0))
-            assert tag_structure(rec, t_road, CFG) is brute_force_structure(
+            assert tag_structure(rec, t_road, CFG) is reference_tag_structure(
                 rec, t_road, CFG
             )
 
@@ -78,6 +68,36 @@ class TestTagStructure:
         rec = record(straight_road)
         with pytest.raises(DataConsistencyError):
             tag_structure(rec, t_road, CFG)
+
+
+@functools.cache
+def synth_scene(kind: synth.MapKind):
+    spec = synth.SynthSpec(kind=kind, seed=0)
+    road = synth.gen_map(spec)
+    return road, synth.gen_scenarios(road, spec)
+
+
+class TestTagStructureMatchesReference:
+    @given(
+        kind=st.sampled_from(synth.MapKind),
+        index=st.integers(0, 9),
+        shift=st.tuples(st.floats(-150, 150), st.floats(-150, 150)),
+        radius=st.floats(0.5, 150.0),
+    )
+    def test_shifted_synth_scenarios(self, kind, index, shift, radius):
+        """A synthetic scenario moved across the map, so that turn lanes fall
+        just inside or outside the radius."""
+        road, records = synth_scene(kind)
+        rec = records[index]
+        moved = ScenarioRecord(
+            id=rec.id, map_id=rec.map_id, agent_id=rec.agent_id, dt=rec.dt,
+            past=Trajectory(rec.past.points + shift, rec.dt),
+            future=Trajectory(rec.future.points + shift, rec.dt),
+        )
+        cfg = ScenarioConfig(turn_radius=radius)
+        assert tag_structure(moved, road, cfg) is reference_tag_structure(
+            moved, road, cfg
+        )
 
 
 class TestDifficultyScores:
