@@ -190,6 +190,8 @@ def cmd_report(args) -> int:
     inputs = {}
     for path in args.metrics:
         run, tags = io.load_metrics(path)
+        if not run.per_scenario:
+            raise DataConsistencyError(f"{path}: metrics file carries no scenarios")
         if not tags:
             raise DataConsistencyError(
                 f"{path}: metrics file carries no scenario tags"

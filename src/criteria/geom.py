@@ -23,6 +23,8 @@ DEGENERATE_EPS = 1e-6
 # parity and is farther than the epsilon band from the boundary, so the exact
 # test would reject it anyway.
 BOX_PAD = 1e-6
+# lower and upper offsets of a padded range, as a column to add to an (E,) row
+_PADS = np.array([[-BOX_PAD], [BOX_PAD]])
 
 
 def as_points(obj) -> np.ndarray:
@@ -139,66 +141,129 @@ class Ring:
         return inside
 
 
-def grid_in_rings(xs: np.ndarray, ys: np.ndarray, rings: list[Ring]) -> np.ndarray:
-    """Membership of every grid point ``(xs[i], ys[j])`` in the union of
-    ``rings`` as an ``(len(xs), len(ys))`` mask; equals ``Ring.contains``
-    (default band) on each point, or-ed over the rings. ``xs`` and ``ys``
-    must be ascending.
+class GridCover:
+    """The cells of a grid of ``nx`` columns whose centers lie in a union of
+    rings, kept sparse: the interior as merged row runs, the boundary band as
+    a list of cells. Cell ``(ix, iy)`` has the key ``iy * (nx + 1) + ix``;
+    column ``nx`` is where the runs that reach the end of a row close.
 
-    A grid row shares its ``y``, so each row computes its crossing with every
-    edge once, with the arithmetic of ``Ring.contains``. A closed ring
-    crosses a row an even number of times, and sorted by column its
-    crossings pair up into the column runs it covers; one difference array
-    sums the runs of all rings. The boundary band is tested exactly, with
-    ``Ring.contains``, on the points outside that fall in some edge's padded
-    box; no other point can be that close.
+    ``keys`` are the sorted start and end keys of the runs, ``depth[m]`` the
+    number of runs open before ``keys[m]`` (``depth[-1]`` after the last),
+    and ``band`` the sorted keys of the cells outside every run that are
+    covered all the same.
     """
-    inside = np.zeros((len(xs), len(ys)), dtype=bool)
-    if not rings or not len(xs) or not len(ys):
-        return inside
-    n_edges = [len(r.x1) for r in rings]
-    ring_of = np.repeat(np.arange(len(rings)), n_edges)
-    x1, y1, y2, dx, dy, ex0, ex1, ey0, ey1 = (
-        np.concatenate([getattr(r, name) for r in rings])
-        for name in ("x1", "y1", "y2", "dx", "dy", "ex0", "ex1", "ey0", "ey1")
-    )
-    row, edge = np.nonzero((y1 > ys[:, None]) != (y2 > ys[:, None]))  # straddles
-    x_cross = x1[edge] + (ys[row] - y1[edge]) * dx[edge] / dy[edge]
-    col = np.searchsorted(xs, x_cross, "left")  # first column with x >= x_cross
-    order = np.lexsort((col, ring_of[edge], row))
-    # every (row, ring) group has even length, so it starts at an even index
-    # and its sorted crossings alternate run start, run end
-    sign = np.where(np.arange(len(order)) % 2 == 0, 1, -1)
-    runs = np.zeros((len(ys), len(xs) + 1), dtype=np.int64)
-    np.add.at(runs, (row[order], col[order]), sign)
-    inside[:] = (runs[:, :-1].cumsum(axis=1) > 0).T
 
-    # boundary band: a 2-D difference array over the padded edge boxes
-    a0 = np.searchsorted(xs, ex0 - BOX_PAD, "left")
-    a1 = np.searchsorted(xs, ex1 + BOX_PAD, "right")
-    b0 = np.searchsorted(ys, ey0 - BOX_PAD, "left")
-    b1 = np.searchsorted(ys, ey1 + BOX_PAD, "right")
-    keep = (a1 > a0) & (b1 > b0)
-    if keep.any():
-        a0, a1, b0, b1 = a0[keep], a1[keep], b0[keep], b1[keep]
-        boxes = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int64)
-        np.add.at(boxes, (a0, b0), 1)
-        np.add.at(boxes, (a1, b0), -1)
-        np.add.at(boxes, (a0, b1), -1)
-        np.add.at(boxes, (a1, b1), 1)
-        near_box = boxes.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] > 0
-        ci, cj = np.nonzero(near_box & ~inside)
-        if len(ci):
-            px, py = xs[ci], ys[cj]
-            probe = np.column_stack([px, py])
-            hit = np.zeros(len(probe), dtype=bool)
-            for r in rings:
-                bx0, by0, bx1, by1 = r.box
-                todo = ~hit & (px >= bx0) & (px <= bx1) & (py >= by0) & (py <= by1)
-                if todo.any():
-                    hit[todo] = r.contains(probe[todo])
-            inside[ci[hit], cj[hit]] = True
-    return inside
+    def __init__(self, nx: int, keys: np.ndarray, depth: np.ndarray,
+                 band: np.ndarray):
+        self._nx = nx
+        self._keys = keys
+        self._depth = depth
+        covered = (keys[1:] - keys[:-1])[depth[1:-1] > 0]
+        self.count = int(covered.sum()) + len(band)
+        # a sentinel above every key ends the band, so a lookup stays in it
+        self._band = np.append(band, np.iinfo(np.int64).max)
+
+    def contains(self, ix, iy) -> np.ndarray:
+        """Membership flags of the cells ``(ix[m], iy[m])``."""
+        keys = np.asarray(iy, np.int64) * (self._nx + 1) + np.asarray(ix, np.int64)
+        in_band = self._band[np.searchsorted(self._band, keys)] == keys
+        return _in_runs(self._keys, self._depth, keys) | in_band
+
+
+def _in_runs(keys: np.ndarray, depth: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Flags of the cell keys that lie in some run of a ``GridCover``."""
+    return depth[np.searchsorted(keys, cells, "right")] > 0
+
+
+def edge_table(rings: list[Ring]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of ``rings`` as one ``(8, E)`` table, with the rows ``x1,
+    y1, dx, dy, ex0, ey0, ex1, ey1`` (start, vector, unpadded bounding
+    box), and the ``(E,)`` index of each edge's ring."""
+    if not rings:
+        return np.empty((8, 0)), np.empty(0, dtype=np.int64)
+    edges = np.array([
+        np.concatenate([getattr(r, name) for r in rings])
+        for name in ("x1", "y1", "dx", "dy", "ex0", "ey0", "ex1", "ey1")
+    ])
+    return edges, np.repeat(np.arange(len(rings)), [len(r.x1) for r in rings])
+
+
+def grid_in_rings(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray,
+                  ring_of: np.ndarray) -> GridCover:
+    """The grid points ``(xs[i], ys[j])`` in the union of some rings as a
+    ``GridCover`` of ``len(xs)`` columns; cell ``(i, j)`` is covered exactly
+    when ``Ring.contains`` (default band) holds for its point in some ring.
+    ``edges`` and ``ring_of`` list every edge of those rings, as
+    ``edge_table`` gives them. ``xs`` and ``ys`` must be ascending.
+
+    A grid row shares its ``y``, so an edge is crossed only by the rows
+    between its end points, each once, with the arithmetic of
+    ``Ring.contains``. A closed ring crosses a row an even number of times,
+    and sorted by column its crossings pair up into the column runs it
+    covers; the runs of all rings merge into one sorted list of keys with a
+    running depth. The boundary band is tested only on the cells within
+    ``BOX_PAD`` of some edge along both axes, listed row by row from the
+    edge's x-range over the row's ``y`` padded by ``BOX_PAD``: a point
+    within ``BOUNDARY_EPS`` of a ring is that close to one of its edges.
+    The candidates grow with the edges' lengths, not their boxes' areas.
+    """
+    nx = len(xs)
+    none = np.empty(0, dtype=np.int64)
+    if not edges.shape[1] or not nx or not len(ys):
+        return GridCover(nx, none, np.zeros(1, dtype=np.int64), none)
+    # an edge straddles the rows with ey0 <= y < ey1 (the half-open rule)
+    edge, row = _ranges(*np.searchsorted(ys, edges[[5, 7]]))
+    x1, y1, dx, dy = edges[:4, edge]
+    x_cross = x1 + (ys[row] - y1) * dx / dy
+    col = np.searchsorted(xs, x_cross)  # first column with x >= x_cross
+    # sorted by row, ring and column, every (row, ring) group has even length
+    # and its crossings alternate run start, run end
+    pair = np.argsort((row * (ring_of.max() + 1) + ring_of[edge]) * (nx + 1) + col)
+    keys = row[pair] * (nx + 1) + col[pair]
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    depth = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(1 - 2 * (by_key % 2), out=depth[1:])  # +1 at starts, -1 at ends
+
+    # boundary band: for each edge whose padded box meets the grid, the rows
+    # within BOX_PAD of its y-range, and in each row the columns within
+    # BOX_PAD of the part of the edge with y in [y - BOX_PAD, y + BOX_PAD]
+    # (clamping its end parameters to [0, 1] also makes a horizontal edge,
+    # whose parameters are infinite or NaN, span its whole length); a cell
+    # that close to no edge is that close to no ring. Of those, the cells
+    # not in a run and near the edge. A row or column exactly BOX_PAD away
+    # is farther than BOUNDARY_EPS, so either side of searchsorted will do.
+    b0, b1 = np.searchsorted(ys, edges[[5, 7]] + _PADS)
+    a0, a1 = np.searchsorted(xs, edges[[4, 6]] + _PADS)
+    near_grid = np.flatnonzero((b1 > b0) & (a1 > a0))
+    edge, row = _ranges(b0[near_grid], b1[near_grid])
+    edge = near_grid[edge]
+    x1, y1, dx, dy = edges[:4, edge]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ys[row] + _PADS - y1) / dy
+    x = x1 + np.fmin(np.fmax(t, 0.0), 1.0) * dx
+    x.sort(axis=0)
+    pair, ci = _ranges(*np.searchsorted(xs, x + _PADS))
+    edge, cj = edge[pair], row[pair]
+    cell = cj * (nx + 1) + ci
+    out = ~_in_runs(keys, depth, cell)
+    edge, cell = edge[out], cell[out]
+    p = np.column_stack([xs[ci[out]], ys[cj[out]]])
+    a, ab = edges[0:2, edge].T, edges[2:4, edge].T
+    # distance_to_ring's arithmetic, one (point, edge) pair per row
+    denom = np.einsum("ij,ij->i", ab, ab)
+    t = np.einsum("ij,ij->i", p - a, ab) / np.where(denom > 0, denom, 1.0)
+    foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    near = np.linalg.norm(p - foot, axis=-1) <= BOUNDARY_EPS
+    return GridCover(nx, keys, depth, np.unique(cell[near]))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every ``e`` and every ``lo[e] <= k < hi[e]`` the pair ``(e, k)``,
+    as two arrays; none for an ``e`` with ``hi[e] <= lo[e]``."""
+    n = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(n) - lo - n, n)
 
 
 def points_in_polygon(points, ring, eps: float = BOUNDARY_EPS) -> np.ndarray:
@@ -376,7 +441,12 @@ def rasterize_occupancy(points, roi, cell: float) -> np.ndarray:
     pts = as_points(points) if len(points) else np.empty((0, 2))
     nx = max(1, math.ceil((max_x - min_x) / cell))
     ny = max(1, math.ceil((max_y - min_y) / cell))
+    if nx * ny > np.iinfo(np.int64).max:
+        raise ValueError("cell too small: the grid has more cells than int64 keys")
     x, y = pts[:, 0], pts[:, 1]
     pts = pts[(min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)]
     cells = np.floor_divide(pts - [min_x, min_y], cell).astype(np.int64)
-    return np.unique(np.minimum(cells, [nx - 1, ny - 1]), axis=0)
+    ix, iy = np.minimum(cells, [nx - 1, ny - 1]).T
+    # one sort of integer keys; ordered by key, the cells are lexicographic
+    keys = np.unique(ix * ny + iy)
+    return np.column_stack([keys // ny, keys % ny])

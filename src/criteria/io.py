@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .bench import WeightConfig
+from .bench import METRIC_NAMES, WeightConfig
 from .errors import DataConsistencyError, SchemaError
 from .map_model import LaneSegment, RoadMap, Turn
 from .metrics import AlignmentConfig, DaoConfig, Reduction, StationaryPolicy
@@ -53,6 +53,14 @@ def _require(doc: dict, key: str, kind, path: str):
     if not isinstance(value, kind):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
     return value
+
+
+def _items(value: list, kind, path: str) -> tuple:
+    """The list ``value`` as a tuple; every item must be a ``kind``."""
+    for j, item in enumerate(value):
+        if not isinstance(item, kind):
+            raise SchemaError(f"{path}[{j}]", f"expected {kind.__name__}")
+    return tuple(value)
 
 
 def _finite_number(c) -> bool:
@@ -309,9 +317,12 @@ def map_from_dict(doc: dict, path: str = "$") -> RoadMap:
                 ),
                 turn=turn,
                 is_intersection=_require(lane_doc, "is_intersection", bool, lp),
-                successors=tuple(_require(lane_doc, "successors", list, lp)),
-                left_neighbor=lane_doc.get("left_neighbor"),
-                right_neighbor=lane_doc.get("right_neighbor"),
+                successors=_items(
+                    _require(lane_doc, "successors", list, lp), str,
+                    f"{lp}.successors",
+                ),
+                left_neighbor=_lane_ref(lane_doc, "left_neighbor", lp),
+                right_neighbor=_lane_ref(lane_doc, "right_neighbor", lp),
             )
         )
     drivable_doc = _require(doc, "drivable_area", list, path)
@@ -320,6 +331,13 @@ def map_from_dict(doc: dict, path: str = "$") -> RoadMap:
         for i, ring in enumerate(drivable_doc)
     ]
     return RoadMap(map_id=map_id, lanes=lanes, drivable=drivable)
+
+
+def _lane_ref(doc: dict, key: str, path: str) -> str | None:
+    ref = doc.get(key)
+    if ref is not None and not isinstance(ref, str):
+        raise SchemaError(f"{path}.{key}", "expected a lane id string or null")
+    return ref
 
 
 def load_map(path) -> RoadMap:
@@ -557,16 +575,21 @@ def metrics_from_dict(doc: dict, path: str = "$"):
     out = {}
     for sid, sdoc in per.items():
         sp = f"{path}.per_scenario.{sid}"
-        if not isinstance(sdoc, dict) or "triad" not in sdoc:
-            raise SchemaError(sp, "expected an object with a triad")
-        tdoc = sdoc["triad"]
-        triad = TriadResult(
-            boundary_pass=tuple(bool(b) for b in tdoc["boundary_pass"]),
-            alignment_pass=tuple(bool(b) for b in tdoc["alignment_pass"]),
-            kinematic_pass=tuple(bool(b) for b in tdoc["kinematic_pass"]),
-        )
-        values = {k: float(v) for k, v in sdoc.items() if k != "triad"}
-        out[sid] = ScenarioResult(values=values, triad=triad)
+        if not isinstance(sdoc, dict):
+            raise SchemaError(sp, "expected an object")
+        tdoc = _require(sdoc, "triad", dict, sp)
+        tp = f"{sp}.triad"
+        passes = [
+            _items(_require(tdoc, key, list, tp), bool, f"{tp}.{key}")
+            for key in ("boundary_pass", "alignment_pass", "kinematic_pass")
+        ]
+        if not passes[0] or any(len(p) != len(passes[0]) for p in passes):
+            raise SchemaError(tp, "expected one flag per mode in every list")
+        values = {k: _require(sdoc, k, float, sp) for k in sdoc if k != "triad"}
+        for name in METRIC_NAMES:
+            if name not in values:
+                raise SchemaError(f"{sp}.{name}", "missing required field")
+        out[sid] = ScenarioResult(values=values, triad=TriadResult(*passes))
     run = EvaluationRun(
         model_name=model,
         per_scenario=dict(sorted(out.items())),

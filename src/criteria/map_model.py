@@ -78,6 +78,7 @@ class RoadMap:
         self._drivable_boxes = np.array(
             [ring.box for ring in self._drivable_rings], dtype=float
         ).reshape(-1, 4).T
+        self._drivable_edges = geom.edge_table(self._drivable_rings)
         self._lane_rings = {
             lane_id: geom.Ring(lane.polygon) for lane_id, lane in self.lanes.items()
         }
@@ -201,18 +202,20 @@ class RoadMap:
                 inside[todo] = self._drivable_rings[r].contains(pts[todo])
         return inside
 
-    def contains_grid(self, xs, ys) -> np.ndarray:
+    def contains_grid(self, xs, ys) -> geom.GridCover:
         """Drivable-area membership of the grid points ``(xs[i], ys[j])`` as
-        an ``(len(xs), len(ys))`` mask; equals ``contains_many`` on them.
+        a ``geom.GridCover``: its ``count`` of covered cells, and
+        ``contains(i, j)``, which equals ``contains_many`` on those points.
         ``xs`` and ``ys`` must be ascending."""
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("grid coordinates contain NaN or inf")
-        if (np.diff(xs) < 0).any() or (np.diff(ys) < 0).any():
+        if (xs[1:] < xs[:-1]).any() or (ys[1:] < ys[:-1]).any():
             raise ValueError("grid coordinates must be ascending")
-        if not (len(xs) and len(ys)):
-            return np.zeros((len(xs), len(ys)), dtype=bool)
-        x0, y0, x1, y1 = self._drivable_boxes
-        overlaps = (x1 >= xs[0]) & (x0 <= xs[-1]) & (y1 >= ys[0]) & (y0 <= ys[-1])
-        rings = [self._drivable_rings[r] for r in np.flatnonzero(overlaps)]
-        return geom.grid_in_rings(xs, ys, rings)
+        edges, ring_of = self._drivable_edges
+        if len(xs) and len(ys):
+            x0, y0, x1, y1 = self._drivable_boxes
+            overlaps = (x1 >= xs[0]) & (x0 <= xs[-1]) & (y1 >= ys[0]) & (y0 <= ys[-1])
+            keep = overlaps[ring_of]
+            edges, ring_of = edges[:, keep], ring_of[keep]
+        return geom.grid_in_rings(xs, ys, edges, ring_of)

@@ -186,18 +186,17 @@ def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
 
     nx = max(1, math.ceil(cfg.roi_side / cfg.cell))
     ny = nx
-    # cell centers; drivable[ix, iy] is the center of cell (ix, iy)
+    # cell centers; (xs[ix], ys[iy]) is the center of cell (ix, iy)
     xs = roi[0] + (np.arange(nx) + 0.5) * cfg.cell
     ys = roi[1] + (np.arange(ny) + 0.5) * cfg.cell
     drivable = road.contains_grid(xs, ys)
-    n_drivable = int(drivable.sum())
-    if n_drivable == 0:
+    if drivable.count == 0:
         return 0.0
     # the occupancy grid may reach one cell further when the ROI edges round
     ix, iy = occupied.T
     on_grid = (ix < nx) & (iy < ny)
-    hits = int(drivable[ix[on_grid], iy[on_grid]].sum())
-    return hits / n_drivable * cfg.scale
+    hits = int(drivable.contains(ix[on_grid], iy[on_grid]).sum())
+    return hits / drivable.count * cfg.scale
 
 
 # -- proposed diversity --------------------------------------------------------

@@ -212,6 +212,51 @@ def reference_rasterize_occupancy(points, roi, cell) -> set[tuple[int, int]]:
     return cells
 
 
+def reference_dao(pred, road, cfg, anchor) -> float:
+    """DAO from a dense scan: every ROI cell center through
+    ``reference_in_polygon`` of every drivable ring, and the per-point
+    occupancy loop."""
+    ax, ay = float(anchor[0]), float(anchor[1])
+    half = cfg.roi_side / 2.0
+    roi = (ax - half, ay - half, ax + half, ay + half)
+    n = max(1, math.ceil(cfg.roi_side / cfg.cell))
+    xs = roi[0] + (np.arange(n) + 0.5) * cfg.cell
+    ys = roi[1] + (np.arange(n) + 0.5) * cfg.cell
+    drivable = reference_grid_mask(xs, ys, road.drivable)
+    n_drivable = int(drivable.sum())
+    if n_drivable == 0:
+        return 0.0
+    occupied = reference_rasterize_occupancy(pred.points.reshape(-1, 2), roi, cfg.cell)
+    hits = sum(1 for ix, iy in occupied if ix < n and iy < n and drivable[ix, iy])
+    return hits / n_drivable * cfg.scale
+
+
+def reference_grid_mask(xs, ys, rings) -> np.ndarray:
+    """``mask[i, j]``: the point ``(xs[i], ys[j])`` lies in some ring, by
+    ``reference_in_polygon``. Each ring tests only the points in its
+    bounding box padded by ``BOX_PAD``: no point outside that box crosses
+    one of its edges or comes within ``BOUNDARY_EPS`` of it."""
+    grid = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+    mask = np.zeros(len(grid), dtype=bool)
+    for ring in rings:
+        ring = np.asarray(ring, float)
+        lo, hi = ring.min(axis=0) - geom.BOX_PAD, ring.max(axis=0) + geom.BOX_PAD
+        near = ((grid >= lo) & (grid <= hi)).all(axis=1)
+        if near.any():
+            mask[near] |= reference_in_polygon(grid[near], ring)
+    return mask.reshape(len(xs), len(ys))
+
+
+def assert_cover_matches(cover, want) -> None:
+    """A ``geom.GridCover`` holds exactly the cells of the ``(nx, ny)`` mask
+    ``want``: the same count, and the same answer for every cell."""
+    nx, ny = want.shape
+    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    got = cover.contains(ix.ravel(), iy.ravel()).reshape(nx, ny)
+    np.testing.assert_array_equal(got, want)
+    assert cover.count == int(want.sum())
+
+
 def assert_ulp_close(got, want, ulps: int = 4) -> None:
     """Each float of ``got`` within ``ulps`` units in the last place of
     ``want``."""

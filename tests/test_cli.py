@@ -325,12 +325,34 @@ class TestReport:
         for per_metric in rep["overall_ranks"].values():
             assert per_metric == {"lane_fan": 1}
 
-    def test_metrics_without_tags_is_data_error(self, fixtures, tmp_path):
-        path = tmp_path / "naked.json"
-        path.write_text(json.dumps({"model": "x", "per_scenario": {}}))
+    def test_metrics_without_scenarios_is_data_error(self, fixtures, tmp_path):
+        tags = json.loads((fixtures / "tags.json").read_text())["tags"]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"model": "x", "per_scenario": {}, "tags": tags}))
         assert main([
             "report", "--metrics", str(path), "--out", str(tmp_path / "r"),
         ]) == EXIT_DATA
+
+    def test_metrics_without_tags_is_data_error(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main([
+            "eval",
+            "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_lane_fan.json"),
+            "--tags", str(fixtures / "tags.json"),
+            "--out", str(out),
+        ]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["per_scenario"]
+        del doc["tags"]
+        path = tmp_path / "naked.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([
+            "report", "--metrics", str(path), "--out", str(tmp_path / "r"),
+        ]) == EXIT_DATA
+        assert "carries no scenario tags" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from criteria import geom
 from criteria.errors import DegenerateHeadingError, InvalidMapError
 
-from conftest import reference_in_polygon
+from conftest import (
+    assert_cover_matches,
+    reference_grid_mask,
+    reference_in_polygon,
+    reference_rasterize_occupancy,
+)
 
 
 def random_convex_polygon(rng, n=8, radius=10.0):
@@ -100,10 +105,9 @@ class TestRing:
                                        np.linspace(-11.0, 11.0, 23)]))
         ys = np.unique(np.concatenate([poly[:, 1] - offset,
                                        np.linspace(-11.0, 11.0, 23)]))
-        grid = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
-        want = reference_in_polygon(grid, poly).reshape(len(xs), len(ys))
-        got = geom.grid_in_rings(xs, ys, [geom.Ring(poly)])
-        np.testing.assert_array_equal(got, want)
+        want = reference_grid_mask(xs, ys, [poly])
+        got = geom.grid_in_rings(xs, ys, *geom.edge_table([geom.Ring(poly)]))
+        assert_cover_matches(got, want)
 
     def test_grid_of_overlapping_rings(self, unit_square):
         """Runs of nested, overlapping and disjoint rings add up on a row."""
@@ -111,18 +115,70 @@ class TestRing:
                  unit_square + 7.0]
         xs = np.linspace(-1.0, 9.0, 41)
         ys = np.linspace(-1.0, 9.0, 21)
-        grid = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
-        want = np.zeros(len(grid), dtype=bool)
-        for ring in rings:
-            want |= reference_in_polygon(grid, ring)
-        got = geom.grid_in_rings(xs, ys, [geom.Ring(r) for r in rings])
-        np.testing.assert_array_equal(got, want.reshape(len(xs), len(ys)))
+        got = geom.grid_in_rings(
+            xs, ys, *geom.edge_table([geom.Ring(r) for r in rings])
+        )
+        assert_cover_matches(got, reference_grid_mask(xs, ys, rings))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("offset", [0.0, 3e7])
+    def test_grid_through_edge_crossings(self, seed, offset):
+        """Grid columns at the rows' exact edge crossings put cell centers on
+        the boundary, also far from the origin, where one unit in the last
+        place of a coordinate is wider than the boundary band."""
+        rng = np.random.default_rng(seed)
+        poly = random_convex_polygon(rng, n=7) + offset
+        ring = geom.Ring(poly)
+        ys = np.linspace(poly[:, 1].min(), poly[:, 1].max(), 17)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = ring.x1 + (ys[:, None] - ring.y1) * ring.dx / ring.dy
+        straddles = (ring.y1 > ys[:, None]) != (ring.y2 > ys[:, None])
+        xs = np.unique(np.concatenate([
+            cross[straddles], np.linspace(poly[:, 0].min(), poly[:, 0].max(), 9)
+        ]))
+        want = reference_grid_mask(xs, ys, [poly])
+        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([ring])), want)
+
+    @settings(max_examples=60)
+    @given(
+        angle=st.floats(20.0, 70.0),
+        length=st.floats(30.0, 120.0),
+        width=st.floats(1.0, 10.0),
+        cell=st.sampled_from((0.37, 0.5, 1.0)),
+        offset=st.sampled_from((0.0, 3e7)),
+        data=st.data(),
+    )
+    def test_grid_of_rotated_long_ring(self, angle, length, width, cell, offset,
+                                       data):
+        """A long rectangle turned 20-70 degrees: its band cells lie along
+        diagonal edges that cross many rows and columns. Grid centers at a
+        vertex nudged by 0, +-eps, +-``BOX_PAD`` or a half cell, and columns
+        at the rows' exact edge crossings."""
+        a = math.radians(angle)
+        turn = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        rect = np.array([[0.0, 0.0], [length, 0.0], [length, width], [0.0, width]])
+        poly = rect @ turn.T + offset
+        ring = geom.Ring(poly)
+        nudges = (0.0, geom.BOUNDARY_EPS, -geom.BOUNDARY_EPS, geom.BOX_PAD,
+                  -geom.BOX_PAD, cell / 2)
+        corner = poly[data.draw(st.integers(0, 3))] + [
+            data.draw(st.sampled_from(nudges)), data.draw(st.sampled_from(nudges))
+        ]
+        steps = np.arange(-60, 61) * cell
+        ys = corner[1] + steps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = ring.x1 + (ys[:, None] - ring.y1) * ring.dx / ring.dy
+        straddles = (ring.y1 > ys[:, None]) != (ring.y2 > ys[:, None])
+        xs = np.unique(np.concatenate([corner[0] + steps, cross[straddles][::3]]))
+        want = reference_grid_mask(xs, ys, [poly])
+        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([ring])), want)
 
     def test_grid_outside_every_ring_is_empty(self, unit_square):
         got = geom.grid_in_rings(
-            np.array([5.0, 6.0]), np.array([0.5]), [geom.Ring(unit_square)]
+            np.array([5.0, 6.0]), np.array([0.5]),
+            *geom.edge_table([geom.Ring(unit_square)]),
         )
-        assert got.shape == (2, 1) and not got.any()
+        assert_cover_matches(got, np.zeros((2, 1), dtype=bool))
 
 
 class TestArcLength:
@@ -283,3 +339,19 @@ class TestRasterizeOccupancy:
 
     def test_outside_roi_ignored(self):
         assert _cells([(50.0, 50.0)], self.ROI, 1.0) == set()
+
+    def test_fine_grid_keys_stay_exact(self):
+        """About 1e18 cells: the integer cell keys come close to int64's
+        limit and must still order and split back exactly."""
+        roi = (0.0, 0.0, 100.0, 100.0)
+        rng = np.random.default_rng(2)
+        pts = np.vstack([rng.uniform(0.0, 100.0, size=(200, 2)), [(100.0, 100.0)]])
+        cells = geom.rasterize_occupancy(pts, roi, 1e-7)
+        assert set(map(tuple, cells.tolist())) == reference_rasterize_occupancy(
+            pts, roi, 1e-7
+        )
+        assert cells.tolist() == sorted(cells.tolist())
+
+    def test_grid_beyond_int64_keys_rejected(self):
+        with pytest.raises(ValueError):
+            geom.rasterize_occupancy([(0.5, 0.5)], (0.0, 0.0, 100.0, 100.0), 1e-9)

@@ -92,6 +92,19 @@ class TestMapIO:
         with pytest.raises(SchemaError):
             io.load_map(path)
 
+    @pytest.mark.parametrize("key,value,where", [
+        ("successors", [[1]], "$.lanes[0].successors[0]"),
+        ("successors", "L1", "$.lanes[0].successors"),
+        ("left_neighbor", 5, "$.lanes[0].left_neighbor"),
+        ("right_neighbor", ["L1"], "$.lanes[0].right_neighbor"),
+    ])
+    def test_bad_lane_reference_names_path(self, key, value, where):
+        doc = io.map_to_dict(ROAD)
+        doc["lanes"][0][key] = value
+        with pytest.raises(SchemaError) as e:
+            io.map_from_dict(doc)
+        assert e.value.path == where
+
 
 class TestScenarioIO:
     def test_roundtrip(self, tmp_path):
@@ -233,6 +246,31 @@ class TestMetricsIO:
             other = loaded.per_scenario[sid]
             assert other.values == pytest.approx(result.values)
             assert other.triad == result.triad
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda s: s["triad"].pop("boundary_pass"), ".triad.boundary_pass"),
+        (lambda s: s["triad"].update(kinematic_pass=[1, 0, 1, 1]),
+         ".triad.kinematic_pass[0]"),
+        (lambda s: s["triad"].update(alignment_pass=[True]), ".triad"),
+        (lambda s: s["triad"].update(boundary_pass=[], alignment_pass=[],
+                                     kinematic_pass=[]), ".triad"),
+        (lambda s: s.update(triad=5), ".triad"),
+        (lambda s: s.update(minADE="x"), ".minADE"),
+        (lambda s: s.update(DAO=math.nan), ".DAO"),
+        (lambda s: s.pop("AAE"), ".AAE"),
+        (lambda s: s.update(extra=None), ".extra"),
+    ])
+    def test_bad_scenario_result_names_path(self, edit, where):
+        run = evaluate_model(
+            "noisy", RECORDS, {ROAD.map_id: ROAD},
+            {p.scenario_id: p for p in PREDS},
+        )
+        doc = json.loads(json.dumps(io.metrics_to_dict(run, io.RunConfig(), {})))
+        sid = RECORDS[0].id
+        edit(doc["per_scenario"][sid])
+        with pytest.raises(SchemaError) as e:
+            io.metrics_from_dict(doc)
+        assert e.value.path == f"$.per_scenario.{sid}{where}"
 
 
 class TestWriteJson:

@@ -32,6 +32,7 @@ from conftest import (
     reference_amv,
     reference_angle_between,
     reference_clip_length,
+    reference_dao,
     reference_fdes,
     reference_lanes_containing,
     reference_min_ade,
@@ -225,12 +226,61 @@ class TestDao:
         assert set(map(tuple, cells.tolist())) == want_cells
         assert len(cells) == len(want_cells)
 
-        nx = max(1, math.ceil(cfg.roi_side / cell))
-        centers = roi[0] + (np.arange(nx) + 0.5) * cell, roi[1] + (np.arange(nx) + 0.5) * cell
-        drivable = road.contains_grid(*centers)
-        occupied = reference_rasterize_occupancy(points, roi, cell)
-        hits = sum(1 for cx, cy in occupied if cx < nx and cy < nx and drivable[cx, cy])
-        n_drivable = int(drivable.sum())
-        want = hits / n_drivable * cfg.scale if n_drivable else 0.0
+        want = reference_dao(pred, road, cfg, pred.anchor)
         assert metrics.dao(pred, road, cfg, pred.anchor) == want
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(synth.MapKind), data=st.data())
+    def test_sparse_cover_matches_dense_scan(self, kind, data):
+        """ROIs anchored on drivable-ring vertices and edge midpoints, nudged
+        so that cell centers fall on, and just off, ring edges and vertices
+        and padded-box edges; ROI sides that are and are not multiples of
+        the cell."""
+        road = road_of(kind)
+        cell = data.draw(st.sampled_from((0.37, 0.5, 1.0, 3.7)))
+        side = cell * data.draw(st.integers(1, 40)) + data.draw(
+            st.sampled_from((0.0, 0.0, 0.13, cell / 3))
+        )
+        vertices = np.vstack(road.drivable)
+        midpoints = np.vstack([(r + np.roll(r, -1, axis=0)) / 2 for r in road.drivable])
+        anchors = np.vstack([vertices, midpoints])
+        nudges = (0.0, geom.BOUNDARY_EPS, -geom.BOUNDARY_EPS, geom.BOUNDARY_EPS / 2,
+                  -geom.BOUNDARY_EPS / 2, geom.BOX_PAD, -geom.BOX_PAD,
+                  cell / 2, -cell / 2)
+        anchor = anchors[data.draw(st.integers(0, len(anchors) - 1))] + [
+            data.draw(st.sampled_from(nudges)), data.draw(st.sampled_from(nudges))
+        ]
+        # modes of points spread over the ROI and a little beyond it
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        modes = anchor + rng.uniform(-0.6, 0.6, size=(3, 12, 2)) * side
+        pred = PredictionSet("s", [Trajectory(m, DT) for m in modes], anchor=anchor)
+        cfg = DaoConfig(cell=cell, roi_side=side)
+        assert metrics.dao(pred, road, cfg, anchor) == reference_dao(
+            pred, road, cfg, anchor
+        )
+
+    @pytest.mark.parametrize("kind", list(synth.MapKind))
+    def test_roi_touching_no_ring_scores_zero(self, kind):
+        road = road_of(kind)
+        far = np.vstack(road.drivable).max(axis=0) + 500.0
+        modes = far + np.zeros((2, 5, 2))
+        pred = PredictionSet("s", [Trajectory(m, DT) for m in modes], anchor=far)
+        cfg = DaoConfig(roi_side=20.0)
+        assert metrics.dao(pred, road, cfg, far) == 0.0
+        assert reference_dao(pred, road, cfg, far) == 0.0
+
+    @pytest.mark.parametrize("kind", list(synth.MapKind))
+    @pytest.mark.parametrize("on_map", [True, False])
+    def test_cell_larger_than_roi(self, kind, on_map):
+        """A single cell, wider than the ROI: its center lies 1.35 m past the
+        anchor on each axis, and DAO is the full scale when it is drivable."""
+        road = road_of(kind)
+        lane = road.lanes[road.lane_ids[0]]
+        anchor = lane.centerline[0] if on_map else lane.centerline[0] + 500.0
+        modes = anchor + np.array([[[0.1, 0.2]] * 4, [[-0.3, 0.0]] * 4])
+        pred = PredictionSet("s", [Trajectory(m, DT) for m in modes], anchor=anchor)
+        cfg = DaoConfig(cell=3.7, roi_side=1.0)
+        got = metrics.dao(pred, road, cfg, anchor)
+        assert got == reference_dao(pred, road, cfg, anchor)
+        assert got == (cfg.scale if on_map else 0.0)
 

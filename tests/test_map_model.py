@@ -11,6 +11,8 @@ from criteria.geom import BOX_PAD, padded_box
 from criteria.map_model import LaneSegment, RoadMap, Turn, is_turn_lane
 
 from conftest import (
+    assert_cover_matches,
+    reference_grid_mask,
     reference_in_polygon,
     reference_lane_within_radius,
     simple_lane,
@@ -94,13 +96,8 @@ class TestPrefilterMatchesReference:
         nx, ny = data.draw(st.integers(1, 15)), data.draw(st.integers(1, 15))
         xs = x + (np.arange(nx) - data.draw(st.integers(0, nx - 1))) * step
         ys = y + (np.arange(ny) - data.draw(st.integers(0, ny - 1))) * step
-        grid = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-        want = np.zeros(len(grid), dtype=bool)
-        for ring in road.drivable:
-            want |= reference_in_polygon(grid, ring)
-        np.testing.assert_array_equal(
-            road.contains_grid(xs, ys), want.reshape(nx, ny)
-        )
+        want = reference_grid_mask(xs, ys, road.drivable)
+        assert_cover_matches(road.contains_grid(xs, ys), want)
 
     @given(kind=st.sampled_from(synth.MapKind), data=st.data())
     def test_lanes_containing(self, kind, data):
