@@ -25,6 +25,9 @@ DEGENERATE_EPS = 1e-6
 BOX_PAD = 1e-6
 # lower and upper offsets of a padded range, as a column to add to an (E,) row
 _PADS = np.array([[-BOX_PAD], [BOX_PAD]])
+# RingTable.contains takes its (point, edge) pairs in blocks of about this
+# many, so its memory stays bounded however many pairs a query has.
+PAIR_BLOCK = 4096
 
 
 def as_points(obj) -> np.ndarray:
@@ -175,17 +178,106 @@ def _in_runs(keys: np.ndarray, depth: np.ndarray, cells: np.ndarray) -> np.ndarr
     return depth[np.searchsorted(keys, cells, "right")] > 0
 
 
-def edge_table(rings: list[Ring]) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of ``rings`` as one ``(8, E)`` table, with the rows ``x1,
-    y1, dx, dy, ex0, ey0, ex1, ey1`` (start, vector, unpadded bounding
-    box), and the ``(E,)`` index of each edge's ring."""
-    if not rings:
+def edge_table(rings) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the ``(N_r, 2)`` polygon rings ``rings`` as one ``(8, E)``
+    table, with the rows ``x1, y1, dx, dy, ex0, ey0, ex1, ey1`` (start,
+    vector to the next vertex, unpadded bounding box), and the ``(E,)``
+    index of each edge's ring; one pass over the concatenated vertices."""
+    if not len(rings):
         return np.empty((8, 0)), np.empty(0, dtype=np.int64)
+    sizes = np.array([len(r) for r in rings])
+    pts = np.concatenate(rings)
+    starts = np.cumsum(sizes) - sizes
+    succ = np.arange(1, len(pts) + 1)
+    succ[starts + sizes - 1] = starts  # each ring's last vertex closes on its first
+    x1, y1 = pts.T
+    x2, y2 = x1[succ], y1[succ]
     edges = np.array([
-        np.concatenate([getattr(r, name) for r in rings])
-        for name in ("x1", "y1", "dx", "dy", "ex0", "ey0", "ex1", "ey1")
+        x1, y1, x2 - x1, y2 - y1,
+        np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2),
     ])
-    return edges, np.repeat(np.arange(len(rings)), [len(r.x1) for r in rings])
+    return edges, np.repeat(np.arange(len(rings)), sizes)
+
+
+class RingTable:
+    """Validated polygon rings laid out once as one edge table, for batched
+    point and grid queries against all of them.
+
+    ``edges`` and ``ring_of`` are ``edge_table``'s, ``boxes`` the ``(4, R)``
+    padded ``min_x, min_y, max_x, max_y`` of every ring (``padded_box``).
+    """
+
+    def __init__(self, rings):
+        self.n_rings = len(rings)
+        self.edges, self.ring_of = edge_table(rings)
+        if self.n_rings:
+            starts = np.flatnonzero(np.diff(self.ring_of, prepend=-1))
+            lo = np.minimum.reduceat(self.edges[4:6], starts, axis=1) - BOX_PAD
+            hi = np.maximum.reduceat(self.edges[6:8], starts, axis=1) + BOX_PAD
+            self.boxes = np.vstack([lo, hi])
+        else:
+            self.boxes = np.empty((4, 0))
+
+    def contains(self, pts: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
+        """The ``(N, R)`` mask of validated ``(N, 2)`` points that lie in
+        ring ``r`` or within ``eps`` of its boundary; column ``r`` equals
+        ``Ring(rings[r]).contains(pts, eps)``.
+
+        Sorted by ``y``, the points an edge straddles (``ey0 <= y < ey1``,
+        the half-open rule) are one slice, so every crossing is computed
+        once, with the arithmetic of ``Ring.contains``, and each ``(point,
+        ring)`` key that occurs flips its parity once per crossing. A point
+        outside a ring is tested only against the edges whose box, padded
+        by ``eps + BOX_PAD``, holds it, with ``distance_to_ring``'s
+        arithmetic for each pair: a farther edge is farther than ``eps``
+        from it. Both passes take the edges in runs of about ``PAIR_BLOCK``
+        (point, edge) pairs, so memory stays bounded however many pairs
+        there are; a wide band pairs nearly every point with every edge.
+        """
+        n, r = len(pts), self.n_rings
+        mask = np.zeros((n, r), dtype=bool)
+        if not n or not r:
+            return mask
+        flat = mask.reshape(-1)  # until unsorted, rows follow ``order``
+        order = pts[:, 1].argsort()
+        sp = pts[order]
+        xs, ys = sp[:, 0], sp[:, 1]
+        x1, y1, dx, dy, ex0, ey0, ex1, ey1 = self.edges
+        for e, k in _pair_blocks(*ys.searchsorted(self.edges[5:8:2])):
+            y = ys.take(k)
+            x_cross = x1.take(e) + (y - y1.take(e)) * dx.take(e) / dy.take(e)
+            hit = xs.take(k) < x_cross
+            np.bitwise_xor.at(flat, (k * r + self.ring_of.take(e))[hit], True)
+        if eps <= 0:
+            return _unsort(mask, order)
+        pad = eps + BOX_PAD
+        lo, hi = ys.searchsorted(ey0 - pad), ys.searchsorted(ey1 + pad, "right")
+        for edge, k in _pair_blocks(lo, hi):
+            x = xs.take(k)
+            key = k * r + self.ring_of.take(edge)
+            near_box = (x >= ex0.take(edge) - pad) & (x <= ex1.take(edge) + pad)
+            todo = np.flatnonzero(near_box & ~flat.take(key))
+            if not len(todo):
+                continue
+            edge, key, p = edge.take(todo), key.take(todo), sp[k.take(todo)]
+            a, ab = self.edges[0:2, edge].T, self.edges[2:4, edge].T
+            # distance_to_ring's arithmetic, one (point, edge) pair per row
+            denom = np.einsum("ij,ij->i", ab, ab)
+            t = np.einsum("ij,ij->i", p - a, ab) / np.where(denom > 0, denom, 1.0)
+            foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+            flat[key[np.linalg.norm(p - foot, axis=-1) <= eps]] = True
+        return _unsort(mask, order)
+
+    def grid(self, xs: np.ndarray, ys: np.ndarray) -> GridCover:
+        """``grid_in_rings`` over the edges of the rings whose padded box
+        meets the grid's extent; ``xs`` and ``ys`` must be ascending."""
+        edges, ring_of = self.edges, self.ring_of
+        if len(xs) and len(ys):
+            x0, y0, x1, y1 = self.boxes
+            overlaps = (x1 >= xs[0]) & (x0 <= xs[-1]) & (y1 >= ys[0]) & (y0 <= ys[-1])
+            keep = overlaps[ring_of]
+            edges, ring_of = edges[:, keep], ring_of[keep]
+        return grid_in_rings(xs, ys, edges, ring_of)
 
 
 def grid_in_rings(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray,
@@ -266,6 +358,28 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(n) - lo - n, n)
 
 
+def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
+    """``_ranges(lo, hi)`` in blocks of whole runs ``e`` holding about
+    ``PAIR_BLOCK`` pairs each (or one run, if it alone holds more)."""
+    ends = np.cumsum(hi - lo)
+    if ends[-1] <= PAIR_BLOCK:
+        yield _ranges(lo, hi)
+        return
+    marks = np.arange(PAIR_BLOCK, ends[-1], PAIR_BLOCK)
+    cuts = ends.searchsorted(marks, "right").tolist()
+    for e0, e1 in zip([0, *cuts], [*cuts, len(lo)]):
+        if e1 > e0:
+            owner, k = _ranges(lo[e0:e1], hi[e0:e1])
+            yield owner + e0, k
+
+
+def _unsort(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``rows`` listed in the order ``order``, put back in the original one."""
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
+
+
 def points_in_polygon(points, ring, eps: float = BOUNDARY_EPS) -> np.ndarray:
     """Even-odd containment test; points within ``eps`` of the boundary count
     as inside."""
@@ -289,10 +403,21 @@ def heading(v) -> float:
     vx, vy = float(v[0]), float(v[1])
     if math.hypot(vx, vy) <= DEGENERATE_EPS:
         raise DegenerateHeadingError(f"degenerate heading for vector ({vx}, {vy})")
+    return _angle(vx, vy)
+
+
+def headings(v: np.ndarray) -> np.ndarray:
+    """``heading`` of every row of ``(N, 2)`` vectors in one pass, NaN where
+    it raises."""
+    return np.array([
+        math.nan if math.hypot(vx, vy) <= DEGENERATE_EPS else _angle(vx, vy)
+        for vx, vy in v.tolist()
+    ])
+
+
+def _angle(vx: float, vy: float) -> float:
     h = math.atan2(vy, vx)
-    if h <= -math.pi:
-        h += 2 * math.pi
-    return h
+    return h + 2 * math.pi if h <= -math.pi else h
 
 
 def lengths(v: np.ndarray) -> np.ndarray:

@@ -21,7 +21,13 @@ import numpy as np
 from .bench import METRIC_NAMES, WeightConfig
 from .errors import DataConsistencyError, SchemaError
 from .map_model import LaneSegment, RoadMap, Turn
-from .metrics import AlignmentConfig, DaoConfig, Reduction, StationaryPolicy
+from .metrics import (
+    AlignmentConfig,
+    DaoConfig,
+    GridTooFineError,
+    Reduction,
+    StationaryPolicy,
+)
 from .scenario import ScenarioConfig, ScenarioRecord, ScenarioTag
 from .scenario import Difficulty, LengthClass, Structure
 from .trajectory import KinematicConfig, PredictionSet, Trajectory
@@ -215,6 +221,12 @@ class RunConfig:
             for name in ("kinematic", "alignment", "dao", "scenario", "weights")
         )
         try:
+            dao_config = DaoConfig(**dao)
+        except GridTooFineError as e:
+            raise SchemaError(f"{path}.dao.cell", str(e)) from e
+        except (TypeError, ValueError) as e:
+            raise SchemaError(path, f"invalid configuration: {e}") from e
+        try:
             return cls(
                 kinematic=KinematicConfig(**kin),
                 alignment=AlignmentConfig(
@@ -223,7 +235,7 @@ class RunConfig:
                     stationary_eps=ali["stationary_eps"],
                     stationary_policy=StationaryPolicy(ali["stationary_policy"]),
                 ),
-                dao=DaoConfig(**dao),
+                dao=dao_config,
                 scenario=ScenarioConfig(
                     turn_radius=sce["turn_radius"],
                     alpha=tuple(sce["alpha"]),

@@ -44,11 +44,19 @@ class LaneSegment:
         object.__setattr__(self, "successors", tuple(self.successors))
 
 
-def _tangent_or_nan(line: geom.Polyline, i: int) -> float:
-    try:
-        return line.tangent(i)
-    except DegenerateHeadingError:
-        return math.nan
+def _tangents(line: geom.Polyline, headings: np.ndarray) -> np.ndarray:
+    """``line.tangent(i)`` of every segment ``i``, NaN where it raises, from
+    ``headings``, the ``geom.headings`` of ``line.ab``: a degenerate segment
+    falls back to the first usable one."""
+    usable = np.flatnonzero(line.seg_len > geom.DEGENERATE_EPS)
+    fallback = headings[usable[0]] if len(usable) else math.nan
+    return np.where(line.denom > 0, headings, fallback)
+
+
+def _stack(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n_i, 2)`` ``arrays`` stacked, and the row where each starts."""
+    sizes = np.array([len(a) for a in arrays], dtype=np.int64)
+    return np.concatenate([np.empty((0, 2)), *arrays]), np.cumsum(sizes) - sizes
 
 
 def is_turn_lane(lane: LaneSegment) -> bool:
@@ -57,8 +65,8 @@ def is_turn_lane(lane: LaneSegment) -> bool:
 
 
 class RoadMap:
-    """Immutable lane map whose drivable rings and lane polygons are prepared
-    once, with padded bounding boxes, for batched point queries."""
+    """Immutable lane map whose drivable rings and lane polygons are laid
+    out once, as two ``geom.RingTable``s, for batched point queries."""
 
     def __init__(
         self,
@@ -73,86 +81,67 @@ class RoadMap:
                 raise InvalidMapError(f"duplicate lane id {lane.id!r}")
             self.lanes[lane.id] = lane
         self.drivable = [geom.normalize_ring(r) for r in drivable]
-        self._drivable_rings = [geom.Ring(r) for r in self.drivable]
-        # (4, R): padded min_x, min_y, max_x, max_y of every drivable ring
-        self._drivable_boxes = np.array(
-            [ring.box for ring in self._drivable_rings], dtype=float
-        ).reshape(-1, 4).T
-        self._drivable_edges = geom.edge_table(self._drivable_rings)
-        self._lane_rings = {
-            lane_id: geom.Ring(lane.polygon) for lane_id, lane in self.lanes.items()
-        }
-        self._validate()
-        # lane ids in sorted order; the lane masks' columns follow it
+        self._drivable = geom.RingTable(self.drivable)
+        # lane ids in sorted order; the lane table's rings and the lane
+        # masks' columns follow it
         self.lane_ids = tuple(sorted(self.lanes))
-        self._lane_boxes = np.array(
-            [self._lane_rings[i].box for i in self.lane_ids], dtype=float
-        ).reshape(-1, 4).T
+        self._lanes = geom.RingTable([self.lanes[i].polygon for i in self.lane_ids])
+        self._validate()
         self._centerlines = {
             lane_id: geom.Polyline(lane.centerline)
             for lane_id, lane in self.lanes.items()
         }
         # every segment's tangent heading; NaN where none is usable
+        ab, starts = _stack([line.ab for line in self._centerlines.values()])
+        headings = np.split(geom.headings(ab), starts[1:])
         self._tangents = {
-            lane_id: np.array([_tangent_or_nan(line, i) for i in range(len(line.a))])
-            for lane_id, line in self._centerlines.items()
+            lane_id: _tangents(line, h)
+            for (lane_id, line), h in zip(self._centerlines.items(), headings)
         }
 
     def _validate(self) -> None:
-        # one drivable-area query for every lane polygon vertex
-        polygons = [lane.polygon for lane in self.lanes.values()]
-        covered = (
-            np.split(
-                self.contains_many(np.vstack(polygons)),
-                np.cumsum([len(p) for p in polygons])[:-1],
-            )
-            if polygons
-            else []
-        )
-        for lane, lane_covered in zip(self.lanes.values(), covered):
+        lanes = list(self.lanes.values())
+        for lane in lanes:
             for succ in lane.successors:
                 if succ not in self.lanes:
                     raise InvalidMapError(
                         f"lane {lane.id!r}: successor {succ!r} not in map"
                     )
-            inside = self._lane_rings[lane.id].contains(lane.centerline)
-            if not inside.all():
-                outside = lane.centerline[~inside]
-                d = geom.distance_to_ring(outside, lane.polygon)
-                if d.max() > CENTERLINE_TOL:
-                    raise InvalidMapError(
-                        f"lane {lane.id!r}: centerline strays "
-                        f"{d.max():.2f} m outside its polygon"
-                    )
-            if not lane_covered.all():
-                log.warning(
-                    "map %s: lane %s polygon not fully inside drivable area",
-                    self.map_id,
-                    lane.id,
-                )
+        if not lanes:
+            return
+        # every centerline point against its own lane, with the tolerance as
+        # the boundary band: a point outside that band strays too far
+        col = {lane_id: c for c, lane_id in enumerate(self.lane_ids)}
+        points, starts = _stack([lane.centerline for lane in lanes])
+        own = np.repeat([col[lane.id] for lane in lanes],
+                        [len(lane.centerline) for lane in lanes])
+        near = self._lanes.contains(points, CENTERLINE_TOL)[np.arange(len(points)), own]
+        stray = np.flatnonzero(~np.logical_and.reduceat(near, starts))
+        if len(stray):
+            lane = lanes[stray[0]]
+            inside = geom.points_in_polygon(lane.centerline, lane.polygon)
+            d = geom.distance_to_ring(lane.centerline[~inside], lane.polygon)
+            raise InvalidMapError(
+                f"lane {lane.id!r}: centerline strays "
+                f"{d.max():.2f} m outside its polygon"
+            )
+        # one drivable-area query for every lane polygon vertex
+        vertices, starts = _stack([lane.polygon for lane in lanes])
+        covered = np.logical_and.reduceat(self.contains_many(vertices), starts)
+        for j in np.flatnonzero(~covered):
+            log.warning(
+                "map %s: lane %s polygon not fully inside drivable area",
+                self.map_id,
+                lanes[j].id,
+            )
 
     # -- queries ---------------------------------------------------------
 
     def _lane_mask(self, points, eps: float):
         """Lanes within ``eps`` of ``(N, 2)`` points (inside counts) as an
         ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
-        ``(2,)`` point, the sorted ids of those lanes.
-
-        Each lane runs the exact test only on the points inside its padded
-        bounding box widened by ``eps``; a point outside it is farther than
-        ``eps`` from the lane.
-        """
-        pts = geom.as_points(points)
-        x, y = pts[:, 0:1], pts[:, 1:2]
-        x0, y0, x1, y1 = self._lane_boxes
-        in_box = (
-            (x >= x0 - eps) & (x <= x1 + eps) & (y >= y0 - eps) & (y <= y1 + eps)
-        )  # (N, L)
-        mask = np.zeros_like(in_box)
-        for col in np.flatnonzero(in_box.any(axis=0)):
-            rows = np.flatnonzero(in_box[:, col])
-            ring = self._lane_rings[self.lane_ids[col]]
-            mask[rows, col] = ring.contains(pts[rows], eps)
+        ``(2,)`` point, the sorted ids of those lanes."""
+        mask = self._lanes.contains(geom.as_points(points), eps)
         if np.ndim(points) == 1:
             return [self.lane_ids[col] for col in np.flatnonzero(mask[0])]
         return mask
@@ -186,21 +175,8 @@ class RoadMap:
         return float(headings[0]) if pts.ndim == 1 else headings
 
     def contains_many(self, points) -> np.ndarray:
-        """Vectorized drivable-area membership for a batch of points.
-
-        Each ring runs the exact test only on the points not yet inside that
-        fall in its padded bounding box.
-        """
-        pts = geom.as_points(points)
-        x, y = pts[:, 0:1], pts[:, 1:2]
-        x0, y0, x1, y1 = self._drivable_boxes
-        in_box = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)  # (N, R)
-        inside = np.zeros(len(pts), dtype=bool)
-        for r in np.flatnonzero(in_box.any(axis=0)):
-            todo = in_box[:, r] & ~inside
-            if todo.any():
-                inside[todo] = self._drivable_rings[r].contains(pts[todo])
-        return inside
+        """Vectorized drivable-area membership for a batch of points."""
+        return self._drivable.contains(geom.as_points(points)).any(axis=1)
 
     def contains_grid(self, xs, ys) -> geom.GridCover:
         """Drivable-area membership of the grid points ``(xs[i], ys[j])`` as
@@ -212,10 +188,4 @@ class RoadMap:
             raise ValueError("grid coordinates contain NaN or inf")
         if (xs[1:] < xs[:-1]).any() or (ys[1:] < ys[:-1]).any():
             raise ValueError("grid coordinates must be ascending")
-        edges, ring_of = self._drivable_edges
-        if len(xs) and len(ys):
-            x0, y0, x1, y1 = self._drivable_boxes
-            overlaps = (x1 >= xs[0]) & (x0 <= xs[-1]) & (y1 >= ys[0]) & (y0 <= ys[-1])
-            keep = overlaps[ring_of]
-            edges, ring_of = edges[:, keep], ring_of[keep]
-        return geom.grid_in_rings(xs, ys, edges, ring_of)
+        return self._drivable.grid(xs, ys)

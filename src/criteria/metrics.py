@@ -13,6 +13,7 @@ The triad tests take a ``Trajectory`` too and then answer for that one mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -63,9 +64,21 @@ class AlignmentConfig:
             raise ValueError("tail_steps must be >= 2")
 
 
+# A DAO grid has at most this many cells per side: 1 cm cells over the
+# default 100 m ROI. Its drivable cover takes memory in proportion to the
+# side (about 12 MB on a CROSSROADS map at the cap), and finer cells only
+# split the same occupancy further.
+MAX_DAO_CELLS_PER_SIDE = 10_000
+
+
+class GridTooFineError(ValueError):
+    """A DAO cell too small for ``MAX_DAO_CELLS_PER_SIDE``."""
+
+
 @dataclass(frozen=True)
 class DaoConfig:
-    """Occupancy rasterization: square ROI centered at the anchor."""
+    """Occupancy rasterization: square ROI centered at the anchor, split
+    into ``cells_per_side`` cells along each axis."""
 
     cell: float = 0.5
     roi_side: float = 100.0
@@ -74,6 +87,16 @@ class DaoConfig:
     def __post_init__(self):
         if self.cell <= 0 or self.roi_side <= 0:
             raise ValueError("cell and roi_side must be positive")
+        # compared before rounding up, which overflows on an infinite ratio
+        if not self.roi_side / self.cell <= MAX_DAO_CELLS_PER_SIDE:
+            raise GridTooFineError(
+                f"cell too small: a {self.roi_side} m ROI in {self.cell} m cells "
+                f"has more than {MAX_DAO_CELLS_PER_SIDE} cells per side"
+            )
+
+    @property
+    def cells_per_side(self) -> int:
+        return max(1, math.ceil(self.roi_side / self.cell))
 
 
 @dataclass(frozen=True)
@@ -141,9 +164,13 @@ def rf(pred: PredictionSet, gt: Trajectory) -> float:
 # -- baseline diversity ------------------------------------------------------
 
 
+@functools.cache
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the unordered mode pairs in ``combinations`` order."""
-    return np.triu_indices(k, 1)
+    """Index arrays of the unordered mode pairs in ``combinations`` order,
+    built once per ``k`` and read-only, since every caller shares them."""
+    i, j = np.triu_indices(k, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def min_asd(pred: PredictionSet) -> float:
@@ -184,8 +211,7 @@ def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
     roi = (ax - half, ay - half, ax + half, ay + half)
     occupied = geom.rasterize_occupancy(pred.points.reshape(-1, 2), roi, cfg.cell)
 
-    nx = max(1, math.ceil(cfg.roi_side / cfg.cell))
-    ny = nx
+    nx = ny = cfg.cells_per_side
     # cell centers; (xs[ix], ys[iy]) is the center of cell (ix, iy)
     xs = roi[0] + (np.arange(nx) + 0.5) * cfg.cell
     ys = roi[1] + (np.arange(ny) + 0.5) * cfg.cell

@@ -283,8 +283,9 @@ class TestConfig:
         ({"alignment": {"stationary_eps": "0.1"}}, "$.alignment.stationary_eps"),
         ({"kinematic": {"window": 3.5}}, "$.kinematic.window"),
         ({"dao": [1, 2]}, "$.dao"),
+        ({"dao": {"cell": 1e-9}}, "$.dao.cell"),
     ], ids=["nan", "inf", "turn_radius", "alpha", "alpha_length", "bool",
-            "string", "float_window", "not_an_object"])
+            "string", "float_window", "not_an_object", "tiny_cell"])
     @pytest.mark.parametrize("command", ["tag", "eval"])
     def test_bad_value_is_schema_error(self, fixtures, tmp_path, capsys,
                                        doc, path, command):
@@ -303,7 +304,9 @@ class TestConfig:
             "--config", str(config),
             "--out", str(tmp_path / "out.json"),
         ]) == EXIT_SCHEMA
-        assert f"schema error: {path}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"schema error: {path}: " in err
+        assert "Traceback" not in err
 
 
 class TestReport:

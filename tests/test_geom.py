@@ -106,7 +106,7 @@ class TestRing:
         ys = np.unique(np.concatenate([poly[:, 1] - offset,
                                        np.linspace(-11.0, 11.0, 23)]))
         want = reference_grid_mask(xs, ys, [poly])
-        got = geom.grid_in_rings(xs, ys, *geom.edge_table([geom.Ring(poly)]))
+        got = geom.grid_in_rings(xs, ys, *geom.edge_table([poly]))
         assert_cover_matches(got, want)
 
     def test_grid_of_overlapping_rings(self, unit_square):
@@ -116,7 +116,7 @@ class TestRing:
         xs = np.linspace(-1.0, 9.0, 41)
         ys = np.linspace(-1.0, 9.0, 21)
         got = geom.grid_in_rings(
-            xs, ys, *geom.edge_table([geom.Ring(r) for r in rings])
+            xs, ys, *geom.edge_table(rings)
         )
         assert_cover_matches(got, reference_grid_mask(xs, ys, rings))
 
@@ -137,7 +137,7 @@ class TestRing:
             cross[straddles], np.linspace(poly[:, 0].min(), poly[:, 0].max(), 9)
         ]))
         want = reference_grid_mask(xs, ys, [poly])
-        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([ring])), want)
+        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([poly])), want)
 
     @settings(max_examples=60)
     @given(
@@ -171,12 +171,12 @@ class TestRing:
         straddles = (ring.y1 > ys[:, None]) != (ring.y2 > ys[:, None])
         xs = np.unique(np.concatenate([corner[0] + steps, cross[straddles][::3]]))
         want = reference_grid_mask(xs, ys, [poly])
-        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([ring])), want)
+        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([poly])), want)
 
     def test_grid_outside_every_ring_is_empty(self, unit_square):
         got = geom.grid_in_rings(
             np.array([5.0, 6.0]), np.array([0.5]),
-            *geom.edge_table([geom.Ring(unit_square)]),
+            *geom.edge_table([unit_square]),
         )
         assert_cover_matches(got, np.zeros((2, 1), dtype=bool))
 

@@ -7,7 +7,7 @@ import pytest
 from criteria import io, synth
 from criteria.bench import evaluate_model
 from criteria.errors import DataConsistencyError, SchemaError
-from criteria.metrics import Reduction, StationaryPolicy
+from criteria.metrics import MAX_DAO_CELLS_PER_SIDE, Reduction, StationaryPolicy
 from criteria.scenario import (
     Difficulty,
     LengthClass,
@@ -62,6 +62,32 @@ class TestRunConfig:
         with pytest.raises(SchemaError) as e:
             io.RunConfig.from_dict({"weights": {"w_easy": value}})
         assert e.value.path == "$.weights.w_easy"
+
+
+    @pytest.mark.parametrize("dao", [
+        {"cell": 1.0, "roi_side": float(MAX_DAO_CELLS_PER_SIDE)},
+        {"cell": 100.0 / MAX_DAO_CELLS_PER_SIDE},
+    ])
+    def test_dao_grid_at_the_cap(self, dao):
+        cfg = io.RunConfig.from_dict({"dao": dao})
+        assert cfg.dao.cells_per_side == MAX_DAO_CELLS_PER_SIDE
+
+    @pytest.mark.parametrize("dao", [
+        {"cell": 1.0, "roi_side": MAX_DAO_CELLS_PER_SIDE + 1.0},
+        {"cell": math.nextafter(100.0 / MAX_DAO_CELLS_PER_SIDE, 0.0)},
+        {"cell": 1e-9},
+        {"cell": 5e-324},
+    ], ids=["one_cell_more", "one_ulp_smaller", "tiny", "subnormal"])
+    def test_dao_grid_past_the_cap_names_the_cell(self, dao):
+        with pytest.raises(SchemaError) as e:
+            io.RunConfig.from_dict({"dao": dao})
+        assert e.value.path == "$.dao.cell"
+        assert "cell too small" in str(e.value)
+
+    def test_dao_roi_side_must_be_positive(self):
+        with pytest.raises(SchemaError) as e:
+            io.RunConfig.from_dict({"dao": {"roi_side": 0.0}})
+        assert e.value.path == "$"
 
 
 class TestMapIO:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestPairwise:
         i, j = np.triu_indices(len(v), 1)
         want = [reference_angle_between(v[a], v[b]) for a, b in zip(i, j)]
         assert_ulp_close(geom.angles_between(v[i], v[j]), want)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 6, 24])
+    def test_pairs_are_cached_read_only(self, k):
+        """The pair index arrays are shared between calls, so no caller may
+        write to them."""
+        i, j = metrics._pairs(k)
+        assert metrics._pairs(k)[0] is i and metrics._pairs(k)[1] is j
+        assert list(zip(i.tolist(), j.tolist())) == list(combinations(range(k), 2))
+        assert not i.flags.writeable and not j.flags.writeable
+        with pytest.raises(ValueError):
+            i[...] = 0
 
 
 class TestKinematics:

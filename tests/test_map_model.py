@@ -1,4 +1,7 @@
+import dataclasses
 import functools
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from criteria import geom, io, synth
-from criteria.errors import InvalidMapError
+from criteria.errors import DegenerateHeadingError, InvalidMapError
 from criteria.geom import BOX_PAD, padded_box
 from criteria.map_model import LaneSegment, RoadMap, Turn, is_turn_lane
 
@@ -15,6 +18,7 @@ from conftest import (
     reference_grid_mask,
     reference_in_polygon,
     reference_lane_within_radius,
+    reference_lanes_containing,
     simple_lane,
 )
 
@@ -157,6 +161,106 @@ class TestRadiusMatchesReference:
             straight_road.lanes_within_radius((0.0, 0.0), r)
 
 
+def rotated_road(kind: synth.MapKind, angle: float) -> RoadMap:
+    """The synthetic map of ``kind`` turned by ``angle`` about the origin: its
+    axis-aligned edges become diagonal."""
+    road = synth_road(kind)
+    turn = np.array([[math.cos(angle), -math.sin(angle)],
+                     [math.sin(angle), math.cos(angle)]]).T
+    lanes = [
+        dataclasses.replace(lane, centerline=lane.centerline @ turn,
+                            polygon=lane.polygon @ turn)
+        for lane in road.lanes.values()
+    ]
+    return RoadMap(road.map_id, lanes, [ring @ turn for ring in road.drivable])
+
+
+def lane_rings(road: RoadMap) -> list[np.ndarray]:
+    return [road.lanes[lane_id].polygon for lane_id in road.lane_ids]
+
+
+ANGLES = st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi))
+
+
+@st.composite
+def ring_probes(draw, rings: list[np.ndarray], eps: float) -> np.ndarray:
+    """1 to 40 points: ring vertices, edge midpoints and uniform points in
+    the rings' bounding box, each nudged along both axes by 0,
+    +-BOUNDARY_EPS or +-eps."""
+    lo = np.min([ring.min(axis=0) for ring in rings], axis=0)
+    hi = np.max([ring.max(axis=0) for ring in rings], axis=0)
+    nudges = st.sampled_from((0.0, geom.BOUNDARY_EPS, -geom.BOUNDARY_EPS, eps, -eps))
+    out = []
+    for _ in range(draw(st.integers(1, 40))):
+        ring = rings[draw(st.integers(0, len(rings) - 1))]
+        i = draw(st.integers(0, len(ring) - 1))
+        where = draw(st.sampled_from(("vertex", "midpoint", "uniform")))
+        if where == "vertex":
+            p = ring[i]
+        elif where == "midpoint":
+            p = (ring[i] + ring[(i + 1) % len(ring)]) / 2
+        else:
+            p = [draw(st.floats(lo[0], hi[0])), draw(st.floats(lo[1], hi[1]))]
+        out.append([p[0] + draw(nudges), p[1] + draw(nudges)])
+    return np.array(out)
+
+
+class TestRingTableMatchesReference:
+    """The row-sweep ring kernel and the queries built on it against
+    unfiltered exact scans of each ring, on the synthetic maps and on the
+    same maps turned by a drawn angle."""
+
+    @given(kind=st.sampled_from(synth.MapKind), angle=ANGLES,
+           eps=st.sampled_from((0.0, geom.BOUNDARY_EPS, 1.0, 100.0)),
+           lanes=st.booleans(), data=st.data())
+    def test_contains(self, kind, angle, eps, lanes, data):
+        road = rotated_road(kind, angle)
+        rings = lane_rings(road) if lanes else road.drivable
+        pts = data.draw(ring_probes(rings, eps))
+        want = np.column_stack([reference_in_polygon(pts, ring, eps) for ring in rings])
+        np.testing.assert_array_equal(geom.RingTable(rings).contains(pts, eps), want)
+
+    @given(kind=st.sampled_from(synth.MapKind), angle=ANGLES, data=st.data())
+    def test_contains_many_and_lanes_containing(self, kind, angle, data):
+        road = rotated_road(kind, angle)
+        pts = data.draw(ring_probes(road.drivable + lane_rings(road), geom.BOX_PAD))
+        want = np.zeros(len(pts), dtype=bool)
+        for ring in road.drivable:
+            want |= reference_in_polygon(pts, ring)
+        np.testing.assert_array_equal(road.contains_many(pts), want)
+        for p in pts:
+            assert road.lanes_containing(p) == reference_lanes_containing(road, p)
+
+    @given(kind=st.sampled_from(synth.MapKind), angle=ANGLES, r=RADII,
+           data=st.data())
+    def test_lanes_within_radius(self, kind, angle, r, data):
+        road = rotated_road(kind, angle)
+        pts = data.draw(ring_probes(lane_rings(road), r))
+        want = np.column_stack([
+            reference_lane_within_radius(pts, ring, r) for ring in lane_rings(road)
+        ])
+        np.testing.assert_array_equal(road.lanes_within_radius(pts, r), want)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_pair_blocks_do_not_change_the_mask(self, t_road, monkeypatch, block):
+        """Crossings and band pairs split over many blocks, down to one
+        edge each, give the mask of one block."""
+        rings = lane_rings(t_road)
+        rng = np.random.default_rng(block)
+        pts = np.vstack([np.vstack(rings), rng.uniform(-120, 120, size=(200, 2))])
+        table = geom.RingTable(rings)
+        for eps in (geom.BOUNDARY_EPS, 3.0):
+            want = table.contains(pts, eps)
+            monkeypatch.setattr(geom, "PAIR_BLOCK", block)
+            np.testing.assert_array_equal(table.contains(pts, eps), want)
+            monkeypatch.undo()
+
+    def test_no_points_or_no_rings(self, unit_square):
+        empty = np.empty((0, 2))
+        assert geom.RingTable([unit_square]).contains(empty).shape == (0, 1)
+        assert geom.RingTable([]).contains(np.zeros((3, 2))).shape == (3, 0)
+
+
 class TestLanesContaining:
     def test_centerline_midpoint(self, straight_road):
         lane = straight_road.lanes["E0"]
@@ -228,6 +332,29 @@ class TestLaneHeading:
         want = geom.heading(cl[i + 1] - cl[i])
         assert t_road.lane_heading_at(lane.id, mid) == pytest.approx(want)
 
+    @pytest.mark.parametrize("centerline", [
+        [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 0.0], [10.0, 5.0]],
+        [[0.0, 0.0], [1e-7, 0.0], [10.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[10.0, 0.0], [0.0, -0.0], [0.0, 5.0]],
+    ], ids=["repeated_vertices", "too_short", "no_usable_segment", "minus_pi"])
+    def test_tangents_follow_polyline_tangent(self, centerline):
+        """The headings laid out at build time are ``Polyline.tangent`` of
+        each segment, NaN where it raises: a zero-length segment takes the
+        first usable one, a segment shorter than ``DEGENERATE_EPS`` has
+        none, and -pi turns into pi."""
+        box = np.array([[-1.0, -1.0], [11.0, -1.0], [11.0, 6.0], [-1.0, 6.0]])
+        lane = LaneSegment(id="L", centerline=np.array(centerline), polygon=box)
+        road = RoadMap(map_id="m", lanes=[lane], drivable=[box])
+        line = geom.Polyline(lane.centerline)
+        want = []
+        for i in range(len(line.ab)):
+            try:
+                want.append(line.tangent(i))
+            except DegenerateHeadingError:
+                want.append(math.nan)
+        np.testing.assert_array_equal(road._tangents["L"], want)
+
 
 class TestDrivable:
     def test_on_lane_surface(self, straight_road):
@@ -281,6 +408,44 @@ class TestInvariants:
         )
         with pytest.raises(InvalidMapError):
             RoadMap(map_id="bad", lanes=[lane], drivable=[lane.polygon])
+
+    @pytest.mark.parametrize("end_y, strays", [(3.0, "1.15"), (12.3456, "10.50")])
+    def test_stray_centerline_names_its_distance(self, end_y, strays):
+        lane = dataclasses.replace(simple_lane("stray"),
+                                   centerline=np.array([[0.0, 0.0], [100.0, end_y]]))
+        with pytest.raises(InvalidMapError) as e:
+            RoadMap(map_id="bad", lanes=[lane], drivable=[lane.polygon])
+        assert str(e.value) == (
+            f"lane 'stray': centerline strays {strays} m outside its polygon"
+        )
+
+    def test_centerline_within_tolerance_accepted(self):
+        # the end point lies 0.45 m outside the polygon, under CENTERLINE_TOL
+        lane = dataclasses.replace(simple_lane("near"),
+                                   centerline=np.array([[0.0, 0.0], [100.0, 2.3]]))
+        RoadMap(map_id="ok", lanes=[lane], drivable=[lane.polygon])
+
+    def test_lane_off_drivable_area_warns_once(self, caplog):
+        a = simple_lane("A", y=0.0)
+        b = simple_lane("B", y=3.7)
+        c = simple_lane("C", y=-3.7)
+        with caplog.at_level(logging.WARNING, logger="criteria.map_model"):
+            RoadMap(map_id="m", lanes=[a, b, c], drivable=[a.polygon, c.polygon])
+        assert [r.getMessage() for r in caplog.records] == [
+            "map m: lane B polygon not fully inside drivable area"
+        ]
+
+    def test_unknown_successor_raises_before_other_checks(self, caplog):
+        """The lane's centerline also strays and its polygon lies off the
+        drivable area; neither is reported."""
+        lane = dataclasses.replace(simple_lane("X", successors=("nope",)),
+                                   centerline=np.array([[0.0, 0.0], [100.0, 30.0]]))
+        elsewhere = simple_lane("Y", y=50.0)
+        with caplog.at_level(logging.WARNING, logger="criteria.map_model"):
+            with pytest.raises(InvalidMapError) as e:
+                RoadMap(map_id="bad", lanes=[lane], drivable=[elsewhere.polygon])
+        assert str(e.value) == "lane 'X': successor 'nope' not in map"
+        assert caplog.records == []
 
     def test_roundtrip_preserves_queries(self, t_road, tmp_path):
         path = tmp_path / "map.json"
