@@ -1,12 +1,13 @@
 """Command-line pipeline: synth -> tag -> eval -> report.
 
-Exit codes: 0 success, 1 usage, 2 schema validation, 3 data consistency,
-4 internal invariant failure.
+Exit codes: 0 success, 1 usage (or a missing or unusable path), 2 schema
+validation, 3 data consistency, 4 internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -29,7 +30,10 @@ EXIT_INTERNAL = 4
 DEFAULT_K = 6
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first ``main`` call of a process and
+    shared by later ones; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="criteria",
         description="Map-aware trajectory prediction benchmarking",
@@ -201,12 +205,17 @@ def cmd_report(args) -> int:
         inputs[f"metrics[{run.model_name}]"] = io.sha256_file(path)
     cfg = io.RunConfig.from_dict(config_doc or {})
 
-    doc = report_mod.build_report(runs, cfg.weights)
+    # each run aggregated once, for the report, the tables and the chart
+    summaries = [
+        (aggregate(run, tags, cfg.weights), report_mod.block_means(run, tags))
+        for run, tags in runs
+    ]
+    doc = report_mod.build_report(runs, cfg.weights, summaries)
     doc["config"] = cfg.to_dict()
     doc["inputs"] = inputs
     io.write_json(out / "report.json", doc)
 
-    tables = report_mod.collect_block_tables(runs, cfg.weights)
+    tables = report_mod.collect_block_tables(runs, cfg.weights, summaries)
     md_parts = []
     for name, per_model in tables.items():
         slug = name.replace("/", "_").lower()
@@ -217,8 +226,7 @@ def cmd_report(args) -> int:
 
     if args.balance:
         diversity = args.balance.upper()
-        reports = [aggregate(run, tags, cfg.weights) for run, tags in runs]
-        rows = balance_data(reports, diversity, args.category)
+        rows = balance_data([rep for rep, _ in summaries], diversity, args.category)
         io.write_text(out / "balance.csv",
                       report_mod.render_balance_csv(rows, diversity))
         io.write_text(out / "balance.svg",
@@ -253,6 +261,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
+        print(f"unusable path: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CriteriaError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -65,6 +65,54 @@ def normalize_ring(ring) -> np.ndarray:
     return ring[::-1].copy() if area < 0 else ring
 
 
+def point_blocks(blocks, min_len: int) -> list[np.ndarray] | None:
+    """Each of ``blocks`` as ``as_points`` returns it, if every one is a
+    finite ``(N, 2)`` array with N >= ``min_len``; else ``None``. The
+    finiteness of all of them is one check."""
+    try:
+        arrays = [np.asarray(b, dtype=float) for b in blocks]
+    except (TypeError, ValueError):
+        return None
+    if not all(a.ndim == 2 and a.shape[1] == 2 and len(a) >= min_len for a in arrays):
+        return None
+    if arrays and not np.isfinite(np.concatenate(arrays)).all():
+        return None
+    return arrays
+
+
+def normalize_rings(rings) -> list[np.ndarray]:
+    """``[normalize_ring(r) for r in rings]``, with the shoelace terms of all
+    rings computed in one pass over their concatenated vertices. Each ring's
+    terms are summed by ``np.sum`` over its own slice, as ``signed_area``
+    sums them, so every orientation decision is the same; the per-ring loop
+    runs only when some ring is invalid, to raise its error."""
+    areas = _signed_areas(rings)
+    if areas is None or any(abs(area) < 1e-12 for area in areas[1]):
+        return [normalize_ring(r) for r in rings]
+    return [a[::-1].copy() if area < 0 else a for a, area in zip(*areas)]
+
+
+def _signed_areas(rings) -> tuple[list[np.ndarray], list[float]] | None:
+    """Each ring of ``rings`` as a float array and its ``signed_area``, or
+    ``None`` unless every ring is a finite ``(N, 2)`` array with N >= 3."""
+    arrays = point_blocks(rings, 3)
+    if arrays is None:
+        return None
+    if not arrays:
+        return [], []
+    pts = np.concatenate(arrays)
+    sizes = np.array([len(a) for a in arrays])
+    ends = np.cumsum(sizes)
+    succ = np.arange(1, len(pts) + 1)
+    succ[ends - 1] = ends - sizes  # each ring's last vertex closes on its first
+    x, y = pts[:, 0], pts[:, 1]
+    terms = x * y[succ] - x[succ] * y
+    bounds = [0, *ends.tolist()]
+    # np.add.reduce is np.sum without its Python wrapper
+    return arrays, [0.5 * float(np.add.reduce(terms[a:b]))
+                    for a, b in zip(bounds, bounds[1:])]
+
+
 def distance_to_ring(points, ring) -> np.ndarray:
     """Min distance from each point to the closed boundary of ``ring``."""
     pts = as_points(points)
@@ -461,6 +509,34 @@ class Polyline:
         self.ab = pts[1:] - pts[:-1]
         self.denom = np.einsum("ij,ij->i", self.ab, self.ab)
         self.seg_len = np.sqrt(self.denom)
+
+    @classmethod
+    def many(cls, polylines) -> list["Polyline"]:
+        """``[Polyline(p) for p in polylines]``, with the segments of all of
+        them laid out in one pass over their concatenated points; the
+        per-polyline constructor runs only when one is invalid, to raise its
+        error."""
+        arrays = point_blocks(polylines, 2)
+        if arrays is None:
+            return [cls(p) for p in polylines]
+        if not arrays:
+            return []
+        pts = np.concatenate(arrays)
+        # segment j joins points j and j + 1; drop those that join two lines
+        keep = np.ones(len(pts) - 1, dtype=bool)
+        keep[np.cumsum([len(p) for p in arrays[:-1]], dtype=np.int64) - 1] = False
+        a, ab = pts[:-1][keep], (pts[1:] - pts[:-1])[keep]
+        denom = np.einsum("ij,ij->i", ab, ab)
+        seg_len = np.sqrt(denom)
+        lines, start = [], 0
+        for p in arrays:
+            end = start + len(p) - 1
+            line = cls.__new__(cls)
+            line.a, line.ab = a[start:end], ab[start:end]
+            line.denom, line.seg_len = denom[start:end], seg_len[start:end]
+            lines.append(line)
+            start = end
+        return lines
 
     def nearest(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each of the ``(N, 2)`` points: the index of the segment holding

@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .bench import METRIC_NAMES, WeightConfig
-from .errors import DataConsistencyError, SchemaError
+from .errors import CriteriaError, DataConsistencyError, SchemaError
 from .map_model import LaneSegment, RoadMap, Turn
 from .metrics import (
     AlignmentConfig,
@@ -95,19 +95,56 @@ def _probabilities(value, k: int, path: str):
     return value
 
 
-def _coords(value, path: str, min_len: int) -> np.ndarray:
+def _number_array(value, tail_shape: tuple) -> np.ndarray | None:
+    """``value`` as a float array of shape ``(n, *tail_shape)`` when it is a
+    nested list of finite JSON numbers of that shape, else ``None``; a
+    ``None`` in ``tail_shape`` matches any length.
+
+    One ``np.array`` call reads the whole block. Strings, nulls and objects
+    come back as another dtype, ragged or deeper lists as another shape or a
+    ``ValueError``, and integers beyond int64 as an object array. Bools do
+    not: ``np.array([True, 1.5])`` is float and ``np.array([[1, True]])``
+    int, so the leaves whose value is 0 or 1 are looked up in ``value``.
+    """
+    try:
+        arr = np.array(value)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.dtype.kind not in "fi" or arr.ndim != len(tail_shape) + 1:
+        return None
+    if any(n is not None and n != got for n, got in zip(tail_shape, arr.shape[1:])):
+        return None
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        return None
+    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        leaf = value
+        for i in index:
+            leaf = leaf[i]
+        if isinstance(leaf, bool):
+            return None
+    return arr
+
+
+def _check_block(value, path: str, min_len: int) -> None:
     if not isinstance(value, list) or len(value) < min_len:
         raise SchemaError(path, f"expected a list of >= {min_len} [x, y] pairs")
-    # fast path: pairs of plain ints and floats, as json.load builds them
-    if all(type(pt) is list and len(pt) == 2 for pt in value) and {
-        type(c) for pt in value for c in pt
-    } <= {int, float}:
-        try:
-            pts = np.asarray(value, dtype=float)
-        except OverflowError:  # an integer beyond float range
-            pts = None
-        if pts is not None and np.isfinite(pts).all():
-            return pts
+
+
+def _coords(value, path: str, min_len: int) -> np.ndarray:
+    """A list of at least ``min_len`` ``[x, y]`` pairs of finite numbers as
+    an ``(n, 2)`` float array: one ``_number_array`` call, and the per-pair
+    walk only when that call rejects the block."""
+    _check_block(value, path, min_len)
+    pts = _number_array(value, (2,))
+    return pts if pts is not None else _pairs(value, path)
+
+
+def _pairs(value: list, path: str) -> np.ndarray:
+    """The block ``value`` checked pair by pair: a ``SchemaError`` naming the
+    first bad pair, or the block as an ``(n, 2)`` float array if every pair
+    is fine (``np.array`` gives an object array for an integer beyond
+    int64, which converts to a finite float all the same)."""
     for i, pt in enumerate(value):
         if (
             not isinstance(pt, list)
@@ -120,12 +157,42 @@ def _coords(value, path: str, min_len: int) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+class _Blocks:
+    """The coordinate blocks met in one walk over a document, parsed after
+    it by one ``_number_array`` call over all their pairs. Called like
+    ``_coords``, it checks only the block's list and length and returns its
+    index in ``parse()``'s list."""
+
+    def __init__(self):
+        self.values: list[list] = []
+
+    def __call__(self, value, path: str, min_len: int) -> int:
+        _check_block(value, path, min_len)
+        self.values.append(value)
+        return len(self.values) - 1
+
+    def parse(self) -> list[np.ndarray] | None:
+        """Every block's ``(n, 2)`` array, or ``None`` if some pair is not
+        two finite numbers (or the array call rejects it)."""
+        if not self.values:
+            return []
+        pts = _number_array([pt for block in self.values for pt in block], (2,))
+        if pts is None:
+            return None
+        ends = np.cumsum([len(block) for block in self.values]).tolist()
+        return [pts[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def _load_json(path) -> Any:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as e:
-            raise SchemaError("$", f"invalid JSON: {e}") from e
+    """The JSON document in the file ``path``, decoded strictly as UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise SchemaError("$", f"not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise SchemaError("$", f"invalid JSON: {e}") from e
 
 
 class _Encoder(json.JSONEncoder):
@@ -306,8 +373,28 @@ def map_from_dict(doc: dict, path: str = "$") -> RoadMap:
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     map_id = _require(doc, "map_id", str, path)
+    blocks = _Blocks()
+    try:
+        fields = list(_lane_fields(doc, path, blocks))
+        drivable = _drivable_rings(doc, path, blocks)
+        arrays = blocks.parse()
+    except CriteriaError:
+        arrays = None
+    if arrays is None:
+        # the error path: each block checked pair by pair and each lane built
+        # as the walk meets them, so the first fault in the document is named
+        lanes = [LaneSegment(**f) for f in _lane_fields(doc, path, _coords)]
+        return RoadMap(map_id, lanes, _drivable_rings(doc, path, _coords))
+    for f in fields:
+        f["centerline"], f["polygon"] = arrays[f["centerline"]], arrays[f["polygon"]]
+    return RoadMap(map_id, LaneSegment.many(fields), [arrays[i] for i in drivable])
+
+
+def _lane_fields(doc: dict, path: str, coords):
+    """Each lane of the map ``doc`` as ``LaneSegment`` keyword arguments, in
+    document order; ``coords(value, path, min_len)`` reads the centerline and
+    the polygon."""
     lanes_doc = _require(doc, "lanes", list, path)
-    lanes = []
     for i, lane_doc in enumerate(lanes_doc):
         lp = f"{path}.lanes[{i}]"
         if not isinstance(lane_doc, dict):
@@ -317,32 +404,30 @@ def map_from_dict(doc: dict, path: str = "$") -> RoadMap:
             turn = Turn(turn_raw)
         except ValueError:
             raise SchemaError(f"{lp}.turn", f"unknown turn kind {turn_raw!r}")
-        lanes.append(
-            LaneSegment(
-                id=_require(lane_doc, "id", str, lp),
-                centerline=_coords(
-                    _require(lane_doc, "centerline", list, lp),
-                    f"{lp}.centerline", 2,
-                ),
-                polygon=_coords(
-                    _require(lane_doc, "polygon", list, lp), f"{lp}.polygon", 3
-                ),
-                turn=turn,
-                is_intersection=_require(lane_doc, "is_intersection", bool, lp),
-                successors=_items(
-                    _require(lane_doc, "successors", list, lp), str,
-                    f"{lp}.successors",
-                ),
-                left_neighbor=_lane_ref(lane_doc, "left_neighbor", lp),
-                right_neighbor=_lane_ref(lane_doc, "right_neighbor", lp),
-            )
+        yield dict(
+            id=_require(lane_doc, "id", str, lp),
+            centerline=coords(
+                _require(lane_doc, "centerline", list, lp), f"{lp}.centerline", 2
+            ),
+            polygon=coords(
+                _require(lane_doc, "polygon", list, lp), f"{lp}.polygon", 3
+            ),
+            turn=turn,
+            is_intersection=_require(lane_doc, "is_intersection", bool, lp),
+            successors=_items(
+                _require(lane_doc, "successors", list, lp), str, f"{lp}.successors"
+            ),
+            left_neighbor=_lane_ref(lane_doc, "left_neighbor", lp),
+            right_neighbor=_lane_ref(lane_doc, "right_neighbor", lp),
         )
+
+
+def _drivable_rings(doc: dict, path: str, coords) -> list:
     drivable_doc = _require(doc, "drivable_area", list, path)
-    drivable = [
-        _coords(ring, f"{path}.drivable_area[{i}]", 3)
+    return [
+        coords(ring, f"{path}.drivable_area[{i}]", 3)
         for i, ring in enumerate(drivable_doc)
     ]
-    return RoadMap(map_id=map_id, lanes=lanes, drivable=drivable)
 
 
 def _lane_ref(doc: dict, key: str, path: str) -> str | None:
@@ -382,8 +467,32 @@ def scenarios_to_dict(records: list[ScenarioRecord]) -> dict:
 def scenarios_from_dict(doc: dict, path: str = "$") -> list[ScenarioRecord]:
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
+    blocks = _Blocks()
+    try:
+        fields = list(_scenario_fields(doc, path, blocks))
+        arrays = blocks.parse()
+    except CriteriaError:
+        arrays = None
+    if arrays is None:
+        # the error path: each block checked pair by pair, in document order
+        fields = list(_scenario_fields(doc, path, _coords))
+    else:
+        for f in fields:
+            f["past"], f["future"] = arrays[f["past"]], arrays[f["future"]]
+    return [
+        ScenarioRecord(
+            id=f["id"], map_id=f["map_id"], agent_id=f["agent_id"], dt=f["dt"],
+            past=Trajectory(f["past"], f["dt"]),
+            future=Trajectory(f["future"], f["dt"]),
+        )
+        for f in fields
+    ]
+
+
+def _scenario_fields(doc: dict, path: str, coords):
+    """The fields of each record of the scenarios ``doc``, in document
+    order; ``coords(value, path, min_len)`` reads ``past`` and ``future``."""
     items = _require(doc, "scenarios", list, path)
-    records = []
     seen = set()
     for i, rec_doc in enumerate(items):
         rp = f"{path}.scenarios[{i}]"
@@ -393,26 +502,14 @@ def scenarios_from_dict(doc: dict, path: str = "$") -> list[ScenarioRecord]:
         if sid in seen:
             raise DataConsistencyError(f"duplicate scenario id {sid!r}")
         seen.add(sid)
-        dt = _require_dt(rec_doc, rp)
-        records.append(
-            ScenarioRecord(
-                id=sid,
-                map_id=_require(rec_doc, "map_id", str, rp),
-                agent_id=_require(rec_doc, "agent_id", str, rp),
-                dt=dt,
-                past=Trajectory(
-                    _coords(_require(rec_doc, "past", list, rp),
-                            f"{rp}.past", 2),
-                    dt,
-                ),
-                future=Trajectory(
-                    _coords(_require(rec_doc, "future", list, rp),
-                            f"{rp}.future", 2),
-                    dt,
-                ),
-            )
+        yield dict(
+            id=sid,
+            dt=_require_dt(rec_doc, rp),
+            map_id=_require(rec_doc, "map_id", str, rp),
+            agent_id=_require(rec_doc, "agent_id", str, rp),
+            past=coords(_require(rec_doc, "past", list, rp), f"{rp}.past", 2),
+            future=coords(_require(rec_doc, "future", list, rp), f"{rp}.future", 2),
         )
-    return records
 
 
 def load_scenarios(path) -> list[ScenarioRecord]:
@@ -435,7 +532,7 @@ def predictions_to_dict(model: str, dt: float,
             {
                 "scenario_id": p.scenario_id,
                 "anchor": p.anchor.tolist(),
-                "modes": [m.points.tolist() for m in p.modes],
+                "modes": p.points.tolist(),
                 **(
                     {"probabilities": list(p.probabilities)}
                     if p.probabilities is not None
@@ -468,23 +565,28 @@ def predictions_from_dict(
         modes_doc = _require(pdoc, "modes", list, pp)
         if len(modes_doc) < 1:
             raise SchemaError(f"{pp}.modes", "expected at least one mode")
-        lengths = set()
-        modes = []
-        for k, mode_doc in enumerate(modes_doc):
-            pts = _coords(mode_doc, f"{pp}.modes[{k}]", 2)
-            lengths.add(len(pts))
-            modes.append(Trajectory(pts, dt))
-        if len(lengths) > 1:
-            raise SchemaError(f"{pp}.modes", "ragged modes array")
-        out[sid] = PredictionSet(
-            scenario_id=sid,
-            modes=modes,
+        points = _number_array(modes_doc, (None, 2))
+        if points is None or points.shape[1] < 2:
+            points = _modes(modes_doc, f"{pp}.modes")
+        out[sid] = PredictionSet.from_points(
+            sid,
+            points,
+            dt,
             probabilities=_probabilities(
-                pdoc.get("probabilities"), len(modes), f"{pp}.probabilities"
+                pdoc.get("probabilities"), len(points), f"{pp}.probabilities"
             ),
             anchor=anchor,
         )
     return model, out
+
+
+def _modes(modes_doc: list, path: str) -> np.ndarray:
+    """A prediction's modes checked one by one: the error path of its
+    ``(K, T, 2)`` block, which names the first bad mode or pair."""
+    modes = [_coords(mode, f"{path}[{k}]", 2) for k, mode in enumerate(modes_doc)]
+    if len({len(mode) for mode in modes}) > 1:
+        raise SchemaError(path, "ragged modes array")
+    return np.stack(modes)
 
 
 def load_predictions(path) -> tuple[str, dict[str, PredictionSet]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -43,14 +44,52 @@ class LaneSegment:
         object.__setattr__(self, "polygon", geom.normalize_ring(self.polygon))
         object.__setattr__(self, "successors", tuple(self.successors))
 
+    @classmethod
+    def many(cls, fields: list[dict]) -> list["LaneSegment"]:
+        """``[LaneSegment(**f) for f in fields]``, with all centerlines
+        checked at once and all polygons oriented by one
+        ``geom.normalize_rings`` call; the per-lane constructor runs only
+        when some lane is invalid, to raise its error."""
+        centerlines = geom.point_blocks([f["centerline"] for f in fields], 2)
+        try:
+            polygons = geom.normalize_rings([f["polygon"] for f in fields])
+        except (InvalidMapError, ValueError):
+            polygons = None
+        if centerlines is None or polygons is None:
+            return [cls(**f) for f in fields]
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING
+        }
+        lanes = []
+        for f, centerline, polygon in zip(fields, centerlines, polygons):
+            lane = cls.__new__(cls)
+            lane.__dict__.update({
+                **defaults, **f, "centerline": centerline, "polygon": polygon,
+                "successors": tuple(f.get("successors", ())),
+            })
+            lanes.append(lane)
+        return lanes
 
-def _tangents(line: geom.Polyline, headings: np.ndarray) -> np.ndarray:
-    """``line.tangent(i)`` of every segment ``i``, NaN where it raises, from
-    ``headings``, the ``geom.headings`` of ``line.ab``: a degenerate segment
-    falls back to the first usable one."""
-    usable = np.flatnonzero(line.seg_len > geom.DEGENERATE_EPS)
-    fallback = headings[usable[0]] if len(usable) else math.nan
-    return np.where(line.denom > 0, headings, fallback)
+
+def _segment_tangents(lines: list[geom.Polyline]) -> list[np.ndarray]:
+    """``line.tangent(i)`` of every segment ``i`` of each of ``lines``, NaN
+    where it raises: a degenerate segment falls back to the first usable one
+    of its line. One ``geom.headings`` pass covers every segment."""
+    if not lines:
+        return []
+    sizes = np.array([len(line.ab) for line in lines])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    headings = geom.headings(np.concatenate([line.ab for line in lines]))
+    denom = np.concatenate([line.denom for line in lines])
+    usable = np.flatnonzero(np.concatenate([line.seg_len for line in lines])
+                            > geom.DEGENERATE_EPS)
+    # each line's first usable segment, if it has one
+    first = np.append(usable, ends[-1])[np.searchsorted(usable, starts)]
+    fallback = np.where(first < ends, np.append(headings, math.nan)[first], math.nan)
+    tangents = np.where(denom > 0, headings, np.repeat(fallback, sizes))
+    return [tangents[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _stack(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -80,24 +119,17 @@ class RoadMap:
             if lane.id in self.lanes:
                 raise InvalidMapError(f"duplicate lane id {lane.id!r}")
             self.lanes[lane.id] = lane
-        self.drivable = [geom.normalize_ring(r) for r in drivable]
+        self.drivable = geom.normalize_rings(drivable)
         self._drivable = geom.RingTable(self.drivable)
         # lane ids in sorted order; the lane table's rings and the lane
         # masks' columns follow it
         self.lane_ids = tuple(sorted(self.lanes))
         self._lanes = geom.RingTable([self.lanes[i].polygon for i in self.lane_ids])
         self._validate()
-        self._centerlines = {
-            lane_id: geom.Polyline(lane.centerline)
-            for lane_id, lane in self.lanes.items()
-        }
+        lines = geom.Polyline.many([lane.centerline for lane in self.lanes.values()])
+        self._centerlines = dict(zip(self.lanes, lines))
         # every segment's tangent heading; NaN where none is usable
-        ab, starts = _stack([line.ab for line in self._centerlines.values()])
-        headings = np.split(geom.headings(ab), starts[1:])
-        self._tangents = {
-            lane_id: _tangents(line, h)
-            for (lane_id, line), h in zip(self._centerlines.items(), headings)
-        }
+        self._tangents = dict(zip(self.lanes, _segment_tangents(lines)))
 
     def _validate(self) -> None:
         lanes = list(self.lanes.values())

@@ -130,16 +130,31 @@ def render_balance_svg(rows: Sequence[tuple[str, float, float, float]],
     return "\n".join(parts) + "\n"
 
 
+def _summaries(
+    runs: Sequence[tuple[EvaluationRun, Mapping[str, ScenarioTag]]],
+    weights: WeightConfig,
+    summaries: Sequence[tuple[MetricReport, dict]] | None,
+) -> Sequence[tuple[MetricReport, dict]]:
+    """Each run's ``aggregate`` report and ``block_means``, unless given."""
+    if summaries is None:
+        return [(aggregate(run, tags, weights), block_means(run, tags))
+                for run, tags in runs]
+    return summaries
+
+
 def build_report(
     runs: Sequence[tuple[EvaluationRun, Mapping[str, ScenarioTag]]],
     weights: WeightConfig = WeightConfig(),
+    summaries: Sequence[tuple[MetricReport, dict]] | None = None,
 ) -> dict:
-    """Assemble the JSON report document for a set of evaluated models."""
-    reports: list[MetricReport] = []
-    blocks_per_model: dict[str, dict[str, dict[str, float]]] = {}
-    for run, tags in runs:
-        reports.append(aggregate(run, tags, weights))
-        blocks_per_model[run.model_name] = block_means(run, tags)
+    """Assemble the JSON report document for a set of evaluated models.
+    ``summaries``, when given, holds each run's ``aggregate`` report and
+    ``block_means``, so that a caller needing them too computes them once."""
+    summaries = _summaries(runs, weights, summaries)
+    reports = [rep for rep, _ in summaries]
+    blocks_per_model = {
+        run.model_name: blocks for (run, _), (_, blocks) in zip(runs, summaries)
+    }
 
     overall = {rep.model_name: rep.overall for rep in reports}
     overall_ranks = {
@@ -164,14 +179,15 @@ def build_report(
 def collect_block_tables(
     runs: Sequence[tuple[EvaluationRun, Mapping[str, ScenarioTag]]],
     weights: WeightConfig = WeightConfig(),
+    summaries: Sequence[tuple[MetricReport, dict]] | None = None,
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """Table name -> model -> metric means, for CSV/Markdown rendering."""
+    """Table name -> model -> metric means, for CSV/Markdown rendering;
+    ``summaries`` as for ``build_report``."""
     tables: dict[str, dict[str, dict[str, float]]] = {}
     overall: dict[str, dict[str, float]] = {}
-    for run, tags in runs:
-        rep = aggregate(run, tags, weights)
+    for (run, _), (rep, blocks) in zip(runs, _summaries(runs, weights, summaries)):
         overall[run.model_name] = rep.overall
-        for block, means in block_means(run, tags).items():
+        for block, means in blocks.items():
             tables.setdefault(block, {})[run.model_name] = means
     out = {"OVERALL": overall}
     for block in BLOCKS:

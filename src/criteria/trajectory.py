@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,50 +40,77 @@ class Trajectory:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PredictionSet:
     """K candidate futures for one agent; all modes share length and dt.
 
-    ``points`` is the read-only ``(K, T, 2)`` stack of the modes' points,
-    built once; the metrics read it instead of the ``Trajectory`` list.
+    ``points`` is the read-only ``(K, T, 2)`` stack of the modes' points; the
+    metrics read it. ``modes`` lists them as ``Trajectory`` objects: those
+    passed in, or, for a set made by ``from_points``, built on first use.
     """
 
     scenario_id: str
-    modes: list[Trajectory]
+    points: np.ndarray = field(repr=False, compare=False)
+    dt: float = field(compare=False)
     probabilities: list[float] | None = None
     anchor: np.ndarray | None = None  # last observed position
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-    dt: float = field(init=False, compare=False)
 
-    def __post_init__(self):
-        if not self.modes:
+    def __init__(self, scenario_id: str, modes: list[Trajectory],
+                 probabilities: list[float] | None = None, anchor=None):
+        if not modes:
             raise ValueError("prediction set needs at least one mode")
-        dt = self.modes[0].dt
-        shape = self.modes[0].points.shape
-        for k, m in enumerate(self.modes):
+        dt = modes[0].dt
+        shape = modes[0].points.shape
+        for k, m in enumerate(modes):
             if m.points.shape != shape or m.dt != dt:
                 raise ShapeError(
-                    f"mode {k} of {self.scenario_id!r} has mismatched length/dt"
+                    f"mode {k} of {scenario_id!r} has mismatched length/dt"
                 )
-        points = np.stack([m.points for m in self.modes])
+        self._set(scenario_id, np.stack([m.points for m in modes]), dt,
+                  probabilities, anchor)
+        self.__dict__["modes"] = modes
+
+    @classmethod
+    def from_points(cls, scenario_id: str, points, dt: float,
+                    probabilities: list[float] | None = None,
+                    anchor=None) -> "PredictionSet":
+        """The set of the modes ``points[k]`` of a finite ``(K, T, 2)``
+        block, K >= 1 and T >= 2, sampled every ``dt``; no ``Trajectory`` is
+        made until ``modes`` is read."""
+        points = np.array(points, dtype=float)
+        if points.ndim != 3 or points.shape[2] != 2 or not len(points):
+            raise ValueError(f"expected (K, T, 2) points, got shape {points.shape}")
+        if points.shape[1] < 2:
+            raise ValueError("trajectory needs >= 2 points")
+        if not np.isfinite(points).all():
+            raise ValueError("points contain NaN or inf")
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        pred = cls.__new__(cls)
+        pred._set(scenario_id, points, dt, probabilities, anchor)
+        return pred
+
+    def _set(self, scenario_id, points, dt, probabilities, anchor) -> None:
         points.flags.writeable = False
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "dt", dt)
-        if self.probabilities is not None:
-            if len(self.probabilities) != len(self.modes):
+        if probabilities is not None:
+            if len(probabilities) != len(points):
                 raise ShapeError("probabilities length != number of modes")
-            if not all(math.isfinite(p) and p >= 0 for p in self.probabilities):
+            if not all(math.isfinite(p) and p >= 0 for p in probabilities):
                 raise ValueError("probabilities must be finite and non-negative")
-            if abs(sum(self.probabilities) - 1.0) > 1e-6:
+            if abs(sum(probabilities) - 1.0) > 1e-6:
                 raise ValueError("probabilities must sum to 1")
-        if self.anchor is not None:
-            object.__setattr__(
-                self, "anchor", np.asarray(self.anchor, float).reshape(2)
-            )
+        if anchor is not None:
+            anchor = np.asarray(anchor, float).reshape(2)
+        self.__dict__.update(scenario_id=scenario_id, points=points, dt=dt,
+                             probabilities=probabilities, anchor=anchor)
+
+    @cached_property
+    def modes(self) -> list[Trajectory]:
+        return [Trajectory(p, self.dt) for p in self.points]
 
     @property
     def k(self) -> int:
-        return len(self.modes)
+        return len(self.points)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from criteria import io
+from criteria import cli, io
 from criteria.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -373,3 +373,116 @@ class TestUsage:
             "--minfde", str(tmp_path / "nope.json"),
             "--out", str(tmp_path / "tags.json"),
         ]) == EXIT_USAGE
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_behave_as_with_a_fresh_parser(
+            self, fixtures, tmp_path, capsys):
+        """The parser is built on the first call and reused; a usage error
+        between two runs leaves nothing behind."""
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "eval", "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_noisy.json"),
+            "--tags", str(fixtures / "tags.json"), "--out", str(metrics),
+        ]) == EXIT_OK
+        report = ["report", "--metrics", str(metrics), "--balance", "aae"]
+
+        cli._build_parser.cache_clear()
+        assert main(["synth", "--kind", "STRAIGHT", "--n", "2", "--modes", "2",
+                     "--out", str(tmp_path / "synth")]) == EXIT_OK
+        parser = cli._build_parser()
+        assert main(["synth"]) == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+        assert main([*report, "--out", str(tmp_path / "reused")]) == EXIT_OK
+        assert cli._build_parser() is parser
+
+        cli._build_parser.cache_clear()
+        assert main([*report, "--out", str(tmp_path / "fresh")]) == EXIT_OK
+        for path in sorted((tmp_path / "fresh").iterdir()):
+            assert (tmp_path / "reused" / path.name).read_bytes() == \
+                path.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "a", "--n", "3"],
+        ["synth", "--out", "b"],
+        ["tag", "--scenarios", "s", "--maps", "m", "--out", "o",
+         "--predictions", "p", "q"],
+        ["tag", "--scenarios", "s", "--maps", "m", "--out", "o"],
+        ["report", "--metrics", "x", "--out", "o", "--balance", "amv"],
+        ["report", "--metrics", "x", "--out", "o"],
+    ])
+    def test_reused_parser_parses_like_a_fresh_one(self, argv):
+        fresh = cli._build_parser.__wrapped__()
+        assert vars(cli._build_parser().parse_args(argv)) == \
+            vars(fresh.parse_args(argv))
+
+
+class TestUnreadableInput:
+    def _tag(self, fixtures, tmp_path, scenarios=None, out=None):
+        return main([
+            "tag", "--scenarios", str(scenarios or fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_noisy.json"),
+            "--out", str(out or tmp_path / "tags.json"),
+        ])
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}",
+        b'{"scenarios": [], "x": "\xe9"}',
+        json.dumps({"scenarios": []}).encode("utf-16"),
+        json.dumps({"scenarios": []}).encode("utf-32"),
+    ], ids=["bad_start", "latin1", "utf16", "utf32"])
+    def test_non_utf8_file_is_schema_error(self, fixtures, tmp_path, capsys, data):
+        bad = tmp_path / "scenarios.json"
+        bad.write_bytes(data)
+        assert self._tag(fixtures, tmp_path, scenarios=bad) == EXIT_SCHEMA
+        assert "schema error: $: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_metrics_is_schema_error(self, tmp_path, capsys):
+        bad = tmp_path / "metrics.json"
+        bad.write_bytes(b"\x80")
+        assert main(["report", "--metrics", str(bad),
+                     "--out", str(tmp_path / "r")]) == EXIT_SCHEMA
+        assert "not UTF-8 text" in capsys.readouterr().err
+
+    def test_directory_input_names_its_path(self, fixtures, tmp_path, capsys):
+        assert self._tag(fixtures, tmp_path, scenarios=tmp_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("unusable path:") and str(tmp_path) in err
+
+    def test_directory_out_names_its_path(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "tags.json"
+        out.mkdir()
+        assert self._tag(fixtures, tmp_path, out=out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("unusable path:") and str(out) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["tags.json"]
+
+    def test_file_as_report_dir_names_its_path(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.write_text("")
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "eval", "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_noisy.json"),
+            "--tags", str(fixtures / "tags.json"), "--out", str(metrics),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(metrics),
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("unusable path:") and str(out) in err
+
+    def test_permission_error_names_its_path(self, fixtures, tmp_path, capsys,
+                                             monkeypatch):
+        """As root every file is readable, so the denial is simulated."""
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(io, "load_scenarios", denied)
+        assert self._tag(fixtures, tmp_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("unusable path:")
+        assert str(fixtures / "scenarios.json") in err

@@ -284,6 +284,54 @@ class TestNearestOnPolyline:
             assert np.linalg.norm(foot - p) <= dense_min + 1e-9
 
 
+# coordinates that make good rings and lines, collinear or repeated points,
+# and areas near normalize_ring's 1e-12 threshold
+COORDS = st.one_of(
+    st.floats(-100, 100),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 1e-6, -1e-6, 2e-6, 1e-7]),
+)
+POINT_LISTS = st.lists(
+    st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=40), max_size=5
+)
+
+
+def _outcome(f, items):
+    """Every array ``f(items)`` returns as bytes, or its error."""
+    try:
+        out = f(items)
+    except (InvalidMapError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return [(a.dtype, a.shape, a.tobytes()) for a in out]
+
+
+class TestBatchedConstructors:
+    """The one-pass forms of per-ring and per-polyline constructors match
+    their loops bit for bit, errors included."""
+
+    @given(POINT_LISTS)
+    def test_normalize_rings_matches_per_ring(self, rings):
+        want = _outcome(lambda rs: [geom.normalize_ring(r) for r in rs], rings)
+        assert _outcome(geom.normalize_rings, rings) == want
+
+    @given(st.lists(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+                             min_size=3, max_size=200), min_size=1, max_size=4))
+    def test_signed_areas_match_per_ring(self, rings):
+        """Rings of 8 or more vertices are summed pairwise by np.sum."""
+        _, areas = geom._signed_areas(rings)
+        want = [geom.signed_area(np.asarray(r, dtype=float)) for r in rings]
+        assert np.array(areas).tobytes() == np.array(want).tobytes()
+
+    @given(POINT_LISTS)
+    def test_polyline_many_matches_per_line(self, lines):
+        def fields(make):
+            return [a for line in make(lines)
+                    for a in (line.a, line.ab, line.denom, line.seg_len)]
+        want = _outcome(lambda _: fields(lambda ls: [geom.Polyline(p) for p in ls]),
+                        lines)
+        assert _outcome(lambda _: fields(geom.Polyline.many), lines) == want
+
+
 class TestGridIndex:
     def test_radius_filtering(self):
         idx = geom.GridIndex(

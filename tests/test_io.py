@@ -1,12 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from criteria import io, synth
 from criteria.bench import evaluate_model
-from criteria.errors import DataConsistencyError, SchemaError
+from criteria.errors import CriteriaError, DataConsistencyError, SchemaError
 from criteria.metrics import MAX_DAO_CELLS_PER_SIDE, Reduction, StationaryPolicy
 from criteria.scenario import (
     Difficulty,
@@ -21,6 +23,13 @@ RECORDS = synth.gen_scenarios(ROAD, SPEC)
 PREDS = [
     synth.toy_predict(synth.PredictorKind.NOISY, r, ROAD, k=4, seed=1)
     for r in RECORDS
+]
+# [x, y] pairs that are not two finite numbers; a bool shares an array with
+# floats as 1.0 or 0.0 and with ints as 1 or 0, so it needs its own check
+BAD_PAIRS = [
+    [True, 1.0], ["1.0", 2.0], [1.0, None], [1.0, [2.0]], [1.0, 2.0, 3.0],
+    [float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0.0],
+    [1, True], [False, 2.5], [0, False], [True, False],
 ]
 
 
@@ -160,11 +169,7 @@ class TestScenarioIO:
             io.load_scenarios(path)
         assert "scenarios[0].future[3]" in str(e.value)
 
-    @pytest.mark.parametrize(
-        "pair",
-        [[True, 1.0], ["1.0", 2.0], [1.0, None], [1.0, [2.0]], [1.0, 2.0, 3.0],
-         [float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0.0]],
-    )
+    @pytest.mark.parametrize("pair", BAD_PAIRS)
     def test_bad_coordinate_values_name_path(self, tmp_path, pair):
         doc = io.scenarios_to_dict(RECORDS)
         doc["scenarios"][0]["past"][5] = pair
@@ -312,3 +317,166 @@ class TestWriteJson:
         io.write_json(p1, doc)
         io.write_json(p2, doc)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_coords(value, path: str, min_len: int) -> np.ndarray:
+    """The per-pair walk that read every coordinate block before the array
+    parse; ``io._coords`` must decide, read and name errors as it does."""
+    if not isinstance(value, list) or len(value) < min_len:
+        raise SchemaError(path, f"expected a list of >= {min_len} [x, y] pairs")
+    for i, pt in enumerate(value):
+        if (
+            not isinstance(pt, list)
+            or len(pt) != 2
+            or not all(io._finite_number(c) for c in pt)
+        ):
+            raise SchemaError(
+                f"{path}[{i}]", "expected an [x, y] pair of finite numbers"
+            )
+    return np.asarray(value, dtype=float)
+
+
+def reference_modes(modes: list, path: str) -> np.ndarray:
+    """A prediction's modes read one by one with ``reference_coords``."""
+    pts = [reference_coords(m, f"{path}[{k}]", 2) for k, m in enumerate(modes)]
+    if len({len(p) for p in pts}) > 1:
+        raise SchemaError(path, "ragged modes array")
+    return np.stack(pts)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives: its array's dtype, shape and bytes (so -0.0
+    and 0.0 differ), or its schema error."""
+    try:
+        arr = f(*args)
+    except SchemaError as e:
+        return "error", str(e)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 1, 0.0, 1.0, -0.0, 2**63, 2**64, -(2**63) - 1, 10**400]),
+)
+LEAVES = st.one_of(NUMBERS, st.booleans(), st.none(), st.text(max_size=2))
+FINITE = st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3))
+GOOD_PAIRS = st.lists(FINITE, min_size=2, max_size=2)
+# pairs that may hide one bad leaf among good ones
+NEAR_PAIRS = st.lists(st.one_of(FINITE, LEAVES), min_size=2, max_size=2)
+PAIRS = st.one_of(
+    GOOD_PAIRS,
+    NEAR_PAIRS,
+    st.lists(LEAVES, max_size=3),
+    st.lists(st.lists(NUMBERS, max_size=2), min_size=2, max_size=2),
+    LEAVES,
+)
+BLOCKS = st.one_of(
+    st.lists(GOOD_PAIRS, max_size=5),
+    st.lists(st.one_of(GOOD_PAIRS, GOOD_PAIRS, NEAR_PAIRS), max_size=5),
+    st.lists(PAIRS, max_size=5),
+)
+
+
+def _put(doc, keys: tuple, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+# one place of each kind of coordinate block: the document, the keys of one
+# pair in it, and the JSON path that names that pair
+PAIR_PLACES = {
+    "scenario past": ("scenarios", ("scenarios", 0, "past", 5),
+                      "$.scenarios[0].past[5]"),
+    "scenario future": ("scenarios", ("scenarios", 2, "future", 0),
+                        "$.scenarios[2].future[0]"),
+    "prediction mode": ("predictions", ("predictions", 1, "modes", 2, 3),
+                        "$.predictions[1].modes[2][3]"),
+    "anchor": ("predictions", ("predictions", 0, "anchor"),
+               "$.predictions[0].anchor[0]"),
+    "lane centerline": ("map", ("lanes", 1, "centerline", 1),
+                        "$.lanes[1].centerline[1]"),
+    "lane polygon": ("map", ("lanes", 0, "polygon", 2), "$.lanes[0].polygon[2]"),
+    "drivable ring": ("map", ("drivable_area", 0, 1), "$.drivable_area[0][1]"),
+}
+DOCS = {
+    "scenarios": (lambda: io.scenarios_to_dict(RECORDS), io.scenarios_from_dict),
+    "predictions": (lambda: io.predictions_to_dict("m", SPEC.dt, PREDS),
+                    io.predictions_from_dict),
+    "map": (lambda: io.map_to_dict(ROAD), io.map_from_dict),
+}
+
+
+def _json(doc):
+    """``doc`` as ``json.load`` gives it back: Python ints, floats, bools."""
+    return json.loads(json.dumps(doc))
+
+
+class TestCoordinateBlocks:
+    @pytest.mark.parametrize("place", list(PAIR_PLACES))
+    @pytest.mark.parametrize("pair", BAD_PAIRS)
+    def test_bad_pair_names_its_path(self, place, pair):
+        kind, keys, where = PAIR_PLACES[place]
+        make, load = DOCS[kind]
+        doc = make()
+        _put(doc, keys, pair)
+        with pytest.raises(SchemaError) as e:
+            load(_json(doc))
+        assert e.value.path == where
+
+    def test_integers_beyond_int64_read_pair_by_pair(self):
+        """``np.array`` makes an object array of them, so the array parse
+        rejects the block; each still converts to a finite float."""
+        block = [[2**64, 1], [-(2**63) - 1, 0.5]]
+        assert io._number_array(block, (2,)) is None
+        assert io._coords(block, "$", 2).tolist() == [[2.0**64, 1.0],
+                                                      [-(2.0**63), 0.5]]
+
+    @given(BLOCKS, st.integers(1, 3))
+    def test_coords_match_the_per_pair_walk(self, block, min_len):
+        want = outcome(reference_coords, block, "$.b", min_len)
+        assert outcome(io._coords, block, "$.b", min_len) == want
+        arr = io._number_array(block, (2,))
+        if arr is not None:  # it may reject a good block, never take a bad one
+            assert outcome(lambda: arr) == outcome(reference_coords, block, "$.b", 0)
+
+    @given(st.lists(BLOCKS, min_size=1, max_size=4))
+    def test_modes_block_matches_the_per_mode_walk(self, modes):
+        doc = io.predictions_to_dict("m", SPEC.dt, PREDS[:1])
+        doc["predictions"][0]["modes"] = modes
+        want = outcome(reference_modes, modes, "$.predictions[0].modes")
+        if want[0] == "error":
+            with pytest.raises(SchemaError) as e:
+                io.predictions_from_dict(doc)
+            assert ("error", str(e.value)) == want
+        else:
+            _, preds = io.predictions_from_dict(doc)
+            assert outcome(lambda: preds["s0000"].points) == want
+
+    @given(st.sampled_from(list(PAIR_PLACES)), PAIRS)
+    def test_one_array_call_matches_the_block_walk(self, place, pair):
+        """A document loads the same, or fails with the same error, whether
+        its blocks are parsed by one array call or block by block."""
+        kind, keys, _ = PAIR_PLACES[place]
+        make, load = DOCS[kind]
+        doc = make()
+        _put(doc, keys, pair)
+        got = _load_outcome(load, doc)
+        with mock.patch.object(io._Blocks, "parse", lambda self: None):
+            assert _load_outcome(load, doc) == got
+
+
+def _load_outcome(load, doc):
+    try:
+        loaded = load(doc)
+    except CriteriaError as e:  # a bad value can also make a degenerate map
+        return type(e).__name__, str(e)
+    if isinstance(loaded, list):  # scenario records
+        return [(r.id, r.past.points.tobytes(), r.future.points.tobytes())
+                for r in loaded]
+    if isinstance(loaded, tuple):  # model and prediction sets
+        return [(sid, p.anchor.tobytes(), p.points.tobytes())
+                for sid, p in loaded[1].items()]
+    return json.dumps(io.map_to_dict(loaded))

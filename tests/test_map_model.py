@@ -356,6 +356,83 @@ class TestLaneHeading:
         np.testing.assert_array_equal(road._tangents["L"], want)
 
 
+    def test_tangents_of_many_lanes_stay_per_lane(self):
+        """One pass lays out every lane's headings; a lane with no usable
+        segment keeps NaN even when the next lane has one."""
+        box = np.array([[-1.0, -1.0], [11.0, -1.0], [11.0, 6.0], [-1.0, 6.0]])
+        centerlines = [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 0.0], [10.0, 5.0]],
+            [[0.0, 0.0], [1e-7, 0.0], [10.0, 0.0]],
+            [[10.0, 0.0], [0.0, -0.0], [0.0, 5.0]],
+            [[0.0, 0.0], [1e-7, 0.0]],
+        ]
+        lanes = [LaneSegment(id=f"L{i}", centerline=np.array(c), polygon=box)
+                 for i, c in enumerate(centerlines)]
+        road = RoadMap(map_id="m", lanes=lanes, drivable=[box])
+        for lane in lanes:
+            line = geom.Polyline(lane.centerline)
+            want = []
+            for i in range(len(line.ab)):
+                try:
+                    want.append(line.tangent(i))
+                except DegenerateHeadingError:
+                    want.append(math.nan)
+            np.testing.assert_array_equal(road._tangents[lane.id], want)
+
+
+class TestLaneSegmentMany:
+    """``LaneSegment.many`` builds what the per-lane constructor builds, and
+    raises the first lane's error."""
+
+    @staticmethod
+    def fields(kind: synth.MapKind) -> list[dict]:
+        doc = io.map_to_dict(synth_road(kind))
+        fields = [
+            dict(lane, centerline=np.array(lane["centerline"]),
+                 polygon=np.array(lane["polygon"]), turn=Turn(lane["turn"]))
+            for lane in doc["lanes"]
+        ]
+        for f in fields[::2]:  # clockwise rings get turned around
+            f["polygon"] = f["polygon"][::-1]
+        return fields
+
+    @staticmethod
+    def as_tuples(lanes):
+        return [
+            tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                  for v in dataclasses.astuple(lane))
+            for lane in lanes
+        ]
+
+    @pytest.mark.parametrize("kind", list(synth.MapKind))
+    def test_matches_per_lane(self, kind):
+        fields = self.fields(kind)
+        want = [LaneSegment(**f) for f in fields]
+        assert self.as_tuples(LaneSegment.many(fields)) == self.as_tuples(want)
+
+    def test_defaults_filled_in(self):
+        lane = simple_lane("A")
+        (got,) = LaneSegment.many([dict(id="A", centerline=lane.centerline,
+                                        polygon=lane.polygon)])
+        assert self.as_tuples([got]) == self.as_tuples([
+            LaneSegment(id="A", centerline=lane.centerline, polygon=lane.polygon)
+        ])
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(polygon=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])),
+         "degenerate polygon"),
+        (dict(centerline=np.array([[0.0, 0.0]])), "centerline needs >= 2 points"),
+        (dict(centerline=np.array([[0.0, 0.0], [np.nan, 0.0]])), "NaN or inf"),
+    ], ids=["flat_polygon", "short_centerline", "nan_centerline"])
+    def test_first_bad_lane_raises(self, bad, message):
+        fields = self.fields(synth.MapKind.CROSSROADS)
+        fields[1].update(bad)
+        fields[3].update(polygon=np.zeros((3, 2)))
+        with pytest.raises((InvalidMapError, ValueError), match=message):
+            LaneSegment.many(fields)
+
+
 class TestDrivable:
     def test_on_lane_surface(self, straight_road):
         assert straight_road.contains_many((5.0, -1.85))[0]

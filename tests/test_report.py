@@ -5,7 +5,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from criteria.bench import METRIC_NAMES, EvaluationRun, ScenarioResult
+from criteria.bench import (
+    METRIC_NAMES,
+    EvaluationRun,
+    ScenarioResult,
+    WeightConfig,
+    aggregate,
+)
 from criteria.metrics import TriadResult
 from criteria.report import (
     BLOCKS,
@@ -107,6 +113,17 @@ class TestBuildReport:
         assert set(doc["overall_ranks"]) == set(METRIC_NAMES)
         assert doc["overall_ranks"]["minADE"] == {"a": 1, "b": 2}
         assert set(doc["blocks"]["a"]) <= set(BLOCKS)
+
+
+    def test_shared_summaries_change_nothing(self):
+        """``report`` aggregates each run once and hands the results to both
+        builders; either builder computes the same without them."""
+        runs = [run_and_tags("a"), run_and_tags("b", offset=0.5)]
+        summaries = [(aggregate(run, tags, WeightConfig()), block_means(run, tags))
+                     for run, tags in runs]
+        assert build_report(runs, WeightConfig(), summaries) == build_report(runs)
+        assert collect_block_tables(runs, WeightConfig(), summaries) == \
+            collect_block_tables(runs)
 
 
 class TestBalanceRendering:

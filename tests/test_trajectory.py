@@ -62,6 +62,37 @@ class TestPredictionSet:
         with pytest.raises(ShapeError):
             PredictionSet("s", self.modes(), probabilities=[0.5, 0.5])
 
+    def test_from_points_matches_modes(self):
+        modes = self.modes()
+        want = PredictionSet("s", modes, probabilities=[0.25] * 4, anchor=(0, 1))
+        points = np.stack([m.points for m in modes])
+        pred = PredictionSet.from_points("s", points, 0.1, [0.25] * 4, (0, 1))
+        assert pred.points.tobytes() == want.points.tobytes()
+        assert (pred.k, pred.dt, pred.probabilities) == (4, 0.1, [0.25] * 4)
+        assert pred.anchor.tolist() == [0.0, 1.0]
+        assert not pred.points.flags.writeable and points.flags.writeable
+        # the modes are built on first use, as read-only views of the stack
+        assert [m.points.tolist() for m in pred.modes] == \
+            [m.points.tolist() for m in modes]
+        assert all(m.dt == 0.1 for m in pred.modes)
+
+    @pytest.mark.parametrize("points,dt", [
+        (np.zeros((0, 3, 2)), 0.1),
+        (np.zeros((2, 1, 2)), 0.1),
+        (np.zeros((2, 3, 3)), 0.1),
+        (np.zeros((3, 2)), 0.1),
+        (np.full((2, 3, 2), np.nan), 0.1),
+        (np.zeros((2, 3, 2)), 0.0),
+        (np.zeros((2, 3, 2)), math.nan),
+    ], ids=["no_mode", "one_point", "triples", "2d", "nan", "zero_dt", "nan_dt"])
+    def test_from_points_rejects_what_modes_would(self, points, dt):
+        with pytest.raises(ValueError):
+            PredictionSet.from_points("s", points, dt)
+
+    def test_from_points_checks_probabilities(self):
+        with pytest.raises(ShapeError):
+            PredictionSet.from_points("s", np.zeros((2, 3, 2)), 0.1, [1.0])
+
 
 class TestStepVectors:
     def test_no_anchor(self):
