@@ -30,6 +30,21 @@ EXIT_INTERNAL = 4
 DEFAULT_K = 6
 
 
+def _int_at_least(least: int):
+    """An argparse ``type`` that accepts an integer of at least ``least``;
+    argparse names the option in its error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first ``main`` call of a process and
@@ -43,10 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate synthetic fixtures")
     p_synth.add_argument("--kind", default="STRAIGHT",
                          choices=[k.value for k in synth.MapKind])
-    p_synth.add_argument("--n", type=int, default=10)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--lanes", type=int, default=2)
-    p_synth.add_argument("--modes", type=int, default=DEFAULT_K)
+    p_synth.add_argument("--n", type=_int_at_least(1), default=10)
+    p_synth.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_synth.add_argument("--lanes", type=_int_at_least(1), default=2)
+    p_synth.add_argument("--modes", type=_int_at_least(2), default=DEFAULT_K)
     p_synth.add_argument("--out", required=True)
 
     p_tag = sub.add_parser("tag", help="tag scenarios into the 12 categories")
@@ -192,8 +207,15 @@ def cmd_report(args) -> int:
     runs = []
     config_doc = None
     inputs = {}
+    paths = {}
     for path in args.metrics:
         run, tags = io.load_metrics(path)
+        if run.model_name in paths:
+            raise DataConsistencyError(
+                f"model {run.model_name!r} appears in both "
+                f"{paths[run.model_name]} and {path}"
+            )
+        paths[run.model_name] = path
         if not run.per_scenario:
             raise DataConsistencyError(f"{path}: metrics file carries no scenarios")
         if not tags:

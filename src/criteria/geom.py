@@ -100,17 +100,24 @@ def _signed_areas(rings) -> tuple[list[np.ndarray], list[float]] | None:
         return None
     if not arrays:
         return [], []
-    pts = np.concatenate(arrays)
     sizes = np.array([len(a) for a in arrays])
-    ends = np.cumsum(sizes)
-    succ = np.arange(1, len(pts) + 1)
-    succ[ends - 1] = ends - sizes  # each ring's last vertex closes on its first
-    x, y = pts[:, 0], pts[:, 1]
+    succ = _ring_successors(sizes)
+    x, y = np.concatenate(arrays).T
     terms = x * y[succ] - x[succ] * y
-    bounds = [0, *ends.tolist()]
+    bounds = [0, *np.cumsum(sizes).tolist()]
     # np.add.reduce is np.sum without its Python wrapper
     return arrays, [0.5 * float(np.add.reduce(terms[a:b]))
                     for a, b in zip(bounds, bounds[1:])]
+
+
+def _ring_successors(sizes: np.ndarray) -> np.ndarray:
+    """The index of each vertex's successor in the concatenation of rings of
+    ``sizes`` vertices each: the next vertex, except that each ring's last
+    vertex closes on its first."""
+    ends = np.cumsum(sizes)
+    succ = np.arange(1, ends[-1] + 1)
+    succ[ends - 1] = ends - sizes
+    return succ
 
 
 def distance_to_ring(points, ring) -> np.ndarray:
@@ -127,69 +134,6 @@ def distance_to_ring(points, ring) -> np.ndarray:
     foot = a[None, :, :] + t[:, :, None] * ab[None, :, :]
     d = np.linalg.norm(pts[:, None, :] - foot, axis=-1)
     return d.min(axis=1)
-
-
-def padded_box(ring) -> tuple[float, float, float, float]:
-    """``(min_x, min_y, max_x, max_y)`` of ``ring`` widened by ``BOX_PAD``."""
-    pts = as_points(ring)
-    lo = pts.min(axis=0) - BOX_PAD
-    hi = pts.max(axis=0) + BOX_PAD
-    return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
-
-
-class Ring:
-    """A validated polygon ring with its edges and padded bounding box laid
-    out once, for repeated containment tests.
-
-    ``contains`` is the even-odd test with an epsilon boundary band;
-    ``points_in_polygon`` runs it on a ring built for the call.
-    """
-
-    def __init__(self, ring):
-        pts = as_points(ring)
-        if len(pts) < 3 or abs(signed_area(pts)) < 1e-12:
-            raise InvalidMapError("degenerate polygon (zero area)")
-        self.points = pts
-        self.x1, self.y1 = pts[:, 0], pts[:, 1]
-        self.x2, self.y2 = _successors(self.x1), _successors(self.y1)
-        self.dx, self.dy = self.x2 - self.x1, self.y2 - self.y1
-        self.box = padded_box(pts)
-        # unpadded edge bounding boxes, (E,) each
-        self.ex0, self.ex1 = np.minimum(self.x1, self.x2), np.maximum(self.x1, self.x2)
-        self.ey0, self.ey1 = np.minimum(self.y1, self.y2), np.maximum(self.y1, self.y2)
-
-    def _near_edges(self, x: np.ndarray, y: np.ndarray, pad: float) -> np.ndarray:
-        """Flags of the points ``(x[i], y[i])`` that fall in some edge's box
-        padded by ``pad``; ``x`` and ``y`` are ``(N, 1)``."""
-        return (
-            (x >= self.ex0 - pad)
-            & (x <= self.ex1 + pad)
-            & (y >= self.ey0 - pad)
-            & (y <= self.ey1 + pad)
-        ).any(axis=1)
-
-    def contains(self, pts: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
-        """Inside flags of validated ``(N, 2)`` points; points within ``eps``
-        of the boundary count as inside.
-
-        The boundary distance is computed only for the points outside that
-        fall in some edge's box padded by ``eps + BOX_PAD``; no other point
-        can be within ``eps`` of the boundary.
-        """
-        x, y = pts[:, 0:1], pts[:, 1:2]  # (N, 1)
-        straddles = (self.y1 > y) != (self.y2 > y)  # half-open rule, (N, E)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = self.x1 + (y - self.y1) * self.dx / self.dy
-        hits = straddles & (x < x_cross)
-        inside = (hits.sum(axis=1) % 2).astype(bool)
-        if eps > 0:
-            out = np.flatnonzero(~inside)
-            if len(out):
-                out = out[self._near_edges(x[out], y[out], eps + BOX_PAD)]
-            if len(out):
-                near = distance_to_ring(pts[out], self.points) <= eps
-                inside[out[near]] = True
-        return inside
 
 
 class GridCover:
@@ -226,61 +170,53 @@ def _in_runs(keys: np.ndarray, depth: np.ndarray, cells: np.ndarray) -> np.ndarr
     return depth[np.searchsorted(keys, cells, "right")] > 0
 
 
-def edge_table(rings) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of the ``(N_r, 2)`` polygon rings ``rings`` as one ``(8, E)``
-    table, with the rows ``x1, y1, dx, dy, ex0, ey0, ex1, ey1`` (start,
-    vector to the next vertex, unpadded bounding box), and the ``(E,)``
-    index of each edge's ring; one pass over the concatenated vertices."""
-    if not len(rings):
-        return np.empty((8, 0)), np.empty(0, dtype=np.int64)
-    sizes = np.array([len(r) for r in rings])
-    pts = np.concatenate(rings)
-    starts = np.cumsum(sizes) - sizes
-    succ = np.arange(1, len(pts) + 1)
-    succ[starts + sizes - 1] = starts  # each ring's last vertex closes on its first
-    x1, y1 = pts.T
-    x2, y2 = x1[succ], y1[succ]
-    edges = np.array([
-        x1, y1, x2 - x1, y2 - y1,
-        np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2),
-    ])
-    return edges, np.repeat(np.arange(len(rings)), sizes)
-
-
 class RingTable:
     """Validated polygon rings laid out once as one edge table, for batched
     point and grid queries against all of them.
 
-    ``edges`` and ``ring_of`` are ``edge_table``'s, ``boxes`` the ``(4, R)``
-    padded ``min_x, min_y, max_x, max_y`` of every ring (``padded_box``).
+    ``edges`` is the ``(8, E)`` table of every edge of every ring, in ring
+    order, with the rows ``x1, y1, dx, dy, ex0, ey0, ex1, ey1`` (start,
+    vector to the next vertex, unpadded bounding box), ``ring_of`` the
+    ``(E,)`` index of each edge's ring and ``boxes`` the ``(4, R)`` padded
+    ``min_x, min_y, max_x, max_y`` of every ring; all are built in one pass
+    over the concatenated vertices.
     """
 
     def __init__(self, rings):
         self.n_rings = len(rings)
-        self.edges, self.ring_of = edge_table(rings)
-        if self.n_rings:
-            starts = np.flatnonzero(np.diff(self.ring_of, prepend=-1))
-            lo = np.minimum.reduceat(self.edges[4:6], starts, axis=1) - BOX_PAD
-            hi = np.maximum.reduceat(self.edges[6:8], starts, axis=1) + BOX_PAD
-            self.boxes = np.vstack([lo, hi])
-        else:
+        if not self.n_rings:
+            self.edges, self.ring_of = np.empty((8, 0)), np.empty(0, dtype=np.int64)
             self.boxes = np.empty((4, 0))
+            return
+        sizes = np.array([len(r) for r in rings])
+        x1, y1 = np.concatenate(rings).T
+        succ = _ring_successors(sizes)
+        x2, y2 = x1[succ], y1[succ]
+        self.edges = np.array([
+            x1, y1, x2 - x1, y2 - y1,
+            np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2),
+        ])
+        self.ring_of = np.repeat(np.arange(self.n_rings), sizes)
+        starts = np.cumsum(sizes) - sizes
+        lo = np.minimum.reduceat(self.edges[4:6], starts, axis=1) - BOX_PAD
+        hi = np.maximum.reduceat(self.edges[6:8], starts, axis=1) + BOX_PAD
+        self.boxes = np.vstack([lo, hi])
 
     def contains(self, pts: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
         """The ``(N, R)`` mask of validated ``(N, 2)`` points that lie in
-        ring ``r`` or within ``eps`` of its boundary; column ``r`` equals
-        ``Ring(rings[r]).contains(pts, eps)``.
+        ring ``r`` by the even-odd rule (an edge counts for the points with
+        ``ey0 <= y < ey1`` to the left of its crossing) or within ``eps`` of
+        its boundary, when ``eps > 0``.
 
-        Sorted by ``y``, the points an edge straddles (``ey0 <= y < ey1``,
-        the half-open rule) are one slice, so every crossing is computed
-        once, with the arithmetic of ``Ring.contains``, and each ``(point,
-        ring)`` key that occurs flips its parity once per crossing. A point
-        outside a ring is tested only against the edges whose box, padded
-        by ``eps + BOX_PAD``, holds it, with ``distance_to_ring``'s
-        arithmetic for each pair: a farther edge is farther than ``eps``
-        from it. Both passes take the edges in runs of about ``PAIR_BLOCK``
-        (point, edge) pairs, so memory stays bounded however many pairs
-        there are; a wide band pairs nearly every point with every edge.
+        Sorted by ``y``, the points an edge straddles are one slice, so
+        every crossing is computed once, and each ``(point, ring)`` key that
+        occurs flips its parity once per crossing. A point outside a ring is
+        tested only against the edges whose box, padded by ``eps + BOX_PAD``,
+        holds it, with ``distance_to_ring``'s arithmetic for each pair: a
+        farther edge is farther than ``eps`` from it. Both passes take the
+        edges in runs of about ``PAIR_BLOCK`` (point, edge) pairs, so memory
+        stays bounded however many pairs there are; a wide band pairs nearly
+        every point with every edge.
         """
         n, r = len(pts), self.n_rings
         mask = np.zeros((n, r), dtype=bool)
@@ -308,94 +244,89 @@ class RingTable:
             if not len(todo):
                 continue
             edge, key, p = edge.take(todo), key.take(todo), sp[k.take(todo)]
-            a, ab = self.edges[0:2, edge].T, self.edges[2:4, edge].T
-            # distance_to_ring's arithmetic, one (point, edge) pair per row
-            denom = np.einsum("ij,ij->i", ab, ab)
-            t = np.einsum("ij,ij->i", p - a, ab) / np.where(denom > 0, denom, 1.0)
-            foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
-            flat[key[np.linalg.norm(p - foot, axis=-1) <= eps]] = True
+            flat[key[_pair_distances(p, self.edges[:4, edge]) <= eps]] = True
         return _unsort(mask, order)
 
     def grid(self, xs: np.ndarray, ys: np.ndarray) -> GridCover:
-        """``grid_in_rings`` over the edges of the rings whose padded box
-        meets the grid's extent; ``xs`` and ``ys`` must be ascending."""
-        edges, ring_of = self.edges, self.ring_of
-        if len(xs) and len(ys):
-            x0, y0, x1, y1 = self.boxes
-            overlaps = (x1 >= xs[0]) & (x0 <= xs[-1]) & (y1 >= ys[0]) & (y0 <= ys[-1])
-            keep = overlaps[ring_of]
-            edges, ring_of = edges[:, keep], ring_of[keep]
-        return grid_in_rings(xs, ys, edges, ring_of)
+        """The grid points ``(xs[i], ys[j])`` in the union of the rings as a
+        ``GridCover`` of ``len(xs)`` columns; cell ``(i, j)`` is covered
+        exactly when some ring ``contains`` its point (default band). ``xs``
+        and ``ys`` must be ascending.
+
+        Only the edges of the rings whose padded box meets the grid's extent
+        take part. A grid row shares its ``y``, so an edge is crossed only by
+        the rows between its end points, each once, with the arithmetic of
+        ``contains``. A closed ring crosses a row an even number of times,
+        and sorted by column its crossings pair up into the column runs it
+        covers; the runs of all rings merge into one sorted list of keys with
+        a running depth. The boundary band is tested only on the cells within
+        ``BOX_PAD`` of some edge along both axes, listed row by row from the
+        edge's x-range over the row's ``y`` padded by ``BOX_PAD``: a point
+        within ``BOUNDARY_EPS`` of a ring is that close to one of its edges.
+        The candidates grow with the edges' lengths, not their boxes' areas.
+        """
+        nx = len(xs)
+        none = np.empty(0, dtype=np.int64)
+        keep = np.zeros(len(self.ring_of), dtype=bool)
+        if nx and len(ys):
+            lo_x, lo_y, hi_x, hi_y = self.boxes
+            overlaps = (hi_x >= xs[0]) & (lo_x <= xs[-1]) & (hi_y >= ys[0]) & (lo_y <= ys[-1])
+            keep = overlaps[self.ring_of]
+        if not keep.any():
+            return GridCover(nx, none, np.zeros(1, dtype=np.int64), none)
+        edges, ring_of = self.edges[:, keep], self.ring_of[keep]
+        # an edge straddles the rows with ey0 <= y < ey1 (the half-open rule)
+        edge, row = _ranges(*np.searchsorted(ys, edges[[5, 7]]))
+        x1, y1, dx, dy = edges[:4, edge]
+        x_cross = x1 + (ys[row] - y1) * dx / dy
+        col = np.searchsorted(xs, x_cross)  # first column with x >= x_cross
+        # sorted by row, ring and column, every (row, ring) group has even
+        # length and its crossings alternate run start, run end
+        pair = np.argsort((row * (ring_of.max() + 1) + ring_of[edge]) * (nx + 1) + col)
+        keys = row[pair] * (nx + 1) + col[pair]
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        depth = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(1 - 2 * (by_key % 2), out=depth[1:])  # +1 at starts, -1 at ends
+
+        # boundary band: for each edge whose padded box meets the grid, the
+        # rows within BOX_PAD of its y-range, and in each row the columns
+        # within BOX_PAD of the part of the edge with y in [y - BOX_PAD,
+        # y + BOX_PAD] (clamping its end parameters to [0, 1] also makes a
+        # horizontal edge, whose parameters are infinite or NaN, span its
+        # whole length); a cell that close to no edge is that close to no
+        # ring. Of those, the cells not in a run and near the edge. A row or
+        # column exactly BOX_PAD away is farther than BOUNDARY_EPS, so either
+        # side of searchsorted will do.
+        b0, b1 = np.searchsorted(ys, edges[[5, 7]] + _PADS)
+        a0, a1 = np.searchsorted(xs, edges[[4, 6]] + _PADS)
+        near_grid = np.flatnonzero((b1 > b0) & (a1 > a0))
+        edge, row = _ranges(b0[near_grid], b1[near_grid])
+        edge = near_grid[edge]
+        x1, y1, dx, dy = edges[:4, edge]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (ys[row] + _PADS - y1) / dy
+        x = x1 + np.fmin(np.fmax(t, 0.0), 1.0) * dx
+        x.sort(axis=0)
+        pair, ci = _ranges(*np.searchsorted(xs, x + _PADS))
+        edge, cj = edge[pair], row[pair]
+        cell = cj * (nx + 1) + ci
+        out = ~_in_runs(keys, depth, cell)
+        edge, cell = edge[out], cell[out]
+        p = np.column_stack([xs[ci[out]], ys[cj[out]]])
+        near = _pair_distances(p, edges[:4, edge]) <= BOUNDARY_EPS
+        return GridCover(nx, keys, depth, np.unique(cell[near]))
 
 
-def grid_in_rings(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray,
-                  ring_of: np.ndarray) -> GridCover:
-    """The grid points ``(xs[i], ys[j])`` in the union of some rings as a
-    ``GridCover`` of ``len(xs)`` columns; cell ``(i, j)`` is covered exactly
-    when ``Ring.contains`` (default band) holds for its point in some ring.
-    ``edges`` and ``ring_of`` list every edge of those rings, as
-    ``edge_table`` gives them. ``xs`` and ``ys`` must be ascending.
-
-    A grid row shares its ``y``, so an edge is crossed only by the rows
-    between its end points, each once, with the arithmetic of
-    ``Ring.contains``. A closed ring crosses a row an even number of times,
-    and sorted by column its crossings pair up into the column runs it
-    covers; the runs of all rings merge into one sorted list of keys with a
-    running depth. The boundary band is tested only on the cells within
-    ``BOX_PAD`` of some edge along both axes, listed row by row from the
-    edge's x-range over the row's ``y`` padded by ``BOX_PAD``: a point
-    within ``BOUNDARY_EPS`` of a ring is that close to one of its edges.
-    The candidates grow with the edges' lengths, not their boxes' areas.
-    """
-    nx = len(xs)
-    none = np.empty(0, dtype=np.int64)
-    if not edges.shape[1] or not nx or not len(ys):
-        return GridCover(nx, none, np.zeros(1, dtype=np.int64), none)
-    # an edge straddles the rows with ey0 <= y < ey1 (the half-open rule)
-    edge, row = _ranges(*np.searchsorted(ys, edges[[5, 7]]))
-    x1, y1, dx, dy = edges[:4, edge]
-    x_cross = x1 + (ys[row] - y1) * dx / dy
-    col = np.searchsorted(xs, x_cross)  # first column with x >= x_cross
-    # sorted by row, ring and column, every (row, ring) group has even length
-    # and its crossings alternate run start, run end
-    pair = np.argsort((row * (ring_of.max() + 1) + ring_of[edge]) * (nx + 1) + col)
-    keys = row[pair] * (nx + 1) + col[pair]
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
-    depth = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(1 - 2 * (by_key % 2), out=depth[1:])  # +1 at starts, -1 at ends
-
-    # boundary band: for each edge whose padded box meets the grid, the rows
-    # within BOX_PAD of its y-range, and in each row the columns within
-    # BOX_PAD of the part of the edge with y in [y - BOX_PAD, y + BOX_PAD]
-    # (clamping its end parameters to [0, 1] also makes a horizontal edge,
-    # whose parameters are infinite or NaN, span its whole length); a cell
-    # that close to no edge is that close to no ring. Of those, the cells
-    # not in a run and near the edge. A row or column exactly BOX_PAD away
-    # is farther than BOUNDARY_EPS, so either side of searchsorted will do.
-    b0, b1 = np.searchsorted(ys, edges[[5, 7]] + _PADS)
-    a0, a1 = np.searchsorted(xs, edges[[4, 6]] + _PADS)
-    near_grid = np.flatnonzero((b1 > b0) & (a1 > a0))
-    edge, row = _ranges(b0[near_grid], b1[near_grid])
-    edge = near_grid[edge]
-    x1, y1, dx, dy = edges[:4, edge]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ys[row] + _PADS - y1) / dy
-    x = x1 + np.fmin(np.fmax(t, 0.0), 1.0) * dx
-    x.sort(axis=0)
-    pair, ci = _ranges(*np.searchsorted(xs, x + _PADS))
-    edge, cj = edge[pair], row[pair]
-    cell = cj * (nx + 1) + ci
-    out = ~_in_runs(keys, depth, cell)
-    edge, cell = edge[out], cell[out]
-    p = np.column_stack([xs[ci[out]], ys[cj[out]]])
-    a, ab = edges[0:2, edge].T, edges[2:4, edge].T
-    # distance_to_ring's arithmetic, one (point, edge) pair per row
+def _pair_distances(p: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The distance from each of the ``(M, 2)`` points ``p`` to its own edge,
+    given by the ``(4, M)`` rows ``x1, y1, dx, dy``: ``distance_to_ring``'s
+    arithmetic, one (point, edge) pair per row."""
+    a, ab = edges[0:2].T, edges[2:4].T
     denom = np.einsum("ij,ij->i", ab, ab)
     t = np.einsum("ij,ij->i", p - a, ab) / np.where(denom > 0, denom, 1.0)
     foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
-    near = np.linalg.norm(p - foot, axis=-1) <= BOUNDARY_EPS
-    return GridCover(nx, keys, depth, np.unique(cell[near]))
+    return np.linalg.norm(p - foot, axis=-1)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -430,13 +361,12 @@ def _unsort(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def points_in_polygon(points, ring, eps: float = BOUNDARY_EPS) -> np.ndarray:
     """Even-odd containment test; points within ``eps`` of the boundary count
-    as inside."""
+    as inside. The one-ring query of ``RingTable.contains``."""
     pts = as_points(points)
-    return Ring(ring).contains(pts, eps)
-
-
-def point_in_polygon(p, ring, eps: float = BOUNDARY_EPS) -> bool:
-    return bool(points_in_polygon(np.asarray(p, float).reshape(1, 2), ring, eps)[0])
+    ring = as_points(ring)
+    if len(ring) < 3 or abs(signed_area(ring)) < 1e-12:
+        raise InvalidMapError("degenerate polygon (zero area)")
+    return RingTable([ring]).contains(pts, eps)[:, 0]
 
 
 def arc_length(polyline) -> float:

@@ -293,6 +293,9 @@ class RunConfig:
             raise SchemaError(f"{path}.dao.cell", str(e)) from e
         except (TypeError, ValueError) as e:
             raise SchemaError(path, f"invalid configuration: {e}") from e
+        aae_unit = doc.get("aae_unit", "deg")
+        if aae_unit not in ("deg", "rad"):
+            raise SchemaError(f"{path}.aae_unit", 'expected "deg" or "rad"')
         try:
             return cls(
                 kinematic=KinematicConfig(**kin),
@@ -310,7 +313,7 @@ class RunConfig:
                 ),
                 weights=WeightConfig(**wts),
                 amv_reduction=Reduction(doc.get("amv_reduction", "SUM")),
-                aae_unit=doc.get("aae_unit", "deg"),
+                aae_unit=aae_unit,
             )
         except (TypeError, ValueError, KeyError) as e:
             raise SchemaError(path, f"invalid configuration: {e}") from e

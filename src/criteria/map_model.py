@@ -212,9 +212,10 @@ class RoadMap:
 
     def contains_grid(self, xs, ys) -> geom.GridCover:
         """Drivable-area membership of the grid points ``(xs[i], ys[j])`` as
-        a ``geom.GridCover``: its ``count`` of covered cells, and
-        ``contains(i, j)``, which equals ``contains_many`` on those points.
-        ``xs`` and ``ys`` must be ascending."""
+        the ``geom.GridCover`` of ``geom.RingTable.grid``: its ``count`` of
+        covered cells, and ``contains(i, j)``, which equals ``contains_many``
+        (the even-odd rule with the ``geom.BOUNDARY_EPS`` band) on those
+        points. ``xs`` and ``ys`` must be ascending."""
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("grid coordinates contain NaN or inf")

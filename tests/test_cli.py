@@ -53,6 +53,16 @@ class TestSynth:
         for name in ("map.json", "scenarios.json", "predictions_noisy.json"):
             assert (again / name).read_bytes() == (fixtures / name).read_bytes()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--n", "0"), ("--lanes", "0"), ("--modes", "1"), ("--seed", "-1"),
+    ])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, option, value):
+        """Rejected before anything is written, with the option named."""
+        out = tmp_path / "out"
+        assert main(["synth", option, value, "--out", str(out)]) == EXIT_USAGE
+        assert f"argument {option}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTag:
     def test_tags_cover_all_scenarios(self, fixtures):
@@ -284,8 +294,9 @@ class TestConfig:
         ({"kinematic": {"window": 3.5}}, "$.kinematic.window"),
         ({"dao": [1, 2]}, "$.dao"),
         ({"dao": {"cell": 1e-9}}, "$.dao.cell"),
+        ({"aae_unit": "degs"}, "$.aae_unit"),
     ], ids=["nan", "inf", "turn_radius", "alpha", "alpha_length", "bool",
-            "string", "float_window", "not_an_object", "tiny_cell"])
+            "string", "float_window", "not_an_object", "tiny_cell", "aae_unit"])
     @pytest.mark.parametrize("command", ["tag", "eval"])
     def test_bad_value_is_schema_error(self, fixtures, tmp_path, capsys,
                                        doc, path, command):
@@ -356,6 +367,30 @@ class TestReport:
             "report", "--metrics", str(path), "--out", str(tmp_path / "r"),
         ]) == EXIT_DATA
         assert "carries no scenario tags" in capsys.readouterr().err
+
+    def test_repeated_model_is_data_error(self, fixtures, tmp_path, capsys):
+        paths = {}
+        for name in ("const_vel", "noisy"):
+            paths[name] = tmp_path / f"m_{name}.json"
+            assert main([
+                "eval",
+                "--scenarios", str(fixtures / "scenarios.json"),
+                "--maps", str(fixtures / "map.json"),
+                "--predictions", str(fixtures / f"predictions_{name}.json"),
+                "--tags", str(fixtures / "tags.json"),
+                "--out", str(paths[name]),
+            ]) == EXIT_OK
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(paths["const_vel"].read_bytes())
+        capsys.readouterr()
+        assert main([
+            "report", "--metrics", str(paths["const_vel"]), str(copy),
+            str(paths["noisy"]), "--out", str(tmp_path / "r"),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "'const_vel'" in err
+        assert str(paths["const_vel"]) in err and str(copy) in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestUsage:

@@ -35,19 +35,19 @@ def halfplane_contains(p, ring):
 
 class TestPointInPolygon:
     def test_interior(self, unit_square):
-        assert geom.point_in_polygon((0.5, 0.5), unit_square)
+        assert geom.points_in_polygon((0.5, 0.5), unit_square)[0]
 
     def test_outside(self, unit_square):
-        assert not geom.point_in_polygon((2.0, 0.0), unit_square)
+        assert not geom.points_in_polygon((2.0, 0.0), unit_square)[0]
 
     def test_boundary_counts_inside(self, unit_square):
-        assert geom.point_in_polygon((1.0, 0.5), unit_square)
-        assert geom.point_in_polygon((0.0, 0.0), unit_square)
+        assert geom.points_in_polygon((1.0, 0.5), unit_square)[0]
+        assert geom.points_in_polygon((0.0, 0.0), unit_square)[0]
 
     def test_degenerate_polygon_rejected(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(InvalidMapError):
-            geom.point_in_polygon((0.0, 0.0), flat)
+            geom.points_in_polygon((0.0, 0.0), flat)
 
     def test_matches_halfplane_oracle(self):
         rng = np.random.default_rng(7)
@@ -71,6 +71,16 @@ class TestPointInPolygon:
         assert (base[off_band] == moved[off_band]).all()
 
 
+def edge_crossings(table, ys) -> np.ndarray:
+    """The x of every crossing of a row ``ys[j]`` with an edge of ``table``
+    that straddles it (``ey0 <= y < ey1``, the half-open rule), row by row."""
+    x1, y1, dx, dy, _, ey0, _, ey1 = table.edges
+    y = ys[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = x1 + (y - y1) * dx / dy
+    return cross[(ey0 <= y) & (y < ey1)]
+
+
 class TestRing:
     @pytest.mark.parametrize("eps", [geom.BOUNDARY_EPS, 0.0, 0.05])
     def test_contains_matches_reference(self, eps):
@@ -84,12 +94,21 @@ class TestRing:
         near = (anchors[:, None, :] + np.column_stack([dx.ravel(), dy.ravel()])).reshape(-1, 2)
         pts = np.vstack([rng.uniform(-12, 12, size=(500, 2)), near])
         want = reference_in_polygon(pts, poly, eps)
-        np.testing.assert_array_equal(geom.Ring(poly).contains(pts, eps), want)
         np.testing.assert_array_equal(geom.points_in_polygon(pts, poly, eps), want)
+        # a clockwise ring is tested as given, not reoriented
+        np.testing.assert_array_equal(
+            geom.points_in_polygon(pts, poly[::-1], eps),
+            reference_in_polygon(pts, poly[::-1], eps),
+        )
 
-    def test_degenerate_polygon_rejected(self):
-        with pytest.raises(InvalidMapError):
-            geom.Ring(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    @pytest.mark.parametrize("ring,error", [
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], InvalidMapError),  # flat
+        ([[0.0, 0.0], [1.0, 1.0]], InvalidMapError),  # two vertices
+        ([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]], ValueError),
+    ])
+    def test_bad_ring_rejected(self, ring, error):
+        with pytest.raises(error):
+            geom.points_in_polygon([(0.5, 0.25)], np.array(ring))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 0.13])
@@ -106,8 +125,7 @@ class TestRing:
         ys = np.unique(np.concatenate([poly[:, 1] - offset,
                                        np.linspace(-11.0, 11.0, 23)]))
         want = reference_grid_mask(xs, ys, [poly])
-        got = geom.grid_in_rings(xs, ys, *geom.edge_table([poly]))
-        assert_cover_matches(got, want)
+        assert_cover_matches(geom.RingTable([poly]).grid(xs, ys), want)
 
     def test_grid_of_overlapping_rings(self, unit_square):
         """Runs of nested, overlapping and disjoint rings add up on a row."""
@@ -115,9 +133,7 @@ class TestRing:
                  unit_square + 7.0]
         xs = np.linspace(-1.0, 9.0, 41)
         ys = np.linspace(-1.0, 9.0, 21)
-        got = geom.grid_in_rings(
-            xs, ys, *geom.edge_table(rings)
-        )
+        got = geom.RingTable(rings).grid(xs, ys)
         assert_cover_matches(got, reference_grid_mask(xs, ys, rings))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -128,16 +144,14 @@ class TestRing:
         place of a coordinate is wider than the boundary band."""
         rng = np.random.default_rng(seed)
         poly = random_convex_polygon(rng, n=7) + offset
-        ring = geom.Ring(poly)
+        table = geom.RingTable([poly])
         ys = np.linspace(poly[:, 1].min(), poly[:, 1].max(), 17)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = ring.x1 + (ys[:, None] - ring.y1) * ring.dx / ring.dy
-        straddles = (ring.y1 > ys[:, None]) != (ring.y2 > ys[:, None])
         xs = np.unique(np.concatenate([
-            cross[straddles], np.linspace(poly[:, 0].min(), poly[:, 0].max(), 9)
+            edge_crossings(table, ys),
+            np.linspace(poly[:, 0].min(), poly[:, 0].max(), 9),
         ]))
         want = reference_grid_mask(xs, ys, [poly])
-        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([poly])), want)
+        assert_cover_matches(table.grid(xs, ys), want)
 
     @settings(max_examples=60)
     @given(
@@ -158,7 +172,7 @@ class TestRing:
         turn = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
         rect = np.array([[0.0, 0.0], [length, 0.0], [length, width], [0.0, width]])
         poly = rect @ turn.T + offset
-        ring = geom.Ring(poly)
+        table = geom.RingTable([poly])
         nudges = (0.0, geom.BOUNDARY_EPS, -geom.BOUNDARY_EPS, geom.BOX_PAD,
                   -geom.BOX_PAD, cell / 2)
         corner = poly[data.draw(st.integers(0, 3))] + [
@@ -166,18 +180,14 @@ class TestRing:
         ]
         steps = np.arange(-60, 61) * cell
         ys = corner[1] + steps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = ring.x1 + (ys[:, None] - ring.y1) * ring.dx / ring.dy
-        straddles = (ring.y1 > ys[:, None]) != (ring.y2 > ys[:, None])
-        xs = np.unique(np.concatenate([corner[0] + steps, cross[straddles][::3]]))
+        xs = np.unique(np.concatenate([corner[0] + steps,
+                                       edge_crossings(table, ys)[::3]]))
         want = reference_grid_mask(xs, ys, [poly])
-        assert_cover_matches(geom.grid_in_rings(xs, ys, *geom.edge_table([poly])), want)
+        assert_cover_matches(table.grid(xs, ys), want)
 
     def test_grid_outside_every_ring_is_empty(self, unit_square):
-        got = geom.grid_in_rings(
-            np.array([5.0, 6.0]), np.array([0.5]),
-            *geom.edge_table([unit_square]),
-        )
+        got = geom.RingTable([unit_square]).grid(np.array([5.0, 6.0]),
+                                                 np.array([0.5]))
         assert_cover_matches(got, np.zeros((2, 1), dtype=bool))
 
 

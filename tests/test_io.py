@@ -59,6 +59,16 @@ class TestRunConfig:
         with pytest.raises(SchemaError):
             io.RunConfig.from_dict({"amv_reduction": "MEDIAN"})
 
+    @pytest.mark.parametrize("unit", ["deg", "rad"])
+    def test_aae_unit_accepted(self, unit):
+        assert io.RunConfig.from_dict({"aae_unit": unit}).aae_unit == unit
+
+    @pytest.mark.parametrize("unit", ["degs", "DEG", 5, None, [1], True])
+    def test_bad_aae_unit_names_its_path(self, unit):
+        with pytest.raises(SchemaError) as e:
+            io.RunConfig.from_dict({"aae_unit": unit})
+        assert e.value.path == "$.aae_unit"
+
     def test_integer_overrides_of_floats_accepted(self):
         cfg = io.RunConfig.from_dict(
             {"scenario": {"turn_radius": 50}, "dao": {"cell": 1}}

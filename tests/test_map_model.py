@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from criteria import geom, io, synth
 from criteria.errors import DegenerateHeadingError, InvalidMapError
-from criteria.geom import BOX_PAD, padded_box
+from criteria.geom import BOX_PAD
 from criteria.map_model import LaneSegment, RoadMap, Turn, is_turn_lane
 
 from conftest import (
@@ -52,7 +52,7 @@ def probe_anchors(kind: synth.MapKind, lanes: bool) -> np.ndarray:
     rings = [lane.polygon for lane in road.lanes.values()] if lanes else road.drivable
     out = []
     for ring in rings:
-        x0, y0, x1, y1 = padded_box(ring)
+        x0, y0, x1, y1 = geom.RingTable([ring]).boxes[:, 0]
         xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
         out += [
             ring,
@@ -277,7 +277,7 @@ class TestLanesContaining:
         want = [
             lane_id
             for lane_id in sorted(road.lanes)
-            if geom.point_in_polygon(p, road.lanes[lane_id].polygon)
+            if geom.points_in_polygon(p, road.lanes[lane_id].polygon)[0]
         ]
         assert got == want == ["A", "B"]
 
@@ -300,7 +300,7 @@ class TestLanesWithinRadius:
             lane.id
             for lane in straight_road.lanes.values()
             if (
-                geom.point_in_polygon(p, lane.polygon)
+                geom.points_in_polygon(p, lane.polygon)[0]
                 or geom.distance_to_ring(p.reshape(1, 2), lane.polygon)[0] <= r
             )
         )
