@@ -101,8 +101,12 @@ class TestRing:
             reference_in_polygon(pts, poly[::-1], eps),
         )
 
+    def test_degenerate_polygon_rejected(self):
+        flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(InvalidMapError):
+            geom.points_in_polygon([(0.5, 0.25)], flat)
+
     @pytest.mark.parametrize("ring,error", [
-        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], InvalidMapError),  # flat
         ([[0.0, 0.0], [1.0, 1.0]], InvalidMapError),  # two vertices
         ([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]], ValueError),
     ])
