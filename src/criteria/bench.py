@@ -182,12 +182,16 @@ def aggregate(
         for cat, results in sorted(by_category.items())
     }
 
+    # weights divided by the largest present one: no weighted sum overflows
+    top = max((weights.of(d) for d in by_difficulty), default=1.0)
+    if top == 0:
+        raise DataConsistencyError("weights are 0 for every difficulty present")
     overall: dict[str, float] = {}
     for name in METRIC_NAMES:
         num = 0.0
         den = 0.0
         for d, results in by_difficulty.items():
-            w = weights.of(d)
+            w = weights.of(d) / top
             num += w * _mean([r.values[name] for r in results])
             den += w
         if den > 0:

@@ -88,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_run_config(path: str | None) -> io.RunConfig:
-    return io.load_config(path) if path else io.RunConfig()
-
-
 def cmd_synth(args) -> int:
     spec = synth.SynthSpec(
         kind=synth.MapKind(args.kind),
@@ -118,23 +114,7 @@ def cmd_synth(args) -> int:
 
 def _min_fde_table(args, records) -> dict[str, list[float]]:
     if args.minfde:
-        doc = io._load_json(args.minfde)
-        if not isinstance(doc, dict) or "min_fde" not in doc:
-            raise SchemaError("$.min_fde", "missing required field")
-        table = doc["min_fde"]
-        if not isinstance(table, dict):
-            raise SchemaError("$.min_fde", "expected an object")
-        out = {}
-        for sid, values in table.items():
-            if not isinstance(values, list) or not values:
-                raise SchemaError(f"$.min_fde.{sid}",
-                                  "expected a non-empty list of numbers")
-            for j, v in enumerate(values):
-                if not io._finite_number(v):
-                    raise SchemaError(f"$.min_fde.{sid}[{j}]",
-                                      "expected a finite number")
-            out[sid] = [float(v) for v in values]
-        return out
+        return io.load_min_fde(args.minfde)
     if not args.predictions:
         raise DataConsistencyError(
             "tag needs either --minfde or --predictions files"
@@ -154,7 +134,7 @@ def _min_fde_table(args, records) -> dict[str, list[float]]:
 
 
 def cmd_tag(args) -> int:
-    cfg = _load_run_config(args.config)
+    cfg = io.load_config(args.config)
     records = io.load_scenarios(args.scenarios)
     road = io.load_map(args.maps)
     table = _min_fde_table(args, records)
@@ -172,7 +152,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args.config)
+    cfg = io.load_config(args.config)
     records = io.load_scenarios(args.scenarios)
     road = io.load_map(args.maps)
     model, preds = io.load_predictions(args.predictions)
@@ -205,7 +185,6 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     out = Path(args.out)
     runs = []
-    config_doc = None
     inputs = {}
     paths = {}
     for path in args.metrics:
@@ -222,10 +201,14 @@ def cmd_report(args) -> int:
             raise DataConsistencyError(
                 f"{path}: metrics file carries no scenario tags"
             )
+        if runs and run.config_snapshot != runs[0][0].config_snapshot:
+            raise DataConsistencyError(
+                f"{args.metrics[0]} and {path} were evaluated under "
+                "different run configurations"
+            )
         runs.append((run, tags))
-        config_doc = config_doc or run.config_snapshot
         inputs[f"metrics[{run.model_name}]"] = io.sha256_file(path)
-    cfg = io.RunConfig.from_dict(config_doc or {})
+    cfg = io.RunConfig.from_dict(runs[0][0].config_snapshot)
 
     # each run aggregated once, for the report, the tables and the chart
     summaries = [

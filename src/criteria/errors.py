@@ -5,7 +5,14 @@ Exit-code mapping for the CLI lives in :mod:`criteria.cli`.
 
 
 class CriteriaError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``file``, once a loader sets it,
+    names the input file the error was found in, after the message."""
+
+    file = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.file is None else f"{text} (in {self.file})"
 
 
 class SchemaError(CriteriaError):

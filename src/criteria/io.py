@@ -1,8 +1,10 @@
-"""JSON interchange formats: loaders, validators, and writers.
+"""JSON interchange formats: schema tables, loaders and writers.
 
-Every writer embeds the full run configuration and sha256 digests of its
-input files, and writes atomically (temp file + rename). Serialization uses
-sorted keys, so identical inputs produce byte-identical outputs.
+Each input document has one schema table, and one ``_Walk`` reads a document
+against its table. Every writer embeds the full run configuration and sha256
+digests of its input files, and writes atomically (temp file + rename).
+Serialization uses sorted keys, so identical inputs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .bench import METRIC_NAMES, WeightConfig
+from .bench import METRIC_NAMES, EvaluationRun, ScenarioResult, WeightConfig
 from .errors import CriteriaError, DataConsistencyError, SchemaError
 from .map_model import LaneSegment, RoadMap, Turn
 from .metrics import (
@@ -27,6 +31,7 @@ from .metrics import (
     GridTooFineError,
     Reduction,
     StationaryPolicy,
+    TriadResult,
 )
 from .scenario import ScenarioConfig, ScenarioRecord, ScenarioTag
 from .scenario import Difficulty, LengthClass, Structure
@@ -41,34 +46,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _require_dt(doc: dict, path: str) -> float:
-    dt = _require(doc, "dt", float, path)
-    if dt <= 0:
-        raise SchemaError(f"{path}.dt", "expected a positive number")
-    return dt
-
-
-def _require(doc: dict, key: str, kind, path: str):
-    if key not in doc:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if kind is float:
-        if not _finite_number(value):
-            raise SchemaError(f"{path}.{key}", "expected a finite number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
-    return value
-
-
-def _items(value: list, kind, path: str) -> tuple:
-    """The list ``value`` as a tuple; every item must be a ``kind``."""
-    for j, item in enumerate(value):
-        if not isinstance(item, kind):
-            raise SchemaError(f"{path}[{j}]", f"expected {kind.__name__}")
-    return tuple(value)
-
-
 def _finite_number(c) -> bool:
     """A JSON number that converts to a finite float; ``json`` parses
     ``NaN`` and ``Infinity`` as floats, and big integers overflow."""
@@ -78,21 +55,6 @@ def _finite_number(c) -> bool:
         return math.isfinite(float(c))
     except OverflowError:
         return False
-
-
-def _probabilities(value, k: int, path: str):
-    """Validated per-mode probabilities: ``k`` finite, non-negative numbers
-    summing to 1 within 1e-6; an absent or null field stays ``None``."""
-    if value is None:
-        return None
-    if not isinstance(value, list) or len(value) != k:
-        raise SchemaError(path, f"expected a list of {k} numbers, one per mode")
-    for j, p in enumerate(value):
-        if not _finite_number(p) or p < 0:
-            raise SchemaError(f"{path}[{j}]", "expected a finite non-negative number")
-    if abs(sum(value) - 1.0) > 1e-6:
-        raise SchemaError(path, "probabilities must sum to 1 within 1e-6")
-    return value
 
 
 def _number_array(value, tail_shape: tuple) -> np.ndarray | None:
@@ -126,20 +88,6 @@ def _number_array(value, tail_shape: tuple) -> np.ndarray | None:
     return arr
 
 
-def _check_block(value, path: str, min_len: int) -> None:
-    if not isinstance(value, list) or len(value) < min_len:
-        raise SchemaError(path, f"expected a list of >= {min_len} [x, y] pairs")
-
-
-def _coords(value, path: str, min_len: int) -> np.ndarray:
-    """A list of at least ``min_len`` ``[x, y]`` pairs of finite numbers as
-    an ``(n, 2)`` float array: one ``_number_array`` call, and the per-pair
-    walk only when that call rejects the block."""
-    _check_block(value, path, min_len)
-    pts = _number_array(value, (2,))
-    return pts if pts is not None else _pairs(value, path)
-
-
 def _pairs(value: list, path: str) -> np.ndarray:
     """The block ``value`` checked pair by pair: a ``SchemaError`` naming the
     first bad pair, or the block as an ``(n, 2)`` float array if every pair
@@ -157,30 +105,146 @@ def _pairs(value: list, path: str) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-class _Blocks:
-    """The coordinate blocks met in one walk over a document, parsed after
-    it by one ``_number_array`` call over all their pairs. Called like
-    ``_coords``, it checks only the block's list and length and returns its
-    index in ``parse()``'s list."""
+# -- schema tables -------------------------------------------------------------
+#
+# Each input document has one table, built from these kinds of value: ``str``
+# or ``bool``; a function ``f(value, path)`` that returns the value read or
+# raises a ``SchemaError`` at ``path``; a dict, for a JSON object whose keys
+# are each required unless of kind ``_Optional``, where the key ``...``
+# stands for every key the dict does not name (other keys are ignored); and:
+
+# a JSON list of at least ``min_len`` items of the kind ``item``
+_List = namedtuple("_List", "item min_len", defaults=[0])
+# a key that may be absent, or null too if ``null``; either reads as ``None``
+_Optional = namedtuple("_Optional", "kind null", defaults=[True])
+# a list of at least ``min_len`` [x, y] pairs, or with ``min_len`` 0 a single
+# pair, read as a block of one; the walk reads it as its index in ``arrays()``
+_Block = namedtuple("_Block", "min_len")
+
+
+class _Walk:
+    """One pass over a document against its schema table.
+
+    The walk checks values in document order and only collects the
+    coordinate blocks; after it, one ``_number_array`` call reads all their
+    pairs. Before any fault is raised, the blocks met so far are read, so a
+    bad pair ahead of the fault is named instead: the first fault in
+    document order is named, with no second walk.
+    """
 
     def __init__(self):
-        self.values: list[list] = []
+        self.blocks: list[tuple[list, str]] = []
 
-    def __call__(self, value, path: str, min_len: int) -> int:
-        _check_block(value, path, min_len)
-        self.values.append(value)
-        return len(self.values) - 1
+    def read(self, table, doc, path: str) -> tuple[Any, list[np.ndarray]]:
+        """``doc`` as read with ``table``, and the array of each block."""
+        try:
+            out = self.value(table, doc, path)
+        except SchemaError:
+            self.arrays()  # a bad pair met before the fault comes first
+            raise
+        return out, self.arrays()
 
-    def parse(self) -> list[np.ndarray] | None:
-        """Every block's ``(n, 2)`` array, or ``None`` if some pair is not
-        two finite numbers (or the array call rejects it)."""
-        if not self.values:
-            return []
-        pts = _number_array([pt for block in self.values for pt in block], (2,))
+    def value(self, kind, value, path: str):
+        if type(kind) is dict:
+            return self.record(kind, value, path)
+        if type(kind) is _List:
+            if not isinstance(value, list) or len(value) < kind.min_len:
+                raise SchemaError(path, f"expected a list of >= {kind.min_len} items"
+                                  if kind.min_len else "expected list")
+            if isinstance(kind.item, type):  # one loop, no path made per item
+                for i, item in enumerate(value):
+                    if not isinstance(item, kind.item):
+                        raise SchemaError(f"{path}[{i}]",
+                                          f"expected {kind.item.__name__}")
+                return value
+            return [self.value(kind.item, item, f"{path}[{i}]")
+                    for i, item in enumerate(value)]
+        if type(kind) is _Block:
+            if not isinstance(value, list) or len(value) < kind.min_len:
+                raise SchemaError(path, f"expected a list of >= {kind.min_len} "
+                                  "[x, y] pairs" if kind.min_len else "expected list")
+            self.blocks.append((value if kind.min_len else [value], path))
+            return len(self.blocks) - 1
+        if isinstance(kind, type):
+            if not isinstance(value, kind):
+                raise SchemaError(path, f"expected {kind.__name__}")
+            return value
+        return kind(value, path)
+
+    def record(self, table: dict, doc, path: str) -> dict:
+        if not isinstance(doc, dict):
+            raise SchemaError(path, "expected an object")
+        out = {}
+        for key, kind in table.items():
+            if key is ...:
+                for k, v in doc.items():
+                    if k not in table:
+                        out[k] = self.value(kind, v, f"{path}.{k}")
+            elif type(kind) is _Optional:
+                v = doc.get(key)
+                out[key] = (None if v is None and (kind.null or key not in doc)
+                            else self.value(kind.kind, v, f"{path}.{key}"))
+            elif key in doc:
+                out[key] = self.value(kind, doc[key], f"{path}.{key}")
+            else:
+                raise SchemaError(f"{path}.{key}", "missing required field")
+        return out
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every block's ``(n, 2)`` array: one ``_number_array`` call over
+        all their pairs, or, if it rejects them, a pair-by-pair read of each
+        block, which names the first bad pair."""
+        pts = _number_array([pt for block, _ in self.blocks for pt in block], (2,))
         if pts is None:
-            return None
-        ends = np.cumsum([len(block) for block in self.values]).tolist()
+            return [_pairs(block, path) for block, path in self.blocks]
+        ends = np.cumsum([len(block) for block, _ in self.blocks]).tolist()
         return [pts[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _coords(value, path: str, min_len: int) -> np.ndarray:
+    """A list of at least ``min_len`` ``[x, y]`` pairs of finite numbers as
+    an ``(n, 2)`` float array, read as a walk over that one block."""
+    walk = _Walk()
+    walk.value(_Block(min_len), value, path)
+    return walk.arrays()[0]
+
+
+def _number(test=None, message: str = ""):
+    """The kind of a finite JSON number, read as a float, that passes
+    ``test`` if one is given, else fails with ``message``."""
+    def read(value, path: str) -> float:
+        if not _finite_number(value):
+            raise SchemaError(path, "expected a finite number")
+        if test is not None and not test(value):
+            raise SchemaError(path, message)
+        return float(value)
+    return read
+
+
+_finite = _number()
+_positive = _number(lambda x: x > 0, "expected a positive number")
+_non_negative = _number(lambda x: x >= 0, "expected a finite non-negative number")
+
+
+def _turn(value, path: str) -> Turn:
+    try:
+        return Turn(value)
+    except ValueError:
+        raise SchemaError(path, f"unknown turn kind {value!r}") from None
+
+
+def _modes(value, path: str) -> np.ndarray:
+    """A prediction's modes as one ``(K, T, 2)`` array call, read mode by
+    mode only when that call rejects them, to name the first bad pair."""
+    if not isinstance(value, list) or not value:
+        raise SchemaError(path, "expected at least one mode")
+    points = _number_array(value, (None, 2))
+    if points is not None and points.shape[1] >= 2:
+        return points
+    modes = [_coords(mode, f"{path}[{k}]", 2) for k, mode in enumerate(value)]
+    if len({len(mode) for mode in modes}) > 1:
+        raise SchemaError(path, "ragged modes array")
+    return np.stack(modes)
 
 
 def _load_json(path) -> Any:
@@ -195,6 +259,16 @@ def _load_json(path) -> Any:
         raise SchemaError("$", f"invalid JSON: {e}") from e
 
 
+def _load(path, from_dict):
+    """``from_dict`` of the JSON document in the file ``path``; an error in
+    the document names the file."""
+    try:
+        return from_dict(_load_json(path))
+    except CriteriaError as e:
+        e.file = path
+        raise
+
+
 class _Encoder(json.JSONEncoder):
     def default(self, o):
         if isinstance(o, np.ndarray):
@@ -204,33 +278,49 @@ class _Encoder(json.JSONEncoder):
         return super().default(o)
 
 
-def write_json(path, doc) -> None:
+def _write_atomic(path, write) -> None:
+    """``write(f)`` to a temporary file ``f``, then renamed to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True, cls=_Encoder)
-            f.write("\n")
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, doc) -> None:
+    def dump(f):  # streamed: a large document is never one string
+        json.dump(doc, f, indent=2, sort_keys=True, cls=_Encoder)
+        f.write("\n")
+    _write_atomic(path, dump)
 
 
 def write_text(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, lambda f: f.write(text))
+
+
+def _json_value(value):
+    """A run configuration, or an attribute of a lane or scenario record, as
+    the JSON value that ``RunConfig.from_dict`` or the record's table reads
+    back. A dataclass becomes an object of its fields, but for
+    ``KinematicConfig.anchor``, which belongs to a scenario, not to the run."""
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if isinstance(value, Trajectory):
+        return value.points.tolist()
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name))
+                for f in fields(value) if f.name != "anchor"}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
 # -- run configuration ---------------------------------------------------------
@@ -247,36 +337,7 @@ class RunConfig:
     aae_unit: str = "deg"
 
     def to_dict(self) -> dict:
-        return {
-            "kinematic": {
-                "a_min": self.kinematic.a_min,
-                "a_max": self.kinematic.a_max,
-                "window": self.kinematic.window,
-            },
-            "alignment": {
-                "threshold_lac": self.alignment.threshold_lac,
-                "tail_steps": self.alignment.tail_steps,
-                "stationary_eps": self.alignment.stationary_eps,
-                "stationary_policy": self.alignment.stationary_policy.value,
-            },
-            "dao": {
-                "cell": self.dao.cell,
-                "roi_side": self.dao.roi_side,
-                "scale": self.dao.scale,
-            },
-            "scenario": {
-                "turn_radius": self.scenario.turn_radius,
-                "alpha": list(self.scenario.alpha),
-                "beta": self.scenario.beta,
-            },
-            "weights": {
-                "w_hard": self.weights.w_hard,
-                "w_middle": self.weights.w_middle,
-                "w_easy": self.weights.w_easy,
-            },
-            "amv_reduction": self.amv_reduction.value,
-            "aae_unit": self.aae_unit,
-        }
+        return _json_value(self)
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "$") -> "RunConfig":
@@ -345,27 +406,31 @@ def _config_section(doc: dict, name: str, defaults: dict, path: str) -> dict:
     return {**defaults, **section}
 
 
-def load_config(path) -> RunConfig:
-    return RunConfig.from_dict(_load_json(path))
+def load_config(path=None) -> RunConfig:
+    """The run configuration in the file ``path``; the defaults if none."""
+    return _load(path, RunConfig.from_dict) if path else RunConfig()
 
 
 # -- map files -------------------------------------------------------------
+
+_LANE = {
+    "turn": _turn,
+    "id": str,
+    "centerline": _Block(2),
+    "polygon": _Block(3),
+    "is_intersection": bool,
+    "successors": _List(str),
+    "left_neighbor": _Optional(str),
+    "right_neighbor": _Optional(str),
+}
+_MAP = {"map_id": str, "lanes": _List(_LANE), "drivable_area": _List(_Block(3))}
 
 
 def map_to_dict(road: RoadMap) -> dict:
     return {
         "map_id": road.map_id,
         "lanes": [
-            {
-                "id": lane.id,
-                "centerline": lane.centerline.tolist(),
-                "polygon": lane.polygon.tolist(),
-                "turn": lane.turn.value,
-                "is_intersection": lane.is_intersection,
-                "successors": list(lane.successors),
-                "left_neighbor": lane.left_neighbor,
-                "right_neighbor": lane.right_neighbor,
-            }
+            {key: _json_value(getattr(lane, key)) for key in _LANE}
             for lane in road.lanes.values()
         ],
         "drivable_area": [ring.tolist() for ring in road.drivable],
@@ -373,75 +438,16 @@ def map_to_dict(road: RoadMap) -> dict:
 
 
 def map_from_dict(doc: dict, path: str = "$") -> RoadMap:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
-    map_id = _require(doc, "map_id", str, path)
-    blocks = _Blocks()
-    try:
-        fields = list(_lane_fields(doc, path, blocks))
-        drivable = _drivable_rings(doc, path, blocks)
-        arrays = blocks.parse()
-    except CriteriaError:
-        arrays = None
-    if arrays is None:
-        # the error path: each block checked pair by pair and each lane built
-        # as the walk meets them, so the first fault in the document is named
-        lanes = [LaneSegment(**f) for f in _lane_fields(doc, path, _coords)]
-        return RoadMap(map_id, lanes, _drivable_rings(doc, path, _coords))
-    for f in fields:
-        f["centerline"], f["polygon"] = arrays[f["centerline"]], arrays[f["polygon"]]
-    return RoadMap(map_id, LaneSegment.many(fields), [arrays[i] for i in drivable])
-
-
-def _lane_fields(doc: dict, path: str, coords):
-    """Each lane of the map ``doc`` as ``LaneSegment`` keyword arguments, in
-    document order; ``coords(value, path, min_len)`` reads the centerline and
-    the polygon."""
-    lanes_doc = _require(doc, "lanes", list, path)
-    for i, lane_doc in enumerate(lanes_doc):
-        lp = f"{path}.lanes[{i}]"
-        if not isinstance(lane_doc, dict):
-            raise SchemaError(lp, "expected an object")
-        turn_raw = _require(lane_doc, "turn", str, lp)
-        try:
-            turn = Turn(turn_raw)
-        except ValueError:
-            raise SchemaError(f"{lp}.turn", f"unknown turn kind {turn_raw!r}")
-        yield dict(
-            id=_require(lane_doc, "id", str, lp),
-            centerline=coords(
-                _require(lane_doc, "centerline", list, lp), f"{lp}.centerline", 2
-            ),
-            polygon=coords(
-                _require(lane_doc, "polygon", list, lp), f"{lp}.polygon", 3
-            ),
-            turn=turn,
-            is_intersection=_require(lane_doc, "is_intersection", bool, lp),
-            successors=_items(
-                _require(lane_doc, "successors", list, lp), str, f"{lp}.successors"
-            ),
-            left_neighbor=_lane_ref(lane_doc, "left_neighbor", lp),
-            right_neighbor=_lane_ref(lane_doc, "right_neighbor", lp),
-        )
-
-
-def _drivable_rings(doc: dict, path: str, coords) -> list:
-    drivable_doc = _require(doc, "drivable_area", list, path)
-    return [
-        coords(ring, f"{path}.drivable_area[{i}]", 3)
-        for i, ring in enumerate(drivable_doc)
-    ]
-
-
-def _lane_ref(doc: dict, key: str, path: str) -> str | None:
-    ref = doc.get(key)
-    if ref is not None and not isinstance(ref, str):
-        raise SchemaError(f"{path}.{key}", "expected a lane id string or null")
-    return ref
+    doc, arrays = _Walk().read(_MAP, doc, path)
+    for lane in doc["lanes"]:
+        lane["centerline"] = arrays[lane["centerline"]]
+        lane["polygon"] = arrays[lane["polygon"]]
+    drivable = [arrays[i] for i in doc["drivable_area"]]
+    return RoadMap(doc["map_id"], LaneSegment.many(doc["lanes"]), drivable)
 
 
 def load_map(path) -> RoadMap:
-    return map_from_dict(_load_json(path))
+    return _load(path, map_from_dict)
 
 
 def save_map(path, road: RoadMap) -> None:
@@ -450,73 +456,42 @@ def save_map(path, road: RoadMap) -> None:
 
 # -- scenario files ------------------------------------------------------------
 
+_SCENARIO = {
+    "id": str,
+    "dt": _positive,
+    "map_id": str,
+    "agent_id": str,
+    "past": _Block(2),
+    "future": _Block(2),
+}
+_SCENARIOS = {"scenarios": _List(_SCENARIO)}
+
 
 def scenarios_to_dict(records: list[ScenarioRecord]) -> dict:
     return {
         "scenarios": [
-            {
-                "id": r.id,
-                "map_id": r.map_id,
-                "agent_id": r.agent_id,
-                "dt": r.dt,
-                "past": r.past.points.tolist(),
-                "future": r.future.points.tolist(),
-            }
+            {key: _json_value(getattr(r, key)) for key in _SCENARIO}
             for r in records
         ]
     }
 
 
 def scenarios_from_dict(doc: dict, path: str = "$") -> list[ScenarioRecord]:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
-    blocks = _Blocks()
-    try:
-        fields = list(_scenario_fields(doc, path, blocks))
-        arrays = blocks.parse()
-    except CriteriaError:
-        arrays = None
-    if arrays is None:
-        # the error path: each block checked pair by pair, in document order
-        fields = list(_scenario_fields(doc, path, _coords))
-    else:
-        for f in fields:
-            f["past"], f["future"] = arrays[f["past"]], arrays[f["future"]]
-    return [
-        ScenarioRecord(
-            id=f["id"], map_id=f["map_id"], agent_id=f["agent_id"], dt=f["dt"],
-            past=Trajectory(f["past"], f["dt"]),
-            future=Trajectory(f["future"], f["dt"]),
+    doc, arrays = _Walk().read(_SCENARIOS, doc, path)
+    out: dict[str, ScenarioRecord] = {}
+    for r in doc["scenarios"]:
+        if r["id"] in out:
+            raise DataConsistencyError(f"duplicate scenario id {r['id']!r}")
+        out[r["id"]] = ScenarioRecord(
+            id=r["id"], map_id=r["map_id"], agent_id=r["agent_id"], dt=r["dt"],
+            past=Trajectory(arrays[r["past"]], r["dt"]),
+            future=Trajectory(arrays[r["future"]], r["dt"]),
         )
-        for f in fields
-    ]
-
-
-def _scenario_fields(doc: dict, path: str, coords):
-    """The fields of each record of the scenarios ``doc``, in document
-    order; ``coords(value, path, min_len)`` reads ``past`` and ``future``."""
-    items = _require(doc, "scenarios", list, path)
-    seen = set()
-    for i, rec_doc in enumerate(items):
-        rp = f"{path}.scenarios[{i}]"
-        if not isinstance(rec_doc, dict):
-            raise SchemaError(rp, "expected an object")
-        sid = _require(rec_doc, "id", str, rp)
-        if sid in seen:
-            raise DataConsistencyError(f"duplicate scenario id {sid!r}")
-        seen.add(sid)
-        yield dict(
-            id=sid,
-            dt=_require_dt(rec_doc, rp),
-            map_id=_require(rec_doc, "map_id", str, rp),
-            agent_id=_require(rec_doc, "agent_id", str, rp),
-            past=coords(_require(rec_doc, "past", list, rp), f"{rp}.past", 2),
-            future=coords(_require(rec_doc, "future", list, rp), f"{rp}.future", 2),
-        )
+    return list(out.values())
 
 
 def load_scenarios(path) -> list[ScenarioRecord]:
-    return scenarios_from_dict(_load_json(path))
+    return _load(path, scenarios_from_dict)
 
 
 def save_scenarios(path, records: list[ScenarioRecord]) -> None:
@@ -524,6 +499,17 @@ def save_scenarios(path, records: list[ScenarioRecord]) -> None:
 
 
 # -- prediction files ----------------------------------------------------------
+
+_PREDICTIONS = {
+    "model": str,
+    "dt": _positive,
+    "predictions": _List({
+        "scenario_id": str,
+        "anchor": _Block(0),
+        "modes": _modes,
+        "probabilities": _Optional(_List(_non_negative)),
+    }),
+}
 
 
 def predictions_to_dict(model: str, dt: float,
@@ -550,50 +536,26 @@ def predictions_to_dict(model: str, dt: float,
 def predictions_from_dict(
     doc: dict, path: str = "$"
 ) -> tuple[str, dict[str, PredictionSet]]:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
-    model = _require(doc, "model", str, path)
-    dt = _require_dt(doc, path)
-    items = _require(doc, "predictions", list, path)
+    doc, arrays = _Walk().read(_PREDICTIONS, doc, path)
     out: dict[str, PredictionSet] = {}
-    for i, pdoc in enumerate(items):
-        pp = f"{path}.predictions[{i}]"
-        if not isinstance(pdoc, dict):
-            raise SchemaError(pp, "expected an object")
-        sid = _require(pdoc, "scenario_id", str, pp)
+    for i, p in enumerate(doc["predictions"]):
+        sid, probabilities, k = p["scenario_id"], p["probabilities"], len(p["modes"])
         if sid in out:
             raise DataConsistencyError(f"duplicate prediction for {sid!r}")
-        anchor = _coords([_require(pdoc, "anchor", list, pp)],
-                         f"{pp}.anchor", 1)[0]
-        modes_doc = _require(pdoc, "modes", list, pp)
-        if len(modes_doc) < 1:
-            raise SchemaError(f"{pp}.modes", "expected at least one mode")
-        points = _number_array(modes_doc, (None, 2))
-        if points is None or points.shape[1] < 2:
-            points = _modes(modes_doc, f"{pp}.modes")
+        pp = f"{path}.predictions[{i}].probabilities"
+        if probabilities is not None and len(probabilities) != k:
+            raise SchemaError(pp, f"expected a list of {k} numbers, one per mode")
+        if probabilities is not None and abs(sum(probabilities) - 1.0) > 1e-6:
+            raise SchemaError(pp, "probabilities must sum to 1 within 1e-6")
         out[sid] = PredictionSet.from_points(
-            sid,
-            points,
-            dt,
-            probabilities=_probabilities(
-                pdoc.get("probabilities"), len(points), f"{pp}.probabilities"
-            ),
-            anchor=anchor,
+            sid, p["modes"], doc["dt"], probabilities=probabilities,
+            anchor=arrays[p["anchor"]][0],
         )
-    return model, out
-
-
-def _modes(modes_doc: list, path: str) -> np.ndarray:
-    """A prediction's modes checked one by one: the error path of its
-    ``(K, T, 2)`` block, which names the first bad mode or pair."""
-    modes = [_coords(mode, f"{path}[{k}]", 2) for k, mode in enumerate(modes_doc)]
-    if len({len(mode) for mode in modes}) > 1:
-        raise SchemaError(path, "ragged modes array")
-    return np.stack(modes)
+    return doc["model"], out
 
 
 def load_predictions(path) -> tuple[str, dict[str, PredictionSet]]:
-    return predictions_from_dict(_load_json(path))
+    return _load(path, predictions_from_dict)
 
 
 def save_predictions(path, model: str, dt: float,
@@ -603,49 +565,64 @@ def save_predictions(path, model: str, dt: float,
 
 # -- tags files ------------------------------------------------------------
 
+_TAG = {"structure": str, "difficulty": str, "length": str}
+_TAGS = {"tags": {...: _TAG}}
+
+
+def _tags_block(tags: dict[str, ScenarioTag], only=None) -> dict:
+    """The ``tags`` block of a tags or metrics file: each tag, sorted by
+    scenario id, of the scenarios in ``only`` if it is given."""
+    return {
+        sid: {key: getattr(t, key).value for key in _TAG}
+        for sid, t in sorted(tags.items())
+        if only is None or sid in only
+    }
+
+
+def _tags(doc: dict, path: str) -> dict[str, ScenarioTag]:
+    """The ``ScenarioTag`` of each walked ``_TAG`` entry of ``doc``."""
+    out = {}
+    for sid, t in doc.items():
+        try:
+            out[sid] = ScenarioTag(Structure(t["structure"]),
+                                   Difficulty(t["difficulty"]),
+                                   LengthClass(t["length"]))
+        except ValueError as e:
+            raise SchemaError(f"{path}.tags.{sid}", str(e)) from e
+    return out
+
 
 def tags_to_dict(tags: dict[str, ScenarioTag], counts: dict[str, int],
                  config: RunConfig, inputs: dict[str, str]) -> dict:
     return {
         "config": config.to_dict(),
         "inputs": inputs,
-        "tags": {
-            sid: {
-                "structure": t.structure.value,
-                "difficulty": t.difficulty.value,
-                "length": t.length.value,
-            }
-            for sid, t in sorted(tags.items())
-        },
+        "tags": _tags_block(tags),
         "category_counts": counts,
     }
 
 
 def tags_from_dict(doc: dict, path: str = "$") -> dict[str, ScenarioTag]:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
-    items = _require(doc, "tags", dict, path)
-    out = {}
-    for sid, tdoc in items.items():
-        tp = f"{path}.tags.{sid}"
-        if not isinstance(tdoc, dict):
-            raise SchemaError(tp, "expected an object")
-        try:
-            out[sid] = ScenarioTag(
-                structure=Structure(_require(tdoc, "structure", str, tp)),
-                difficulty=Difficulty(_require(tdoc, "difficulty", str, tp)),
-                length=LengthClass(_require(tdoc, "length", str, tp)),
-            )
-        except ValueError as e:
-            raise SchemaError(tp, str(e)) from e
-    return out
+    doc, _ = _Walk().read(_TAGS, doc, path)
+    return _tags(doc["tags"], path)
 
 
 def load_tags(path) -> dict[str, ScenarioTag]:
-    return tags_from_dict(_load_json(path))
+    return _load(path, tags_from_dict)
 
 
 # -- metrics files ----------------------------------------------------------
+
+_PASSES = ("boundary_pass", "alignment_pass", "kinematic_pass")
+_METRICS = {
+    "model": str,
+    "config": _Optional(RunConfig.from_dict),
+    "per_scenario": {...: {
+        "triad": {key: _List(bool) for key in _PASSES},
+        ...: _finite,
+    }},
+    "tags": _Optional({...: _TAG}, null=False),
+}
 
 
 def metrics_to_dict(run, config: RunConfig, inputs: dict[str, str],
@@ -657,64 +634,49 @@ def metrics_to_dict(run, config: RunConfig, inputs: dict[str, str],
         "per_scenario": {
             sid: {
                 **result.values,
-                "triad": {
-                    "boundary_pass": list(result.triad.boundary_pass),
-                    "alignment_pass": list(result.triad.alignment_pass),
-                    "kinematic_pass": list(result.triad.kinematic_pass),
-                    "admissible": list(result.triad.admissible),
-                },
+                "triad": {key: list(getattr(result.triad, key))
+                          for key in (*_PASSES, "admissible")},
             }
             for sid, result in run.per_scenario.items()
         },
     }
     if tags is not None:
-        doc["tags"] = {
-            sid: {
-                "structure": t.structure.value,
-                "difficulty": t.difficulty.value,
-                "length": t.length.value,
-            }
-            for sid, t in sorted(tags.items())
-            if sid in run.per_scenario
-        }
+        doc["tags"] = _tags_block(tags, run.per_scenario)
     return doc
 
 
 def metrics_from_dict(doc: dict, path: str = "$"):
-    """Rehydrate an EvaluationRun (and embedded tags, if present)."""
-    from .bench import EvaluationRun, ScenarioResult
-    from .metrics import TriadResult
-
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
-    model = _require(doc, "model", str, path)
-    per = _require(doc, "per_scenario", dict, path)
+    """Rehydrate an EvaluationRun (and embedded tags, if present); its
+    ``config_snapshot`` is the file's run configuration, defaults filled in."""
+    doc, _ = _Walk().read(_METRICS, doc, path)
     out = {}
-    for sid, sdoc in per.items():
+    for sid, values in doc["per_scenario"].items():
         sp = f"{path}.per_scenario.{sid}"
-        if not isinstance(sdoc, dict):
-            raise SchemaError(sp, "expected an object")
-        tdoc = _require(sdoc, "triad", dict, sp)
-        tp = f"{sp}.triad"
-        passes = [
-            _items(_require(tdoc, key, list, tp), bool, f"{tp}.{key}")
-            for key in ("boundary_pass", "alignment_pass", "kinematic_pass")
-        ]
+        triad = values.pop("triad")
+        passes = [tuple(triad[key]) for key in _PASSES]
         if not passes[0] or any(len(p) != len(passes[0]) for p in passes):
-            raise SchemaError(tp, "expected one flag per mode in every list")
-        values = {k: _require(sdoc, k, float, sp) for k in sdoc if k != "triad"}
+            raise SchemaError(f"{sp}.triad", "expected one flag per mode in every list")
         for name in METRIC_NAMES:
             if name not in values:
                 raise SchemaError(f"{sp}.{name}", "missing required field")
         out[sid] = ScenarioResult(values=values, triad=TriadResult(*passes))
     run = EvaluationRun(
-        model_name=model,
+        model_name=doc["model"],
         per_scenario=dict(sorted(out.items())),
-        config_snapshot=doc.get("config", {}),
+        config_snapshot=(doc["config"] or RunConfig()).to_dict(),
     )
-    tags = tags_from_dict(doc, path) if "tags" in doc else {}
-    return run, tags
+    return run, _tags(doc["tags"] or {}, path)
 
 
 def load_metrics(path):
-    return metrics_from_dict(_load_json(path))
+    return _load(path, metrics_from_dict)
+
+
+# -- minFDE tables -------------------------------------------------------------
+
+_MIN_FDE = {"min_fde": {...: _List(_finite, 1)}}
+
+
+def load_min_fde(path) -> dict[str, list[float]]:
+    """Each scenario's minFDE of every model, from a ``tag --minfde`` table."""
+    return _load(path, lambda doc: _Walk().read(_MIN_FDE, doc, "$")[0]["min_fde"])

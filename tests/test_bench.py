@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,29 @@ class TestAggregate:
         assert rep.overall["minADE"] == pytest.approx(4.0 / 3.0)
         rep_hard = aggregate(run, tags, WeightConfig(1.0, 0.0, 0.0))
         assert rep_hard.overall["minADE"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("weights", [
+        WeightConfig(1.0, 1e308, 1.0),
+        WeightConfig(1e308, 1e308, 1e308),
+        WeightConfig(1e308, 0.0, 5e-324),
+    ], ids=["one_huge", "all_huge", "huge_and_tiny"])
+    def test_huge_weights_stay_finite(self, weights):
+        """The weighted sums are taken with each weight divided by the
+        largest present one, so they cannot overflow."""
+        run, tags = run_with_tags(
+            [Difficulty.HARD, Difficulty.MIDDLE, Difficulty.EASY] * 2)
+        rep = aggregate(run, tags, weights)
+        assert sorted(rep.overall) == sorted(METRIC_NAMES)
+        assert all(math.isfinite(v) for v in rep.overall.values())
+        plain = aggregate(run, tags, WeightConfig(
+            *(w / max(weights.w_hard, weights.w_middle, weights.w_easy)
+              for w in (weights.w_hard, weights.w_middle, weights.w_easy))))
+        assert rep.overall == pytest.approx(plain.overall)
+
+    def test_zero_weight_for_every_present_difficulty_rejected(self):
+        run, tags = run_with_tags([Difficulty.EASY] * len(RECORDS))
+        with pytest.raises(DataConsistencyError, match="weights are 0"):
+            aggregate(run, tags, WeightConfig(1.0, 1.0, 0.0))
 
     def test_recomputation_oracle(self):
         rng = np.random.default_rng(0)

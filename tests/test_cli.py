@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -391,6 +392,176 @@ class TestReport:
         assert "'const_vel'" in err
         assert str(paths["const_vel"]) in err and str(copy) in err
         assert not (tmp_path / "r").exists()
+
+    def _eval(self, fixtures, out, model, config=None):
+        return main([
+            "eval",
+            "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / f"predictions_{model}.json"),
+            "--tags", str(fixtures / "tags.json"),
+            *(["--config", str(config)] if config else []),
+            "--out", str(out),
+        ])
+
+    def test_mixed_run_configs_are_data_error(self, fixtures, tmp_path, capsys):
+        """Degrees and radians in one table, with the first file's config
+        written as the report's, is refused; both files are named."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aae_unit": "rad",
+                                      "kinematic": {"a_max": 9.0}}))
+        noisy, const_vel = tmp_path / "m_noisy.json", tmp_path / "m_cv.json"
+        assert self._eval(fixtures, noisy, "noisy") == EXIT_OK
+        assert self._eval(fixtures, const_vel, "const_vel", config) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(noisy), str(const_vel),
+                     "--out", str(tmp_path / "r")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(noisy) in err and str(const_vel) in err
+        assert not (tmp_path / "r").exists()
+
+    def test_same_config_written_differently_is_accepted(self, fixtures, tmp_path):
+        """Configs compare with defaults filled in: an absent section and
+        the same section spelled out are one run configuration."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"weights": {"w_hard": 1}}))
+        paths = [tmp_path / "m_noisy.json", tmp_path / "m_cv.json"]
+        assert self._eval(fixtures, paths[0], "noisy") == EXIT_OK
+        assert self._eval(fixtures, paths[1], "const_vel", config) == EXIT_OK
+        assert main(["report", "--metrics", *map(str, paths),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+
+    def test_bad_config_in_metrics_names_file_and_path(self, fixtures, tmp_path,
+                                                        capsys):
+        good = tmp_path / "m.json"
+        assert self._eval(fixtures, good, "noisy") == EXIT_OK
+        doc = json.loads(good.read_text())
+        doc["config"]["aae_unit"] = "degs"
+        bad = tmp_path / "m_bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(bad),
+                     "--out", str(tmp_path / "r")]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: $.config.aae_unit: ")
+        assert err.rstrip().endswith(f"(in {bad})")
+
+    @pytest.mark.parametrize("weights", [
+        {"w_middle": 1e308},
+        {"w_hard": 1e308, "w_middle": 1e308, "w_easy": 1e308},
+        {"w_hard": 1e308, "w_middle": 0.0, "w_easy": 5e-324},
+    ], ids=["one_huge", "all_huge", "huge_and_tiny"])
+    def test_huge_weights_give_finite_report(self, tmp_path, weights):
+        """``load_metrics`` refuses non-finite values, so ``report`` must
+        not write them: no weighted sum may overflow."""
+        data = tmp_path / "data"
+        assert main(["synth", "--kind", "STRAIGHT", "--n", "4", "--modes", "24",
+                     "--seed", "0", "--out", str(data)]) == EXIT_OK
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"weights": weights}))
+        inputs = ["--scenarios", str(data / "scenarios.json"),
+                  "--maps", str(data / "map.json")]
+        preds = str(data / "predictions_noisy.json")
+        assert main(["tag", *inputs, "--predictions", preds,
+                     "--out", str(tmp_path / "tags.json")]) == EXIT_OK
+        metrics = tmp_path / "m.json"
+        assert main(["eval", *inputs, "--predictions", preds,
+                     "--tags", str(tmp_path / "tags.json"), "--config", str(config),
+                     "--out", str(metrics)]) == EXIT_OK
+        out = tmp_path / "r"
+        assert main(["report", "--metrics", str(metrics), "--out", str(out),
+                     "--balance", "aae"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+
+        def finite(value):
+            if isinstance(value, dict):
+                return all(finite(v) for v in value.values())
+            if isinstance(value, list):
+                return all(finite(v) for v in value)
+            return not isinstance(value, float) or math.isfinite(value)
+
+        assert finite(report)
+        assert report["config"]["weights"] == {
+            "w_easy": 1.0, "w_hard": 1.0, "w_middle": 1.0, **weights}
+        for name in ("balance.csv", "tables.md"):
+            assert not re.search(r"\b(inf|nan)\b", (out / name).read_text())
+
+
+# the input documents, each with one fault: the stage that reads it, its
+# option, the fixture file it is edited from (None: built by ``_doc``), the
+# edit, and the start of the error line
+NAMED_FAULTS = {
+    "map": ("eval", "--maps", "map.json",
+            lambda d: d["lanes"][1]["centerline"].__setitem__(1, [1.0]),
+            "schema error: $.lanes[1].centerline[1]: "),
+    "scenarios": ("tag", "--scenarios", "scenarios.json",
+                  lambda d: d["scenarios"][0].__setitem__("dt", 0),
+                  "schema error: $.scenarios[0].dt: "),
+    "duplicate scenario": ("tag", "--scenarios", "scenarios.json",
+                           lambda d: d["scenarios"].append(d["scenarios"][0]),
+                           "data error: duplicate scenario id "),
+    "predictions": ("eval", "--predictions", "predictions_noisy.json",
+                    lambda d: d.__setitem__("dt", math.nan),
+                    "schema error: $.dt: "),
+    "duplicate prediction": ("eval", "--predictions", "predictions_noisy.json",
+                             lambda d: d["predictions"].append(d["predictions"][0]),
+                             "data error: duplicate prediction for "),
+    "tags": ("eval", "--tags", "tags.json",
+             lambda d: next(iter(d["tags"].values())).pop("length"),
+             "schema error: $.tags."),
+    "metrics": ("report", "--metrics", None,
+                lambda d: next(iter(d["per_scenario"].values())).pop("AAE"),
+                "schema error: $.per_scenario."),
+    "config": ("eval", "--config", None, lambda d: d.__setitem__("dao", [1, 2]),
+               "schema error: $.dao: "),
+    "minfde": ("tag", "--minfde", None,
+               lambda d: next(iter(d["min_fde"].values())).clear(),
+               "schema error: $.min_fde."),
+}
+
+
+class TestErrorsNameTheirFile:
+    def _doc(self, fixtures, tmp_path, flag):
+        """A valid document of the kind ``flag`` reads that synth does not
+        write."""
+        if flag == "--config":
+            return io.RunConfig().to_dict()
+        if flag == "--minfde":
+            records = io.load_scenarios(fixtures / "scenarios.json")
+            return {"min_fde": {r.id: [1.0, 2.0] for r in records}}
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "eval", "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_noisy.json"),
+            "--tags", str(fixtures / "tags.json"), "--out", str(metrics),
+        ]) == EXIT_OK
+        return json.loads(metrics.read_text())
+
+    @pytest.mark.parametrize("kind", list(NAMED_FAULTS))
+    def test_load_error_names_its_file(self, fixtures, tmp_path, capsys, kind):
+        stage, flag, source, edit, start = NAMED_FAULTS[kind]
+        doc = (json.loads((fixtures / source).read_text()) if source
+               else self._doc(fixtures, tmp_path, flag))
+        edit(doc)
+        bad = tmp_path / "bad" / "input.json"
+        bad.parent.mkdir()
+        bad.write_text(json.dumps(doc))
+        files = {"--scenarios": fixtures / "scenarios.json",
+                 "--maps": fixtures / "map.json"}
+        if flag != "--minfde":
+            files["--predictions"] = fixtures / "predictions_noisy.json"
+        if stage == "eval":
+            files["--tags"] = fixtures / "tags.json"
+        files = {"--metrics": bad} if stage == "report" else {**files, flag: bad}
+        capsys.readouterr()
+        assert main([stage, *(a for k, v in files.items() for a in (k, str(v))),
+                     "--out", str(tmp_path / "out")]) == (
+            EXIT_DATA if start.startswith("data") else EXIT_SCHEMA)
+        err = capsys.readouterr().err
+        assert err.startswith(start), err
+        assert err.rstrip().endswith(f"(in {bad})"), err
 
 
 class TestUsage:

@@ -1,9 +1,10 @@
 """Malformed input documents end in exit 0, 2 or 3, never in a traceback.
 
-A tiny synth run gives valid map, scenarios, predictions, tags and metrics
-documents. Each example changes one of them at one JSON path (deletes the
-key or list item, or sets it to null, a bool, a string, NaN, a nested list
-or an empty list) and runs every CLI stage that reads it.
+A tiny synth run gives valid map, scenarios, predictions (with per-mode
+probabilities), tags, metrics, run configuration and minFDE table documents.
+Each example changes one of them at one JSON path (deletes the key or list
+item, or sets it to null, a bool, a string, NaN, a nested list or an empty
+list) and runs every CLI stage that reads it.
 """
 
 import copy
@@ -13,6 +14,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from criteria import io
 from criteria.cli import EXIT_DATA, EXIT_OK, EXIT_SCHEMA, main
 
 DELETE = object()
@@ -24,6 +26,18 @@ READERS = {
     "predictions": ("tag", "eval"),
     "tags": ("eval",),
     "metrics": ("report",),
+    "config": ("tag", "eval"),
+    "minfde": ("tag",),
+}
+# each document's schema table; a run configuration is checked against the
+# defaults by ``RunConfig.from_dict``
+TABLES = {
+    "map": io._MAP,
+    "scenarios": io._SCENARIOS,
+    "predictions": io._PREDICTIONS,
+    "tags": io._TAGS,
+    "metrics": io._METRICS,
+    "minfde": io._MIN_FDE,
 }
 
 
@@ -37,24 +51,37 @@ def run(tmp_path_factory):
     files = {
         "map": data / "map.json",
         "scenarios": data / "scenarios.json",
-        "predictions": data / "predictions_lane_fan.json",
+        "predictions": root / "predictions.json",
         "tags": root / "tags.json",
         "metrics": root / "metrics.json",
+        "config": root / "config.json",
+        "minfde": root / "minfde.json",
     }
+    preds = json.loads((data / "predictions_lane_fan.json").read_text())
+    for pred in preds["predictions"]:
+        pred["probabilities"] = [0.5, 0.25, 0.25]
+    io.write_json(files["predictions"], preds)
+    io.write_json(files["config"], io.RunConfig().to_dict())
+    io.write_json(files["minfde"], {"min_fde": {
+        p["scenario_id"]: [1.0, 2.0, 3.0] for p in preds["predictions"]}})
     assert main(_argv("tag", files, files["tags"])) == EXIT_OK
     assert main(_argv("eval", files, files["metrics"])) == EXIT_OK
     docs = {name: json.loads(path.read_text()) for name, path in files.items()}
     return root, files, docs, {name: _paths(doc) for name, doc in docs.items()}
 
 
-def _argv(stage: str, files: dict, out) -> list[str]:
-    """``stage`` reading ``files`` and writing ``out``."""
+def _argv(stage: str, files: dict, out, minfde: bool = False) -> list[str]:
+    """``stage`` reading ``files`` and writing ``out``; ``tag`` scores the
+    models from the minFDE table if ``minfde``, else from the predictions."""
     inputs = ["--scenarios", str(files["scenarios"]), "--maps", str(files["map"]),
-              "--predictions", str(files["predictions"])]
+              "--config", str(files["config"])]
+    scores = (["--minfde", str(files["minfde"])] if minfde
+              else ["--predictions", str(files["predictions"])])
     if stage == "tag":
-        return ["tag", *inputs, "--out", str(out)]
+        return ["tag", *inputs, *scores, "--out", str(out)]
     if stage == "eval":
-        return ["eval", *inputs, "--tags", str(files["tags"]), "--out", str(out)]
+        return ["eval", *inputs, "--predictions", str(files["predictions"]),
+                "--tags", str(files["tags"]), "--out", str(out)]
     return ["report", "--metrics", str(files["metrics"]), "--out", str(out)]
 
 
@@ -99,4 +126,40 @@ def test_mutated_document_never_raises(run, data):
     inputs = {**files, name: bad}
     for stage in READERS[name]:
         out = root / f"{stage}_out"  # apart from the valid inputs
-        assert main(_argv(stage, inputs, out)) in (EXIT_OK, EXIT_SCHEMA, EXIT_DATA)
+        argv = _argv(stage, inputs, out, minfde=name == "minfde")
+        assert main(argv) in (EXIT_OK, EXIT_SCHEMA, EXIT_DATA)
+
+
+ANY = object()  # a list index, or a key the table does not name
+
+
+def _table_paths(kind, prefix=()) -> list[tuple]:
+    """Every JSON path the schema table ``kind`` names, ``ANY`` standing for
+    a list index or for a key it leaves open."""
+    if isinstance(kind, io._Optional):
+        kind = kind.kind
+    out = [prefix]
+    if isinstance(kind, dict):
+        for key, sub in kind.items():
+            out += _table_paths(sub, prefix + (ANY if key is ... else key,))
+    elif isinstance(kind, io._List):
+        out += _table_paths(kind.item, prefix + (ANY,))
+    return out
+
+
+def _matches(pattern: tuple, path: tuple) -> bool:
+    return len(pattern) == len(path) and all(
+        want is ANY or want == got for want, got in zip(pattern, path))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_every_schema_path_is_fuzzed(run, name):
+    """The fuzzed documents hold every path their schema names, so each one
+    can be mutated; the run configuration holds every setting."""
+    paths = run[3]
+    if name == "config":
+        want = _paths(io.RunConfig().to_dict())
+    else:
+        want = _table_paths(TABLES[name])
+    missing = [p for p in want if not any(_matches(p, got) for got in paths[name])]
+    assert not missing

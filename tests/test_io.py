@@ -468,13 +468,19 @@ class TestCoordinateBlocks:
     @given(st.sampled_from(list(PAIR_PLACES)), PAIRS)
     def test_one_array_call_matches_the_block_walk(self, place, pair):
         """A document loads the same, or fails with the same error, whether
-        its blocks are parsed by one array call or block by block."""
+        its blocks are parsed by one array call or block by block: the walk's
+        path when that call rejects them, taken here for every document."""
         kind, keys, _ = PAIR_PLACES[place]
         make, load = DOCS[kind]
         doc = make()
         _put(doc, keys, pair)
         got = _load_outcome(load, doc)
-        with mock.patch.object(io._Blocks, "parse", lambda self: None):
+        number_array = io._number_array
+
+        def reject_blocks(value, tail_shape):  # a prediction's modes still pass
+            return None if tail_shape == (2,) else number_array(value, tail_shape)
+
+        with mock.patch.object(io, "_number_array", reject_blocks):
             assert _load_outcome(load, doc) == got
 
 
@@ -490,3 +496,93 @@ def _load_outcome(load, doc):
         return [(sid, p.anchor.tobytes(), p.points.tobytes())
                 for sid, p in loaded[1].items()]
     return json.dumps(io.map_to_dict(loaded))
+
+
+DROP = object()
+
+
+def _faults(doc, edits):
+    """``doc`` with each ``(keys, value)`` of ``edits`` applied; the value
+    ``DROP`` deletes the key."""
+    for keys, value in edits:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    return doc
+
+
+BAD = [True, 1.0]
+# two faults in one document, and the path of the first in document order:
+# a bad pair before a missing field, and a missing field before a bad pair
+FAULT_ORDERS = {
+    "map: pair, then missing field": (
+        "map", [(("lanes", 0, "centerline", 1), BAD), (("lanes", 2, "id"), DROP)],
+        "$.lanes[0].centerline[1]"),
+    "map: pair, then missing field of its lane": (
+        "map", [(("lanes", 1, "polygon", 0), BAD),
+                (("lanes", 1, "is_intersection"), DROP)],
+        "$.lanes[1].polygon[0]"),
+    "map: missing field, then pair": (
+        "map", [(("lanes", 0, "successors"), DROP),
+                (("lanes", 1, "centerline", 0), BAD)],
+        "$.lanes[0].successors"),
+    "map: missing field, then ring pair": (
+        "map", [(("lanes", 2, "turn"), DROP), (("drivable_area", 0, 1), BAD)],
+        "$.lanes[2].turn"),
+    "scenarios: pair, then missing field": (
+        "scenarios", [(("scenarios", 0, "past", 5), BAD),
+                      (("scenarios", 1, "agent_id"), DROP)],
+        "$.scenarios[0].past[5]"),
+    "scenarios: missing field, then pair": (
+        "scenarios", [(("scenarios", 0, "future"), DROP),
+                      (("scenarios", 1, "past", 0), BAD)],
+        "$.scenarios[0].future"),
+    "predictions: anchor pair, then missing field": (
+        "predictions", [(("predictions", 0, "anchor"), BAD),
+                        (("predictions", 1, "modes"), DROP)],
+        "$.predictions[0].anchor[0]"),
+    "predictions: mode pair, then missing field": (
+        "predictions", [(("predictions", 0, "modes", 1, 2), BAD),
+                        (("predictions", 1, "scenario_id"), DROP)],
+        "$.predictions[0].modes[1][2]"),
+    "predictions: missing field, then anchor pair": (
+        "predictions", [(("predictions", 0, "modes"), DROP),
+                        (("predictions", 1, "anchor"), BAD)],
+        "$.predictions[0].modes"),
+    "predictions: missing field, then mode pair": (
+        "predictions", [(("predictions", 0, "anchor"), DROP),
+                        (("predictions", 0, "modes", 0, 0), BAD)],
+        "$.predictions[0].anchor"),
+}
+
+
+class TestFaultOrder:
+    @pytest.mark.parametrize("case", list(FAULT_ORDERS))
+    def test_first_fault_in_document_order_is_named(self, case):
+        kind, edits, where = FAULT_ORDERS[case]
+        make, load = DOCS[kind]
+        with pytest.raises(SchemaError) as e:
+            load(_faults(_json(make()), edits))
+        assert e.value.path == where
+
+    @pytest.mark.parametrize("kind, ids", [
+        ("scenarios", ("scenarios", 1, "id")),
+        ("predictions", ("predictions", 1, "scenario_id")),
+    ])
+    def test_schema_fault_outranks_an_earlier_duplicate_id(self, kind, ids):
+        """Checks that relate records run after the walk, so a later schema
+        fault is the error a document with both gives."""
+        make, load = DOCS[kind]
+        doc = _json(make())
+        first = doc[ids[0]][0][ids[2]]
+        _faults(doc, [(ids, first), ((ids[0], 2, ids[2]), 5)])
+        with pytest.raises(SchemaError) as e:
+            load(doc)
+        assert e.value.path == f"$.{ids[0]}[2].{ids[2]}"
+        _faults(doc, [((ids[0], 2, ids[2]), "another id")])
+        with pytest.raises(DataConsistencyError):
+            load(doc)
