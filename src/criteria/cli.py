@@ -215,12 +215,12 @@ def cmd_report(args) -> int:
         (aggregate(run, tags, cfg.weights), report_mod.block_means(run, tags))
         for run, tags in runs
     ]
-    doc = report_mod.build_report(runs, cfg.weights, summaries)
+    doc = report_mod.build_report(summaries)
     doc["config"] = cfg.to_dict()
     doc["inputs"] = inputs
     io.write_json(out / "report.json", doc)
 
-    tables = report_mod.collect_block_tables(runs, cfg.weights, summaries)
+    tables = report_mod.collect_block_tables(summaries)
     md_parts = []
     for name, per_model in tables.items():
         slug = name.replace("/", "_").lower()

@@ -31,13 +31,19 @@ PAIR_BLOCK = 4096
 
 
 def as_points(obj) -> np.ndarray:
+    pts = _shaped(obj)
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain NaN or inf")
+    return pts
+
+
+def _shaped(obj) -> np.ndarray:
+    """``obj`` as an ``(N, 2)`` float array, a ``(2,)`` point as ``(1, 2)``."""
     pts = np.asarray(obj, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (N, 2) points, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points contain NaN or inf")
     return pts
 
 
@@ -55,59 +61,74 @@ def signed_area(ring: np.ndarray) -> float:
 
 
 def normalize_ring(ring) -> np.ndarray:
-    """Validate a polygon ring and return it counter-clockwise."""
-    ring = as_points(ring)
-    if len(ring) < 3:
-        raise InvalidMapError(f"polygon needs >= 3 vertices, got {len(ring)}")
-    area = signed_area(ring)
-    if abs(area) < 1e-12:
-        raise InvalidMapError("degenerate polygon (zero area)")
-    return ring[::-1].copy() if area < 0 else ring
-
-
-def point_blocks(blocks, min_len: int) -> list[np.ndarray] | None:
-    """Each of ``blocks`` as ``as_points`` returns it, if every one is a
-    finite ``(N, 2)`` array with N >= ``min_len``; else ``None``. The
-    finiteness of all of them is one check."""
-    try:
-        arrays = [np.asarray(b, dtype=float) for b in blocks]
-    except (TypeError, ValueError):
-        return None
-    if not all(a.ndim == 2 and a.shape[1] == 2 and len(a) >= min_len for a in arrays):
-        return None
-    if arrays and not np.isfinite(np.concatenate(arrays)).all():
-        return None
-    return arrays
+    """Validate a polygon ring and return it counter-clockwise: the one-ring
+    case of ``normalize_rings``."""
+    return normalize_rings([ring])[0]
 
 
 def normalize_rings(rings) -> list[np.ndarray]:
-    """``[normalize_ring(r) for r in rings]``, with the shoelace terms of all
-    rings computed in one pass over their concatenated vertices. Each ring's
-    terms are summed by ``np.sum`` over its own slice, as ``signed_area``
-    sums them, so every orientation decision is the same; the per-ring loop
-    runs only when some ring is invalid, to raise its error."""
-    areas = _signed_areas(rings)
-    if areas is None or any(abs(area) < 1e-12 for area in areas[1]):
-        return [normalize_ring(r) for r in rings]
-    return [a[::-1].copy() if area < 0 else a for a, area in zip(*areas)]
+    """Each of ``rings`` as ``as_points`` returns it, checked to have at
+    least 3 vertices and a nonzero area, and turned counter-clockwise.
+
+    The shoelace terms of all rings are computed in one pass over their
+    concatenated vertices, and each ring's terms are summed by
+    ``np.add.reduce`` over its own slice, as ``signed_area`` sums them, so
+    every orientation decision is the one-ring decision. The first bad ring
+    raises its error, with its position as the error's ``index``.
+    """
+    arrays, pts, sizes, fault = _point_blocks(
+        rings, 3, lambda n: InvalidMapError(f"polygon needs >= 3 vertices, got {n}"))
+    out = []
+    if arrays:
+        x, y = pts.T
+        succ = _ring_successors(sizes)
+        terms = x * y[succ] - x[succ] * y
+        bounds = [0, *sizes.cumsum().tolist()]
+        for i, a in enumerate(arrays):
+            # np.add.reduce is np.sum without its Python wrapper
+            area = 0.5 * float(np.add.reduce(terms[bounds[i]:bounds[i + 1]]))
+            if abs(area) < 1e-12:
+                e = InvalidMapError("degenerate polygon (zero area)")
+                e.index = i
+                raise e
+            out.append(a[::-1].copy() if area < 0 else a)
+    if fault is not None:
+        raise fault
+    return out
 
 
-def _signed_areas(rings) -> tuple[list[np.ndarray], list[float]] | None:
-    """Each ring of ``rings`` as a float array and its ``signed_area``, or
-    ``None`` unless every ring is a finite ``(N, 2)`` array with N >= 3."""
-    arrays = point_blocks(rings, 3)
-    if arrays is None:
-        return None
-    if not arrays:
-        return [], []
-    sizes = np.array([len(a) for a in arrays])
-    succ = _ring_successors(sizes)
-    x, y = np.concatenate(arrays).T
-    terms = x * y[succ] - x[succ] * y
-    bounds = [0, *np.cumsum(sizes).tolist()]
-    # np.add.reduce is np.sum without its Python wrapper
-    return arrays, [0.5 * float(np.add.reduce(terms[a:b]))
-                    for a, b in zip(bounds, bounds[1:])]
+def _point_blocks(blocks, min_len: int, short):
+    """The blocks of ``blocks`` before the first bad one, each as
+    ``as_points`` returns it, their concatenated points, their sizes, and
+    the bad block's error (``None`` if there is none), whose ``index`` is
+    set to the block's position.
+
+    A block is bad when ``as_points`` rejects it, with that error, or when
+    it holds fewer than ``min_len`` points, with the error ``short(n)``; the
+    finiteness of all blocks is one check.
+    """
+    arrays, fault = [], None
+    for block in blocks:
+        try:
+            arrays.append(_shaped(block))
+        except (TypeError, ValueError) as e:
+            fault = e
+            break
+    sizes = np.array([len(a) for a in arrays], dtype=np.int64)
+    pts = np.concatenate([np.empty((0, 2)), *arrays])
+    n = len(arrays)
+    finite = np.isfinite(pts)
+    if not finite.all():  # a block's own bad rows come before its length
+        n = int(sizes.cumsum().searchsorted(finite.all(axis=1).argmin(), "right"))
+    too_short = np.flatnonzero(sizes[:n] < min_len)
+    if len(too_short):
+        n = int(too_short[0])
+        fault = short(sizes[n])
+    elif n < len(arrays):
+        fault = ValueError("points contain NaN or inf")
+    if fault is not None:
+        fault.index = n
+    return arrays[:n], pts[:sizes[:n].sum()], sizes[:n], fault
 
 
 def _ring_successors(sizes: np.ndarray) -> np.ndarray:
@@ -429,43 +450,52 @@ def angle_between(v1, v2) -> float:
 
 class Polyline:
     """A validated polyline with its segments laid out once, for repeated
-    nearest-point queries."""
+    nearest-point queries: its ``points``, and for each segment its start
+    ``a``, vector ``ab``, squared length ``denom``, length ``seg_len`` and
+    tangent heading ``tangents``. A segment's tangent is its ``heading``; a
+    zero-length one takes the heading of the polyline's first segment longer
+    than ``DEGENERATE_EPS``. The tangent is NaN where there is none, or where
+    the segment is shorter than that but not zero."""
 
     def __init__(self, polyline):
-        pts = as_points(polyline)
-        if len(pts) < 2:
-            raise ValueError("polyline needs >= 2 points")
-        self.a = pts[:-1]
-        self.ab = pts[1:] - pts[:-1]
-        self.denom = np.einsum("ij,ij->i", self.ab, self.ab)
-        self.seg_len = np.sqrt(self.denom)
+        """The one-polyline case of ``many``."""
+        vars(self).update(vars(Polyline.many([polyline])[0]))
 
     @classmethod
     def many(cls, polylines) -> list["Polyline"]:
-        """``[Polyline(p) for p in polylines]``, with the segments of all of
-        them laid out in one pass over their concatenated points; the
-        per-polyline constructor runs only when one is invalid, to raise its
-        error."""
-        arrays = point_blocks(polylines, 2)
-        if arrays is None:
-            return [cls(p) for p in polylines]
+        """Each of ``polylines`` as ``as_points`` returns it, checked to have
+        at least 2 points, with the segments of all of them laid out and
+        their tangents computed in one pass over the concatenated points. The
+        first bad polyline raises its error, with its position as the error's
+        ``index``."""
+        arrays, pts, sizes, fault = _point_blocks(
+            polylines, 2, lambda n: ValueError("polyline needs >= 2 points"))
+        if fault is not None:
+            raise fault
         if not arrays:
             return []
-        pts = np.concatenate(arrays)
         # segment j joins points j and j + 1; drop those that join two lines
         keep = np.ones(len(pts) - 1, dtype=bool)
-        keep[np.cumsum([len(p) for p in arrays[:-1]], dtype=np.int64) - 1] = False
+        keep[sizes.cumsum()[:-1] - 1] = False
         a, ab = pts[:-1][keep], (pts[1:] - pts[:-1])[keep]
         denom = np.einsum("ij,ij->i", ab, ab)
         seg_len = np.sqrt(denom)
-        lines, start = [], 0
-        for p in arrays:
-            end = start + len(p) - 1
+        sizes = sizes - 1  # segments per line
+        seg_ends = sizes.cumsum()
+        seg_starts = seg_ends - sizes
+        heads = headings(ab)
+        usable = np.flatnonzero(seg_len > DEGENERATE_EPS)
+        # each line's first usable segment, if it has one
+        first = np.append(usable, seg_ends[-1])[np.searchsorted(usable, seg_starts)]
+        fallback = np.where(first < seg_ends, np.append(heads, math.nan)[first], math.nan)
+        tangents = np.where(denom > 0, heads, np.repeat(fallback, sizes))
+        lines = []
+        for p, lo, hi in zip(arrays, seg_starts.tolist(), seg_ends.tolist()):
             line = cls.__new__(cls)
-            line.a, line.ab = a[start:end], ab[start:end]
-            line.denom, line.seg_len = denom[start:end], seg_len[start:end]
+            line.points, line.a, line.ab = p, a[lo:hi], ab[lo:hi]
+            line.denom, line.seg_len = denom[lo:hi], seg_len[lo:hi]
+            line.tangents = tangents[lo:hi]
             lines.append(line)
-            start = end
         return lines
 
     def nearest(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -486,14 +516,11 @@ class Polyline:
         return i, t[rows, i], foot[rows, i]
 
     def tangent(self, i: int) -> float:
-        """Heading of segment ``i``; a degenerate segment falls back to the
-        first usable one."""
-        if self.denom[i] > 0:
-            return heading(self.ab[i])
-        usable = np.flatnonzero(self.seg_len > DEGENERATE_EPS)
-        if len(usable) == 0:
+        """The tangent heading of segment ``i``."""
+        h = float(self.tangents[i])
+        if math.isnan(h):
             raise DegenerateHeadingError("polyline has no usable direction")
-        return heading(self.ab[usable[0]])
+        return h
 
 
 def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float, float]:

@@ -354,9 +354,11 @@ class RunConfig:
             raise SchemaError(f"{path}.dao.cell", str(e)) from e
         except (TypeError, ValueError) as e:
             raise SchemaError(path, f"invalid configuration: {e}") from e
-        aae_unit = doc.get("aae_unit", "deg")
-        if aae_unit not in ("deg", "rad"):
-            raise SchemaError(f"{path}.aae_unit", 'expected "deg" or "rad"')
+        aae_unit = _choice(doc.get("aae_unit", "deg"), ("deg", "rad"), f"{path}.aae_unit")
+        policy = _choice(ali["stationary_policy"], StationaryPolicy,
+                         f"{path}.alignment.stationary_policy")
+        reduction = _choice(doc.get("amv_reduction", "SUM"), Reduction,
+                            f"{path}.amv_reduction")
         try:
             return cls(
                 kinematic=KinematicConfig(**kin),
@@ -364,7 +366,7 @@ class RunConfig:
                     threshold_lac=ali["threshold_lac"],
                     tail_steps=ali["tail_steps"],
                     stationary_eps=ali["stationary_eps"],
-                    stationary_policy=StationaryPolicy(ali["stationary_policy"]),
+                    stationary_policy=StationaryPolicy(policy),
                 ),
                 dao=dao_config,
                 scenario=ScenarioConfig(
@@ -373,23 +375,35 @@ class RunConfig:
                     beta=sce["beta"],
                 ),
                 weights=WeightConfig(**wts),
-                amv_reduction=Reduction(doc.get("amv_reduction", "SUM")),
+                amv_reduction=Reduction(reduction),
                 aae_unit=aae_unit,
             )
-        except (TypeError, ValueError, KeyError) as e:
+        except ValueError as e:
             raise SchemaError(path, f"invalid configuration: {e}") from e
+
+
+def _choice(value, choices, path: str) -> str:
+    """``value`` if it is one of the strings ``choices`` (or the values of
+    the enum ``choices``), else a ``SchemaError`` at ``path``."""
+    choices = [getattr(c, "value", c) for c in choices]
+    if isinstance(value, str) and value in choices:
+        return value
+    raise SchemaError(path, "expected " + " or ".join(f'"{c}"' for c in choices))
 
 
 def _config_section(doc: dict, name: str, defaults: dict, path: str) -> dict:
     """The defaults of section ``name`` overridden by ``doc[name]``. Each
-    override of a number must be a finite number, or an integer where the
-    default is one; each override of a list of numbers, as many of them."""
+    override must name a setting of the section; an override of a number
+    must be a finite number, or an integer where the default is one; an
+    override of a list of numbers, as many of them."""
     sp = f"{path}.{name}"
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise SchemaError(sp, "expected an object")
     for key, value in section.items():
-        default = defaults.get(key)
+        if key not in defaults:
+            raise SchemaError(f"{sp}.{key}", "unknown setting")
+        default = defaults[key]
         if isinstance(default, list):
             if not isinstance(value, list) or len(value) != len(default):
                 raise SchemaError(
@@ -439,11 +453,13 @@ def map_to_dict(road: RoadMap) -> dict:
 
 def map_from_dict(doc: dict, path: str = "$") -> RoadMap:
     doc, arrays = _Walk().read(_MAP, doc, path)
-    for lane in doc["lanes"]:
-        lane["centerline"] = arrays[lane["centerline"]]
-        lane["polygon"] = arrays[lane["polygon"]]
-    drivable = [arrays[i] for i in doc["drivable_area"]]
-    return RoadMap(doc["map_id"], LaneSegment.many(doc["lanes"]), drivable)
+    lanes = [
+        LaneSegment(**{**lane, "centerline": arrays[lane["centerline"]],
+                       "polygon": arrays[lane["polygon"]],
+                       "successors": tuple(lane["successors"])})
+        for lane in doc["lanes"]
+    ]
+    return RoadMap(doc["map_id"], lanes, [arrays[i] for i in doc["drivable_area"]])
 
 
 def load_map(path) -> RoadMap:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,69 +26,17 @@ class Turn(Enum):
 
 @dataclass(frozen=True)
 class LaneSegment:
+    """One lane as read. ``RoadMap`` checks its geometry and holds it with
+    float arrays and a counter-clockwise polygon."""
+
     id: str
     centerline: np.ndarray  # (N, 2), N >= 2
-    polygon: np.ndarray  # CCW ring, (N, 2), N >= 3
+    polygon: np.ndarray  # ring, (N, 2), N >= 3
     turn: Turn = Turn.NONE
     is_intersection: bool = False
     successors: tuple[str, ...] = ()
     left_neighbor: str | None = None
     right_neighbor: str | None = None
-
-    def __post_init__(self):
-        cl = geom.as_points(self.centerline)
-        if len(cl) < 2:
-            raise InvalidMapError(f"lane {self.id!r}: centerline needs >= 2 points")
-        object.__setattr__(self, "centerline", cl)
-        object.__setattr__(self, "polygon", geom.normalize_ring(self.polygon))
-        object.__setattr__(self, "successors", tuple(self.successors))
-
-    @classmethod
-    def many(cls, fields: list[dict]) -> list["LaneSegment"]:
-        """``[LaneSegment(**f) for f in fields]``, with all centerlines
-        checked at once and all polygons oriented by one
-        ``geom.normalize_rings`` call; the per-lane constructor runs only
-        when some lane is invalid, to raise its error."""
-        centerlines = geom.point_blocks([f["centerline"] for f in fields], 2)
-        try:
-            polygons = geom.normalize_rings([f["polygon"] for f in fields])
-        except (InvalidMapError, ValueError):
-            polygons = None
-        if centerlines is None or polygons is None:
-            return [cls(**f) for f in fields]
-        defaults = {
-            f.name: f.default for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING
-        }
-        lanes = []
-        for f, centerline, polygon in zip(fields, centerlines, polygons):
-            lane = cls.__new__(cls)
-            lane.__dict__.update({
-                **defaults, **f, "centerline": centerline, "polygon": polygon,
-                "successors": tuple(f.get("successors", ())),
-            })
-            lanes.append(lane)
-        return lanes
-
-
-def _segment_tangents(lines: list[geom.Polyline]) -> list[np.ndarray]:
-    """``line.tangent(i)`` of every segment ``i`` of each of ``lines``, NaN
-    where it raises: a degenerate segment falls back to the first usable one
-    of its line. One ``geom.headings`` pass covers every segment."""
-    if not lines:
-        return []
-    sizes = np.array([len(line.ab) for line in lines])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    headings = geom.headings(np.concatenate([line.ab for line in lines]))
-    denom = np.concatenate([line.denom for line in lines])
-    usable = np.flatnonzero(np.concatenate([line.seg_len for line in lines])
-                            > geom.DEGENERATE_EPS)
-    # each line's first usable segment, if it has one
-    first = np.append(usable, ends[-1])[np.searchsorted(usable, starts)]
-    fallback = np.where(first < ends, np.append(headings, math.nan)[first], math.nan)
-    tangents = np.where(denom > 0, headings, np.repeat(fallback, sizes))
-    return [tangents[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _stack(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +51,11 @@ def is_turn_lane(lane: LaneSegment) -> bool:
 
 
 class RoadMap:
-    """Immutable lane map whose drivable rings and lane polygons are laid
-    out once, as two ``geom.RingTable``s, for batched point queries."""
+    """Immutable lane map, checked and laid out once when built: one
+    ``geom.Polyline.many`` call lays out every centerline, one
+    ``geom.normalize_rings`` call turns every lane polygon and drivable ring
+    counter-clockwise, and the drivable rings and lane polygons are held as
+    two ``geom.RingTable``s for batched point queries."""
 
     def __init__(
         self,
@@ -114,22 +64,27 @@ class RoadMap:
         drivable: list[np.ndarray],
     ):
         self.map_id = map_id
+        try:
+            lines = geom.Polyline.many([lane.centerline for lane in lanes])
+        except (TypeError, ValueError) as e:
+            raise InvalidMapError(f"lane {lanes[e.index].id!r}: centerline: {e}") from e
+        rings = geom.normalize_rings([lane.polygon for lane in lanes] + list(drivable))
+        self.drivable = rings[len(lanes):]
         self.lanes = {}
-        for lane in lanes:
+        self._centerlines = {}
+        for lane, line, polygon in zip(lanes, lines, rings):
             if lane.id in self.lanes:
                 raise InvalidMapError(f"duplicate lane id {lane.id!r}")
+            if line.points is not lane.centerline or polygon is not lane.polygon:
+                lane = dataclasses.replace(lane, centerline=line.points, polygon=polygon)
             self.lanes[lane.id] = lane
-        self.drivable = geom.normalize_rings(drivable)
+            self._centerlines[lane.id] = line
         self._drivable = geom.RingTable(self.drivable)
         # lane ids in sorted order; the lane table's rings and the lane
         # masks' columns follow it
         self.lane_ids = tuple(sorted(self.lanes))
         self._lanes = geom.RingTable([self.lanes[i].polygon for i in self.lane_ids])
         self._validate()
-        lines = geom.Polyline.many([lane.centerline for lane in self.lanes.values()])
-        self._centerlines = dict(zip(self.lanes, lines))
-        # every segment's tangent heading; NaN where none is usable
-        self._tangents = dict(zip(self.lanes, _segment_tangents(lines)))
 
     def _validate(self) -> None:
         lanes = list(self.lanes.values())
@@ -198,8 +153,9 @@ class RoadMap:
         each of ``(N, 2)`` points, as an ``(N,)`` array; a float for one
         ``(2,)`` point."""
         pts = np.asarray(points, float)
-        seg, _, _ = self._centerlines[lane_id].nearest(pts)
-        headings = self._tangents[lane_id][seg]
+        line = self._centerlines[lane_id]
+        seg, _, _ = line.nearest(pts)
+        headings = line.tangents[seg]
         if np.isnan(headings).any():
             raise DegenerateHeadingError(
                 f"lane {lane_id!r}: centerline has no usable direction there"

@@ -5,15 +5,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .bench import (
-    METRIC_NAMES,
-    EvaluationRun,
-    MetricReport,
-    WeightConfig,
-    aggregate,
-    balance_data,
-    rank,
-)
+from .bench import METRIC_NAMES, EvaluationRun, MetricReport, rank
+# not called here: perfbench/layers.py hooks ``report.aggregate`` by name
+from .bench import aggregate  # noqa: F401
 from .scenario import ScenarioTag, Structure, LengthClass
 
 BLOCKS = [
@@ -130,31 +124,11 @@ def render_balance_svg(rows: Sequence[tuple[str, float, float, float]],
     return "\n".join(parts) + "\n"
 
 
-def _summaries(
-    runs: Sequence[tuple[EvaluationRun, Mapping[str, ScenarioTag]]],
-    weights: WeightConfig,
-    summaries: Sequence[tuple[MetricReport, dict]] | None,
-) -> Sequence[tuple[MetricReport, dict]]:
-    """Each run's ``aggregate`` report and ``block_means``, unless given."""
-    if summaries is None:
-        return [(aggregate(run, tags, weights), block_means(run, tags))
-                for run, tags in runs]
-    return summaries
-
-
-def build_report(
-    runs: Sequence[tuple[EvaluationRun, Mapping[str, ScenarioTag]]],
-    weights: WeightConfig = WeightConfig(),
-    summaries: Sequence[tuple[MetricReport, dict]] | None = None,
-) -> dict:
-    """Assemble the JSON report document for a set of evaluated models.
-    ``summaries``, when given, holds each run's ``aggregate`` report and
-    ``block_means``, so that a caller needing them too computes them once."""
-    summaries = _summaries(runs, weights, summaries)
+def build_report(summaries: Sequence[tuple[MetricReport, dict]]) -> dict:
+    """Assemble the JSON report document from each evaluated model's
+    ``aggregate`` report and ``block_means``."""
     reports = [rep for rep, _ in summaries]
-    blocks_per_model = {
-        run.model_name: blocks for (run, _), (_, blocks) in zip(runs, summaries)
-    }
+    blocks_per_model = {rep.model_name: blocks for rep, blocks in summaries}
 
     overall = {rep.model_name: rep.overall for rep in reports}
     overall_ranks = {
@@ -177,18 +151,16 @@ def build_report(
 
 
 def collect_block_tables(
-    runs: Sequence[tuple[EvaluationRun, Mapping[str, ScenarioTag]]],
-    weights: WeightConfig = WeightConfig(),
-    summaries: Sequence[tuple[MetricReport, dict]] | None = None,
+    summaries: Sequence[tuple[MetricReport, dict]]
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """Table name -> model -> metric means, for CSV/Markdown rendering;
-    ``summaries`` as for ``build_report``."""
+    """Table name -> model -> metric means, for CSV/Markdown rendering, from
+    the summaries ``build_report`` reads."""
     tables: dict[str, dict[str, dict[str, float]]] = {}
     overall: dict[str, dict[str, float]] = {}
-    for (run, _), (rep, blocks) in zip(runs, _summaries(runs, weights, summaries)):
-        overall[run.model_name] = rep.overall
+    for rep, blocks in summaries:
+        overall[rep.model_name] = rep.overall
         for block, means in blocks.items():
-            tables.setdefault(block, {})[run.model_name] = means
+            tables.setdefault(block, {})[rep.model_name] = means
     out = {"OVERALL": overall}
     for block in BLOCKS:
         if block in tables:

@@ -309,14 +309,16 @@ def toy_predict(
         containing = road.lanes_containing(anchor)
         if not containing:
             raise ValueError(f"scenario {rec.id!r}: anchor is off every lane")
-        routes = _routes_from(road, containing[0])
+        # each route's polyline, the anchor's arc offset on it and its length
+        routes = []
+        for chain in _routes_from(road, containing[0])[:k]:
+            poly = _chain_polyline(road, chain)
+            _, s_a, _ = geom.nearest_on_polyline(anchor, poly)
+            routes.append((poly, s_a, geom.arc_length(poly)))
         modes = []
         for m in range(k):
-            chain = routes[m % len(routes)]
-            poly = _chain_polyline(road, chain)
-            _, s_a, tangent = geom.nearest_on_polyline(anchor, poly)
+            poly, s_a, total = routes[m % len(routes)]
             speed = obs_speed * (0.7 + 0.6 * m / (k - 1))
-            total = geom.arc_length(poly)
             pts = []
             end_dir = None
             for t in range(1, horizon + 1):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from criteria import geom, synth
-from criteria.errors import DegenerateHeadingError
+from criteria.errors import DegenerateHeadingError, InvalidMapError
 from criteria.map_model import LaneSegment, RoadMap, is_turn_lane
 from criteria.scenario import Structure
 from criteria.trajectory import PredictionSet, Trajectory
@@ -70,12 +70,53 @@ def reference_polyline_heading(p, polyline) -> float:
     t = np.where(denom > 0, np.clip(t, 0.0, 1.0), 0.0)
     d = np.linalg.norm(p[None, :] - (a + t[:, None] * ab), axis=1)
     i = int(np.flatnonzero(d <= d.min() + 1e-12)[-1])
+    return reference_tangent(ab, denom, i)
+
+
+def reference_tangent(ab, denom, i: int) -> float:
+    """Heading of segment ``i`` of a polyline whose segments have the vectors
+    ``ab`` and squared lengths ``denom``: its own, or for a zero-length
+    segment the first usable segment's."""
     if denom[i] > 0:
         return geom.heading(ab[i])
     usable = np.flatnonzero(np.sqrt(denom) > geom.DEGENERATE_EPS)
     if len(usable) == 0:
         raise DegenerateHeadingError("polyline has no usable direction")
     return geom.heading(ab[usable[0]])
+
+
+# -- per-item references for the batched map-geometry constructors -----------
+
+
+def reference_polyline(polyline) -> dict[str, np.ndarray]:
+    """A polyline checked and laid out on its own, segment by segment: the
+    fields of ``geom.Polyline``, with each tangent NaN where
+    ``reference_tangent`` raises."""
+    pts = geom.as_points(polyline)
+    if len(pts) < 2:
+        raise ValueError("polyline needs >= 2 points")
+    ab = pts[1:] - pts[:-1]
+    denom = np.einsum("ij,ij->i", ab, ab)
+    tangents = []
+    for i in range(len(ab)):
+        try:
+            tangents.append(reference_tangent(ab, denom, i))
+        except DegenerateHeadingError:
+            tangents.append(math.nan)
+    return dict(points=pts, a=pts[:-1], ab=ab, denom=denom,
+                seg_len=np.sqrt(denom), tangents=np.array(tangents))
+
+
+def reference_normalize_ring(ring) -> np.ndarray:
+    """One polygon ring checked on its own and turned counter-clockwise by
+    the sign of its ``signed_area``."""
+    ring = geom.as_points(ring)
+    if len(ring) < 3:
+        raise InvalidMapError(f"polygon needs >= 3 vertices, got {len(ring)}")
+    area = geom.signed_area(ring)
+    if abs(area) < 1e-12:
+        raise InvalidMapError("degenerate polygon (zero area)")
+    return ring[::-1].copy() if area < 0 else ring
 
 
 def reference_lanes_containing(road, p) -> list[str]:

@@ -296,8 +296,13 @@ class TestConfig:
         ({"dao": [1, 2]}, "$.dao"),
         ({"dao": {"cell": 1e-9}}, "$.dao.cell"),
         ({"aae_unit": "degs"}, "$.aae_unit"),
+        ({"kinematic": {"anchor": [1, 2]}}, "$.kinematic.anchor"),
+        ({"kinematic": {"bogus": 1}}, "$.kinematic.bogus"),
+        ({"amv_reduction": "X"}, "$.amv_reduction"),
+        ({"alignment": {"stationary_policy": "X"}}, "$.alignment.stationary_policy"),
     ], ids=["nan", "inf", "turn_radius", "alpha", "alpha_length", "bool",
-            "string", "float_window", "not_an_object", "tiny_cell", "aae_unit"])
+            "string", "float_window", "not_an_object", "tiny_cell", "aae_unit",
+            "anchor", "unknown_key", "amv_reduction", "stationary_policy"])
     @pytest.mark.parametrize("command", ["tag", "eval"])
     def test_bad_value_is_schema_error(self, fixtures, tmp_path, capsys,
                                        doc, path, command):

@@ -12,6 +12,8 @@ from conftest import (
     assert_cover_matches,
     reference_grid_mask,
     reference_in_polygon,
+    reference_normalize_ring,
+    reference_polyline,
     reference_rasterize_occupancy,
 )
 
@@ -305,45 +307,95 @@ COORDS = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([0.0, 1e-6, -1e-6, 2e-6, 1e-7]),
 )
-POINT_LISTS = st.lists(
-    st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=40), max_size=5
+# good and bad point blocks: lists of pairs (on a small grid, where
+# repeated points make zero-length segments, or empty, short or with NaN or
+# inf), lists of triples, and a bare pair
+BLOCKS = st.one_of(
+    st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=2, max_size=8),
+    st.lists(st.tuples(COORDS, COORDS), max_size=40),
+    st.lists(st.tuples(st.one_of(COORDS, st.sampled_from([math.nan, math.inf])),
+                       COORDS), min_size=1, max_size=5),
+    st.lists(st.tuples(COORDS, COORDS, COORDS), min_size=1, max_size=3),
+    st.tuples(COORDS, COORDS),
 )
+POINT_LISTS = st.lists(BLOCKS, max_size=5)
+
+
+@st.composite
+def _near_flat_rings(draw):
+    """8 to 60 points along one line, far from the origin: the shoelace
+    terms are large and cancel, up to rounding."""
+    a = np.array([draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))])
+    d = np.array([draw(st.floats(-1, 1)), draw(st.floats(-1, 1))])
+    steps = draw(st.lists(st.floats(-1e4, 1e4), min_size=8, max_size=60))
+    return [tuple(a + t * d) for t in steps]
 
 
 def _outcome(f, items):
-    """Every array ``f(items)`` returns as bytes, or its error."""
+    """What ``f(items)`` returns, as bytes, or its error with its ``index``."""
     try:
         out = f(items)
     except (InvalidMapError, ValueError) as e:
-        return type(e).__name__, str(e)
+        return type(e).__name__, str(e), e.index
     return [(a.dtype, a.shape, a.tobytes()) for a in out]
 
 
+def _per_item(make):
+    """``make`` run on each item in turn; the first error raised gets the
+    item's position as its ``index``."""
+    def run(items):
+        out = []
+        for i, item in enumerate(items):
+            try:
+                out.append(make(item))
+            except (InvalidMapError, ValueError) as e:
+                e.index = i
+                raise
+        return out
+    return run
+
+
+def _polyline_fields(lines):
+    return [line[key] if isinstance(line, dict) else getattr(line, key)
+            for line in lines
+            for key in ("points", "a", "ab", "denom", "seg_len", "tangents")]
+
+
 class TestBatchedConstructors:
-    """The one-pass forms of per-ring and per-polyline constructors match
-    their loops bit for bit, errors included."""
+    """The one-pass ring and polyline constructors against per-item
+    references (``tests/conftest.py``): every array bit for bit, and the
+    first bad item's error, at its position."""
 
     @given(POINT_LISTS)
     def test_normalize_rings_matches_per_ring(self, rings):
-        want = _outcome(lambda rs: [geom.normalize_ring(r) for r in rs], rings)
+        want = _outcome(_per_item(reference_normalize_ring), rings)
         assert _outcome(geom.normalize_rings, rings) == want
 
-    @given(st.lists(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
-                             min_size=3, max_size=200), min_size=1, max_size=4))
+    @given(st.lists(st.one_of(
+        st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+                 min_size=3, max_size=200),
+        _near_flat_rings(),
+    ), min_size=1, max_size=4))
     def test_signed_areas_match_per_ring(self, rings):
-        """Rings of 8 or more vertices are summed pairwise by np.sum."""
-        _, areas = geom._signed_areas(rings)
-        want = [geom.signed_area(np.asarray(r, dtype=float)) for r in rings]
-        assert np.array(areas).tobytes() == np.array(want).tobytes()
+        """Rings of 8 or more vertices, whose shoelace terms ``np.sum`` adds
+        pairwise, some of them flat up to rounding, so that the order of the
+        sum decides their orientation or rejection: each ring is turned
+        around exactly when its ``signed_area`` is negative."""
+        want = _outcome(_per_item(reference_normalize_ring), rings)
+        assert _outcome(geom.normalize_rings, rings) == want
 
     @given(POINT_LISTS)
     def test_polyline_many_matches_per_line(self, lines):
-        def fields(make):
-            return [a for line in make(lines)
-                    for a in (line.a, line.ab, line.denom, line.seg_len)]
-        want = _outcome(lambda _: fields(lambda ls: [geom.Polyline(p) for p in ls]),
+        want = _outcome(lambda ls: _polyline_fields(_per_item(reference_polyline)(ls)),
                         lines)
-        assert _outcome(lambda _: fields(geom.Polyline.many), lines) == want
+        assert _outcome(lambda ls: _polyline_fields(geom.Polyline.many(ls)),
+                        lines) == want
+
+    def test_tangent_raises_where_there_is_none(self):
+        line = geom.Polyline([(0, 0), (0, 0)])
+        with pytest.raises(DegenerateHeadingError):
+            line.tangent(0)
 
 
 class TestGridIndex:

@@ -8,7 +8,12 @@ from hypothesis import given, strategies as st
 
 from criteria import io, synth
 from criteria.bench import evaluate_model
-from criteria.errors import CriteriaError, DataConsistencyError, SchemaError
+from criteria.errors import (
+    CriteriaError,
+    DataConsistencyError,
+    InvalidMapError,
+    SchemaError,
+)
 from criteria.metrics import MAX_DAO_CELLS_PER_SIDE, Reduction, StationaryPolicy
 from criteria.scenario import (
     Difficulty,
@@ -58,6 +63,25 @@ class TestRunConfig:
     def test_bad_value_is_schema_error(self):
         with pytest.raises(SchemaError):
             io.RunConfig.from_dict({"amv_reduction": "MEDIAN"})
+
+    @pytest.mark.parametrize("section", ["kinematic", "alignment", "dao",
+                                         "scenario", "weights"])
+    @pytest.mark.parametrize("key", ["anchor", "bogus"])
+    def test_unknown_setting_names_its_path(self, section, key):
+        with pytest.raises(SchemaError) as e:
+            io.RunConfig.from_dict({section: {key: [1, 2]}})
+        assert e.value.path == f"$.{section}.{key}"
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"amv_reduction": "MEDIAN"}, "$.amv_reduction"),
+        ({"amv_reduction": ["SUM"]}, "$.amv_reduction"),
+        ({"alignment": {"stationary_policy": "SKIP"}}, "$.alignment.stationary_policy"),
+        ({"alignment": {"stationary_policy": None}}, "$.alignment.stationary_policy"),
+    ])
+    def test_bad_choice_names_its_path(self, doc, path):
+        with pytest.raises(SchemaError) as e:
+            io.RunConfig.from_dict(doc)
+        assert e.value.path == path
 
     @pytest.mark.parametrize("unit", ["deg", "rad"])
     def test_aae_unit_accepted(self, unit):
@@ -586,3 +610,15 @@ class TestFaultOrder:
         _faults(doc, [((ids[0], 2, ids[2]), "another id")])
         with pytest.raises(DataConsistencyError):
             load(doc)
+
+    def test_map_geometry_outranks_a_duplicate_lane_id(self):
+        """``RoadMap`` checks every lane polygon and drivable ring before the
+        lane ids, so a flat drivable ring is the error a map with both
+        gives."""
+        doc = _json(io.map_to_dict(ROAD))
+        doc["lanes"][2]["id"] = doc["lanes"][0]["id"]
+        with pytest.raises(InvalidMapError, match="duplicate lane id"):
+            io.map_from_dict(json.loads(json.dumps(doc)))
+        doc["drivable_area"][1] = [[0, 0], [1, 1], [2, 2]]
+        with pytest.raises(InvalidMapError, match="degenerate polygon"):
+            io.map_from_dict(doc)

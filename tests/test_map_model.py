@@ -19,6 +19,8 @@ from conftest import (
     reference_in_polygon,
     reference_lane_within_radius,
     reference_lanes_containing,
+    reference_normalize_ring,
+    reference_polyline,
     simple_lane,
 )
 
@@ -339,22 +341,15 @@ class TestLaneHeading:
         [[10.0, 0.0], [0.0, -0.0], [0.0, 5.0]],
     ], ids=["repeated_vertices", "too_short", "no_usable_segment", "minus_pi"])
     def test_tangents_follow_polyline_tangent(self, centerline):
-        """The headings laid out at build time are ``Polyline.tangent`` of
-        each segment, NaN where it raises: a zero-length segment takes the
-        first usable one, a segment shorter than ``DEGENERATE_EPS`` has
-        none, and -pi turns into pi."""
+        """The headings laid out at build time follow the per-segment rule
+        (``reference_tangent``), NaN where it raises: a zero-length segment
+        takes the first usable one, a segment shorter than
+        ``DEGENERATE_EPS`` has none, and -pi turns into pi."""
         box = np.array([[-1.0, -1.0], [11.0, -1.0], [11.0, 6.0], [-1.0, 6.0]])
         lane = LaneSegment(id="L", centerline=np.array(centerline), polygon=box)
         road = RoadMap(map_id="m", lanes=[lane], drivable=[box])
-        line = geom.Polyline(lane.centerline)
-        want = []
-        for i in range(len(line.ab)):
-            try:
-                want.append(line.tangent(i))
-            except DegenerateHeadingError:
-                want.append(math.nan)
-        np.testing.assert_array_equal(road._tangents["L"], want)
-
+        np.testing.assert_array_equal(road._centerlines["L"].tangents,
+                                      reference_polyline(centerline)["tangents"])
 
     def test_tangents_of_many_lanes_stay_per_lane(self):
         """One pass lays out every lane's headings; a lane with no usable
@@ -370,67 +365,94 @@ class TestLaneHeading:
         lanes = [LaneSegment(id=f"L{i}", centerline=np.array(c), polygon=box)
                  for i, c in enumerate(centerlines)]
         road = RoadMap(map_id="m", lanes=lanes, drivable=[box])
-        for lane in lanes:
-            line = geom.Polyline(lane.centerline)
-            want = []
-            for i in range(len(line.ab)):
-                try:
-                    want.append(line.tangent(i))
-                except DegenerateHeadingError:
-                    want.append(math.nan)
-            np.testing.assert_array_equal(road._tangents[lane.id], want)
+        for lane, centerline in zip(lanes, centerlines):
+            np.testing.assert_array_equal(road._centerlines[lane.id].tangents,
+                                          reference_polyline(centerline)["tangents"])
+
+    def test_no_usable_direction_raises(self):
+        box = np.array([[-1.0, -1.0], [11.0, -1.0], [11.0, 6.0], [-1.0, 6.0]])
+        lane = LaneSegment(id="L", centerline=np.zeros((2, 2)), polygon=box)
+        road = RoadMap(map_id="m", lanes=[lane], drivable=[box])
+        with pytest.raises(DegenerateHeadingError, match="lane 'L'"):
+            road.lane_heading_at("L", (0.0, 0.0))
 
 
 class TestLaneSegmentMany:
-    """``LaneSegment.many`` builds what the per-lane constructor builds, and
-    raises the first lane's error."""
+    """Many lane records built into one ``RoadMap``: its one pass over all
+    their geometry gives each lane what the per-lane references give, and
+    the first bad lane raises its error."""
 
     @staticmethod
-    def fields(kind: synth.MapKind) -> list[dict]:
+    def lanes(kind: synth.MapKind) -> list[LaneSegment]:
+        """The lanes of a synthetic map as read from its file, with every
+        other polygon clockwise and every third centerline a list."""
         doc = io.map_to_dict(synth_road(kind))
-        fields = [
-            dict(lane, centerline=np.array(lane["centerline"]),
-                 polygon=np.array(lane["polygon"]), turn=Turn(lane["turn"]))
-            for lane in doc["lanes"]
-        ]
-        for f in fields[::2]:  # clockwise rings get turned around
-            f["polygon"] = f["polygon"][::-1]
-        return fields
-
-    @staticmethod
-    def as_tuples(lanes):
         return [
-            tuple(v.tobytes() if isinstance(v, np.ndarray) else v
-                  for v in dataclasses.astuple(lane))
-            for lane in lanes
+            LaneSegment(**dict(
+                lane, turn=Turn(lane["turn"]), successors=tuple(lane["successors"]),
+                centerline=(lane["centerline"] if i % 3 == 0
+                            else np.array(lane["centerline"])),
+                polygon=np.array(lane["polygon"][::-1 if i % 2 == 0 else 1]),
+            ))
+            for i, lane in enumerate(doc["lanes"])
         ]
 
     @pytest.mark.parametrize("kind", list(synth.MapKind))
     def test_matches_per_lane(self, kind):
-        fields = self.fields(kind)
-        want = [LaneSegment(**f) for f in fields]
-        assert self.as_tuples(LaneSegment.many(fields)) == self.as_tuples(want)
+        """A clockwise polygon comes out counter-clockwise, in ``road.lanes``
+        and in the map's document; a record whose fields are already float
+        arrays and whose polygon is counter-clockwise is kept as it is."""
+        lanes = self.lanes(kind)
+        road = RoadMap(kind.value, lanes, synth_road(kind).drivable)
+        doc = io.map_to_dict(road)
+        for lane, written in zip(lanes, doc["lanes"]):
+            got = road.lanes[lane.id]
+            want = reference_normalize_ring(lane.polygon)
+            assert got.polygon.tobytes() == want.tobytes()
+            assert written["polygon"] == want.tolist()
+            assert got.centerline.tobytes() == geom.as_points(lane.centerline).tobytes()
+            assert dataclasses.replace(got, centerline=None, polygon=None) == \
+                dataclasses.replace(lane, centerline=None, polygon=None)
+            kept = isinstance(lane.centerline, np.ndarray) and want is lane.polygon
+            assert (got is lane) == kept
 
     def test_defaults_filled_in(self):
         lane = simple_lane("A")
-        (got,) = LaneSegment.many([dict(id="A", centerline=lane.centerline,
-                                        polygon=lane.polygon)])
-        assert self.as_tuples([got]) == self.as_tuples([
-            LaneSegment(id="A", centerline=lane.centerline, polygon=lane.polygon)
-        ])
+        road = RoadMap("m", [LaneSegment(id="A", centerline=lane.centerline,
+                                         polygon=lane.polygon)], [lane.polygon])
+        assert road.lanes["A"] == LaneSegment(
+            id="A", centerline=lane.centerline, polygon=lane.polygon, turn=Turn.NONE,
+            is_intersection=False, successors=(), left_neighbor=None,
+            right_neighbor=None,
+        )
 
-    @pytest.mark.parametrize("bad,message", [
+    @pytest.mark.parametrize("bad,error", [
         (dict(polygon=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])),
-         "degenerate polygon"),
-        (dict(centerline=np.array([[0.0, 0.0]])), "centerline needs >= 2 points"),
-        (dict(centerline=np.array([[0.0, 0.0], [np.nan, 0.0]])), "NaN or inf"),
+         "degenerate polygon (zero area)"),
+        (dict(centerline=np.array([[0.0, 0.0]])),
+         "lane '{}': centerline: polyline needs >= 2 points"),
+        (dict(centerline=np.array([[0.0, 0.0], [np.nan, 0.0]])),
+         "lane '{}': centerline: points contain NaN or inf"),
     ], ids=["flat_polygon", "short_centerline", "nan_centerline"])
-    def test_first_bad_lane_raises(self, bad, message):
-        fields = self.fields(synth.MapKind.CROSSROADS)
-        fields[1].update(bad)
-        fields[3].update(polygon=np.zeros((3, 2)))
-        with pytest.raises((InvalidMapError, ValueError), match=message):
-            LaneSegment.many(fields)
+    def test_first_bad_lane_raises(self, bad, error):
+        lanes = self.lanes(synth.MapKind.CROSSROADS)
+        lanes[1] = dataclasses.replace(lanes[1], **bad)
+        lanes[3] = dataclasses.replace(lanes[3], polygon=np.zeros((3, 2)))
+        with pytest.raises(InvalidMapError) as e:
+            RoadMap("bad", lanes, synth_road(synth.MapKind.CROSSROADS).drivable)
+        assert str(e.value) == error.format(lanes[1].id)
+        if "{}" not in error:  # a polygon error names its lane by position
+            assert e.value.index == 1
+
+    def test_zero_area_drivable_ring_raises(self):
+        """Drivable rings are oriented after the lane polygons, in the same
+        call; the first bad ring names its place in that call."""
+        lanes = self.lanes(synth.MapKind.CROSSROADS)
+        drivable = list(synth_road(synth.MapKind.CROSSROADS).drivable)
+        drivable[1] = drivable[3] = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(InvalidMapError, match=r"degenerate polygon \(zero area\)") as e:
+            RoadMap("bad", lanes, drivable)
+        assert e.value.index == len(lanes) + 1
 
 
 class TestDrivable:

@@ -52,6 +52,13 @@ def run_and_tags(name="m", n=4, offset=0.0):
     return EvaluationRun(name, per, {}), tags
 
 
+def summaries(*runs):
+    """Each run's ``aggregate`` report and ``block_means``, as ``report``
+    computes them."""
+    return [(aggregate(run, tags, WeightConfig()), block_means(run, tags))
+            for run, tags in runs]
+
+
 class TestBlockMeans:
     def test_pools_difficulties(self):
         run, tags = run_and_tags()
@@ -77,7 +84,7 @@ class TestRenderCsv:
     def test_parses_and_ranks(self):
         run_a, tags = run_and_tags("a")
         run_b, _ = run_and_tags("b", offset=1.0)
-        tables = collect_block_tables([(run_a, tags), (run_b, tags)])
+        tables = collect_block_tables(summaries((run_a, tags), (run_b, tags)))
         text = render_csv(tables["OVERALL"])
         rows = list(csv.DictReader(stdio.StringIO(text)))
         assert [r["model"] for r in rows] == ["a", "b"]
@@ -87,7 +94,7 @@ class TestRenderCsv:
 
     def test_overall_table_first(self):
         run, tags = run_and_tags()
-        tables = collect_block_tables([(run, tags)])
+        tables = collect_block_tables(summaries((run, tags)))
         assert list(tables)[0] == "OVERALL"
         assert all(b in BLOCKS for b in list(tables)[1:])
 
@@ -95,7 +102,7 @@ class TestRenderCsv:
 class TestRenderMarkdown:
     def test_header_and_rows(self):
         run, tags = run_and_tags()
-        tables = collect_block_tables([(run, tags)])
+        tables = collect_block_tables(summaries((run, tags)))
         md = render_markdown("OVERALL", tables["OVERALL"])
         lines = md.splitlines()
         assert lines[0] == "## OVERALL"
@@ -108,7 +115,7 @@ class TestBuildReport:
     def test_document_shape(self):
         run_a, tags = run_and_tags("a")
         run_b, _ = run_and_tags("b", offset=1.0)
-        doc = build_report([(run_a, tags), (run_b, tags)])
+        doc = build_report(summaries((run_a, tags), (run_b, tags)))
         assert set(doc["models"]) == {"a", "b"}
         assert set(doc["overall_ranks"]) == set(METRIC_NAMES)
         assert doc["overall_ranks"]["minADE"] == {"a": 1, "b": 2}
@@ -117,13 +124,15 @@ class TestBuildReport:
 
     def test_shared_summaries_change_nothing(self):
         """``report`` aggregates each run once and hands the results to both
-        builders; either builder computes the same without them."""
-        runs = [run_and_tags("a"), run_and_tags("b", offset=0.5)]
-        summaries = [(aggregate(run, tags, WeightConfig()), block_means(run, tags))
-                     for run, tags in runs]
-        assert build_report(runs, WeightConfig(), summaries) == build_report(runs)
-        assert collect_block_tables(runs, WeightConfig(), summaries) == \
-            collect_block_tables(runs)
+        builders, which then agree on every overall and block mean."""
+        shared = summaries(run_and_tags("a"), run_and_tags("b", offset=0.5))
+        doc, tables = build_report(shared), collect_block_tables(shared)
+        for rep, blocks in shared:
+            model = rep.model_name
+            assert doc["models"][model]["overall"] == tables["OVERALL"][model]
+            assert doc["blocks"][model] == blocks
+            for block, means in blocks.items():
+                assert tables[block][model] == means
 
 
 class TestBalanceRendering:
