@@ -14,8 +14,9 @@ from .bench import (
     evaluate_model,
     rank,
 )
+from .io import RunConfig
 from .map_model import LaneSegment, RoadMap, Turn, is_turn_lane
-from .metrics import AlignmentConfig, DaoConfig, Reduction, TriadResult, att
+from .metrics import AlignmentConfig, AngleUnit, DaoConfig, Reduction, TriadResult, att
 from .scenario import (
     Difficulty,
     LengthClass,

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import metrics
-from .errors import DataConsistencyError, ShapeError
+from .errors import DataConsistencyError, SettingError, ShapeError
 from .map_model import RoadMap
-from .metrics import AlignmentConfig, DaoConfig, Reduction, TriadResult
+from .metrics import TriadResult
 from .scenario import Difficulty, ScenarioRecord, ScenarioTag
-from .trajectory import KinematicConfig, PredictionSet
+from .trajectory import PredictionSet
+
+if TYPE_CHECKING:  # io imports this module
+    from .io import RunConfig
 
 # metric name -> True when larger is better
 METRIC_DIRECTIONS = {
@@ -38,9 +41,12 @@ class WeightConfig:
     w_easy: float = 1.0
 
     def __post_init__(self):
-        ws = (self.w_hard, self.w_middle, self.w_easy)
-        if any(w < 0 for w in ws) or all(w == 0 for w in ws):
-            raise ValueError("weights must be non-negative and not all zero")
+        names = ("w_hard", "w_middle", "w_easy")
+        for name in names:
+            if getattr(self, name) < 0:
+                raise SettingError(f"{name} must be non-negative", name)
+        if all(getattr(self, name) == 0 for name in names):
+            raise SettingError("weights must not all be zero")
 
     def of(self, d: Difficulty) -> float:
         return {
@@ -60,7 +66,7 @@ class ScenarioResult:
 class EvaluationRun:
     model_name: str
     per_scenario: dict[str, ScenarioResult]
-    config_snapshot: dict
+    config: RunConfig
 
 
 @dataclass
@@ -73,28 +79,21 @@ class MetricReport:
 
 
 def evaluate_scenario(
-    rec: ScenarioRecord,
-    road: RoadMap,
-    pred: PredictionSet,
-    align_cfg: AlignmentConfig,
-    kin_cfg: KinematicConfig,
-    dao_cfg: DaoConfig,
-    amv_reduction: Reduction = Reduction.SUM,
-    aae_unit: str = "deg",
+    rec: ScenarioRecord, road: RoadMap, pred: PredictionSet, config: RunConfig
 ) -> ScenarioResult:
     if pred.anchor is None:
         raise DataConsistencyError(f"prediction {pred.scenario_id!r} has no anchor")
-    kin = kin_cfg.with_anchor(pred.anchor)
-    triad = metrics.att(pred, road, align_cfg, kin)
+    kin = config.kinematic.with_anchor(pred.anchor)
+    triad = metrics.att(pred, road, config.alignment, kin)
     values = {
         "minADE": metrics.min_ade(pred, rec.future),
         "minFDE": metrics.min_fde(pred, rec.future),
         "RF": metrics.rf(pred, rec.future),
         "minASD": metrics.min_asd(pred),
         "minFSD": metrics.min_fsd(pred),
-        "AAE": metrics.aae(pred, unit=aae_unit),
-        "AMV": metrics.amv(pred, kin, amv_reduction),
-        "DAO": metrics.dao(pred, road, dao_cfg, pred.anchor),
+        "AAE": metrics.aae(pred, unit=config.aae_unit),
+        "AMV": metrics.amv(pred, kin, config.amv_reduction),
+        "DAO": metrics.dao(pred, road, config.dao, pred.anchor),
         # same value as metrics.dac, without a second boundary test per mode
         "DAC": triad.test_rates()["boundary"],
         "ATT": triad.att_rate,
@@ -107,12 +106,7 @@ def evaluate_model(
     records: Sequence[ScenarioRecord],
     maps: Mapping[str, RoadMap],
     predictions: Mapping[str, PredictionSet],
-    align_cfg: AlignmentConfig = AlignmentConfig(),
-    kin_cfg: KinematicConfig = KinematicConfig(),
-    dao_cfg: DaoConfig = DaoConfig(),
-    amv_reduction: Reduction = Reduction.SUM,
-    aae_unit: str = "deg",
-    config_snapshot: dict | None = None,
+    config: RunConfig,
 ) -> EvaluationRun:
     missing = sorted(r.id for r in records if r.id not in predictions)
     if missing:
@@ -135,23 +129,11 @@ def evaluate_model(
             )
 
     per_scenario = {
-        rec.id: evaluate_scenario(
-            rec,
-            maps[rec.map_id],
-            predictions[rec.id],
-            align_cfg,
-            kin_cfg,
-            dao_cfg,
-            amv_reduction,
-            aae_unit,
-        )
+        rec.id: evaluate_scenario(rec, maps[rec.map_id], predictions[rec.id], config)
         for rec in sorted(records, key=lambda r: r.id)
     }
-    return EvaluationRun(
-        model_name=model_name,
-        per_scenario=per_scenario,
-        config_snapshot=config_snapshot or {},
-    )
+    return EvaluationRun(model_name=model_name, per_scenario=per_scenario,
+                         config=config)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -226,21 +208,6 @@ def rank(values: Mapping[str, float], metric: str) -> dict[str, int]:
         )
         out[model] = 1 + better
     return out
-
-
-def rank_reports(
-    reports: Sequence[MetricReport], metric: str, category: str | None = None
-) -> dict[str, int]:
-    values = {}
-    for rep in reports:
-        source = rep.overall if category is None else rep.per_category.get(category)
-        if source is None or metric not in source:
-            raise DataConsistencyError(
-                f"model {rep.model_name!r} has no {metric!r} for "
-                f"category {category!r}"
-            )
-        values[rep.model_name] = source[metric]
-    return rank(values, metric)
 
 
 def balance_data(

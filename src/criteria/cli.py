@@ -160,25 +160,14 @@ def cmd_eval(args) -> int:
     missing = sorted(r.id for r in records if r.id not in tags)
     if missing:
         raise DataConsistencyError(f"tags missing for scenarios: {missing}")
-    run = evaluate_model(
-        model_name=model,
-        records=records,
-        maps={road.map_id: road},
-        predictions=preds,
-        align_cfg=cfg.alignment,
-        kin_cfg=cfg.kinematic,
-        dao_cfg=cfg.dao,
-        amv_reduction=cfg.amv_reduction,
-        aae_unit=cfg.aae_unit,
-        config_snapshot=cfg.to_dict(),
-    )
+    run = evaluate_model(model, records, {road.map_id: road}, preds, cfg)
     inputs = {
         "scenarios": io.sha256_file(args.scenarios),
         "maps": io.sha256_file(args.maps),
         "predictions": io.sha256_file(args.predictions),
         "tags": io.sha256_file(args.tags),
     }
-    io.write_json(args.out, io.metrics_to_dict(run, cfg, inputs, tags))
+    io.write_json(args.out, io.metrics_to_dict(run, inputs, tags))
     return EXIT_OK
 
 
@@ -201,14 +190,14 @@ def cmd_report(args) -> int:
             raise DataConsistencyError(
                 f"{path}: metrics file carries no scenario tags"
             )
-        if runs and run.config_snapshot != runs[0][0].config_snapshot:
+        if runs and run.config != runs[0][0].config:
             raise DataConsistencyError(
                 f"{args.metrics[0]} and {path} were evaluated under "
                 "different run configurations"
             )
         runs.append((run, tags))
         inputs[f"metrics[{run.model_name}]"] = io.sha256_file(path)
-    cfg = io.RunConfig.from_dict(runs[0][0].config_snapshot)
+    cfg = runs[0][0].config
 
     # each run aggregated once, for the report, the tables and the chart
     summaries = [

@@ -26,6 +26,16 @@ class SchemaError(CriteriaError):
         super().__init__(f"{path}: {message}")
 
 
+class SettingError(ValueError):
+    """A configuration setting out of its range. ``keys`` names the settings
+    that the failed check constrains, in the order to blame them; it is
+    empty when the check blames no single setting."""
+
+    def __init__(self, message: str, *keys: str):
+        self.keys = keys
+        super().__init__(message)
+
+
 class DataConsistencyError(CriteriaError):
     """Cross-file references do not resolve (missing/duplicate/dangling ids)."""
 

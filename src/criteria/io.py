@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any
@@ -23,16 +23,9 @@ from typing import Any
 import numpy as np
 
 from .bench import METRIC_NAMES, EvaluationRun, ScenarioResult, WeightConfig
-from .errors import CriteriaError, DataConsistencyError, SchemaError
+from .errors import CriteriaError, DataConsistencyError, SchemaError, SettingError
 from .map_model import LaneSegment, RoadMap, Turn
-from .metrics import (
-    AlignmentConfig,
-    DaoConfig,
-    GridTooFineError,
-    Reduction,
-    StationaryPolicy,
-    TriadResult,
-)
+from .metrics import AlignmentConfig, AngleUnit, DaoConfig, Reduction, TriadResult
 from .scenario import ScenarioConfig, ScenarioRecord, ScenarioTag
 from .scenario import Difficulty, LengthClass, Structure
 from .trajectory import KinematicConfig, PredictionSet, Trajectory
@@ -304,22 +297,27 @@ def write_text(path, text: str) -> None:
     _write_atomic(path, lambda f: f.write(text))
 
 
+def _setting_names(config) -> list[str]:
+    """The names of the settings of a config dataclass: its fields, but for
+    ``KinematicConfig.anchor``, which belongs to a scenario, not to the run."""
+    return [f.name for f in fields(config) if f.name != "anchor"]
+
+
 def _json_value(value):
     """A run configuration, or an attribute of a lane or scenario record, as
     the JSON value that ``RunConfig.from_dict`` or the record's table reads
-    back. A dataclass becomes an object of its fields, but for
-    ``KinematicConfig.anchor``, which belongs to a scenario, not to the run."""
+    back. A config dataclass becomes an object of its settings."""
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, (str, int, float)) or value is None:
         return value
     if isinstance(value, Trajectory):
         return value.points.tolist()
     if is_dataclass(value):
-        return {f.name: _json_value(getattr(value, f.name))
-                for f in fields(value) if f.name != "anchor"}
+        return {name: _json_value(getattr(value, name))
+                for name in _setting_names(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, Enum):
-        return value.value
     return list(value) if isinstance(value, tuple) else value
 
 
@@ -334,90 +332,65 @@ class RunConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     weights: WeightConfig = field(default_factory=WeightConfig)
     amv_reduction: Reduction = Reduction.SUM
-    aae_unit: str = "deg"
+    aae_unit: AngleUnit = AngleUnit.DEG
 
     def to_dict(self) -> dict:
         return _json_value(self)
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "$") -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise SchemaError(path, "expected an object")
-        defaults = cls().to_dict()
-        kin, ali, dao, sce, wts = (
-            _config_section(doc, name, defaults[name], path)
-            for name in ("kinematic", "alignment", "dao", "scenario", "weights")
-        )
-        try:
-            dao_config = DaoConfig(**dao)
-        except GridTooFineError as e:
-            raise SchemaError(f"{path}.dao.cell", str(e)) from e
-        except (TypeError, ValueError) as e:
-            raise SchemaError(path, f"invalid configuration: {e}") from e
-        aae_unit = _choice(doc.get("aae_unit", "deg"), ("deg", "rad"), f"{path}.aae_unit")
-        policy = _choice(ali["stationary_policy"], StationaryPolicy,
-                         f"{path}.alignment.stationary_policy")
-        reduction = _choice(doc.get("amv_reduction", "SUM"), Reduction,
-                            f"{path}.amv_reduction")
-        try:
-            return cls(
-                kinematic=KinematicConfig(**kin),
-                alignment=AlignmentConfig(
-                    threshold_lac=ali["threshold_lac"],
-                    tail_steps=ali["tail_steps"],
-                    stationary_eps=ali["stationary_eps"],
-                    stationary_policy=StationaryPolicy(policy),
-                ),
-                dao=dao_config,
-                scenario=ScenarioConfig(
-                    turn_radius=sce["turn_radius"],
-                    alpha=tuple(sce["alpha"]),
-                    beta=sce["beta"],
-                ),
-                weights=WeightConfig(**wts),
-                amv_reduction=Reduction(reduction),
-                aae_unit=aae_unit,
-            )
-        except ValueError as e:
-            raise SchemaError(path, f"invalid configuration: {e}") from e
+        return _read_config(cls(), doc, path)
 
 
-def _choice(value, choices, path: str) -> str:
-    """``value`` if it is one of the strings ``choices`` (or the values of
-    the enum ``choices``), else a ``SchemaError`` at ``path``."""
-    choices = [getattr(c, "value", c) for c in choices]
-    if isinstance(value, str) and value in choices:
+def _read_config(default, doc, path: str):
+    """The config dataclass ``default`` with the settings in ``doc`` read
+    over it, in document order. Each key must be a setting that ``to_dict``
+    writes; each value is read by the type of its default (``_read_setting``).
+    A range check that fails is named at the first of its keys that ``doc``
+    moves off its default (a check that the defaults pass fails only then),
+    or at ``path`` if it blames no single one."""
+    if not isinstance(doc, dict):
+        raise SchemaError(path, "expected an object")
+    names = _setting_names(default)
+    values = {}
+    for key, value in doc.items():
+        if key not in names:
+            raise SchemaError(f"{path}.{key}", "unknown setting")
+        values[key] = _read_setting(getattr(default, key), value, f"{path}.{key}")
+    try:
+        return replace(default, **values)
+    except SettingError as e:
+        key = next((k for k in e.keys
+                    if k in values and values[k] != getattr(default, k)), None)
+        raise SchemaError(path if key is None else f"{path}.{key}", str(e)) from e
+
+
+def _read_setting(default, value, path: str):
+    """``value`` read by the type of ``default``: a config dataclass by
+    ``_read_config``, an enum by its values, a tuple as that many finite
+    numbers, an int as an int, and a float as a finite number, kept as
+    written."""
+    if is_dataclass(default):
+        return _read_config(default, value, path)
+    if isinstance(default, Enum):
+        choices = [c.value for c in type(default)]
+        if isinstance(value, str) and value in choices:
+            return type(default)(value)
+        raise SchemaError(path, "expected " + " or ".join(f'"{c}"' for c in choices))
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise SchemaError(path, f"expected a list of {len(default)} numbers")
+        for j, v in enumerate(value):
+            if not _finite_number(v):
+                raise SchemaError(f"{path}[{j}]", "expected a finite number")
+        return tuple(value)
+    if type(default) is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(path, "expected an integer")
         return value
-    raise SchemaError(path, "expected " + " or ".join(f'"{c}"' for c in choices))
-
-
-def _config_section(doc: dict, name: str, defaults: dict, path: str) -> dict:
-    """The defaults of section ``name`` overridden by ``doc[name]``. Each
-    override must name a setting of the section; an override of a number
-    must be a finite number, or an integer where the default is one; an
-    override of a list of numbers, as many of them."""
-    sp = f"{path}.{name}"
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise SchemaError(sp, "expected an object")
-    for key, value in section.items():
-        if key not in defaults:
-            raise SchemaError(f"{sp}.{key}", "unknown setting")
-        default = defaults[key]
-        if isinstance(default, list):
-            if not isinstance(value, list) or len(value) != len(default):
-                raise SchemaError(
-                    f"{sp}.{key}", f"expected a list of {len(default)} numbers"
-                )
-            for j, v in enumerate(value):
-                if not _finite_number(v):
-                    raise SchemaError(f"{sp}.{key}[{j}]", "expected a finite number")
-        elif type(default) is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SchemaError(f"{sp}.{key}", "expected an integer")
-        elif type(default) is float and not _finite_number(value):
-            raise SchemaError(f"{sp}.{key}", "expected a finite number")
-    return {**defaults, **section}
+    if not _finite_number(value):
+        raise SchemaError(path, "expected a finite number")
+    return value
 
 
 def load_config(path=None) -> RunConfig:
@@ -641,11 +614,11 @@ _METRICS = {
 }
 
 
-def metrics_to_dict(run, config: RunConfig, inputs: dict[str, str],
+def metrics_to_dict(run: EvaluationRun, inputs: dict[str, str],
                     tags: dict[str, ScenarioTag] | None = None) -> dict:
     doc = {
         "model": run.model_name,
-        "config": config.to_dict(),
+        "config": run.config.to_dict(),
         "inputs": inputs,
         "per_scenario": {
             sid: {
@@ -663,7 +636,7 @@ def metrics_to_dict(run, config: RunConfig, inputs: dict[str, str],
 
 def metrics_from_dict(doc: dict, path: str = "$"):
     """Rehydrate an EvaluationRun (and embedded tags, if present); its
-    ``config_snapshot`` is the file's run configuration, defaults filled in."""
+    ``config`` is the file's run configuration, the defaults if it has none."""
     doc, _ = _Walk().read(_METRICS, doc, path)
     out = {}
     for sid, values in doc["per_scenario"].items():
@@ -679,7 +652,7 @@ def metrics_from_dict(doc: dict, path: str = "$"):
     run = EvaluationRun(
         model_name=doc["model"],
         per_scenario=dict(sorted(out.items())),
-        config_snapshot=(doc["config"] or RunConfig()).to_dict(),
+        config=doc["config"] or RunConfig(),
     )
     return run, _tags(doc["tags"] or {}, path)
 

@@ -68,7 +68,12 @@ class RoadMap:
             lines = geom.Polyline.many([lane.centerline for lane in lanes])
         except (TypeError, ValueError) as e:
             raise InvalidMapError(f"lane {lanes[e.index].id!r}: centerline: {e}") from e
-        rings = geom.normalize_rings([lane.polygon for lane in lanes] + list(drivable))
+        try:
+            rings = geom.normalize_rings([lane.polygon for lane in lanes] + list(drivable))
+        except (TypeError, ValueError, InvalidMapError) as e:
+            where = (f"lane {lanes[e.index].id!r}: polygon" if e.index < len(lanes)
+                     else f"drivable_area[{e.index - len(lanes)}]")
+            raise InvalidMapError(f"{where}: {e}") from e
         self.drivable = rings[len(lanes):]
         self.lanes = {}
         self._centerlines = {}

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from . import geom
-from .errors import ShapeError
+from .errors import SettingError, ShapeError
 from .map_model import RoadMap
 from .trajectory import (
     KinematicConfig,
@@ -48,6 +48,13 @@ class Reduction(Enum):
     MEAN = "MEAN"
 
 
+class AngleUnit(str, Enum):
+    """The unit of AAE; a ``str`` too, so it equals its value."""
+
+    DEG = "deg"
+    RAD = "rad"
+
+
 @dataclass(frozen=True)
 class AlignmentConfig:
     """Lane-alignment test parameters; confidence cutoff is strict."""
@@ -59,9 +66,9 @@ class AlignmentConfig:
 
     def __post_init__(self):
         if not 0.0 < self.threshold_lac < 1.0:
-            raise ValueError("threshold_lac must be in (0, 1)")
+            raise SettingError("threshold_lac must be in (0, 1)", "threshold_lac")
         if self.tail_steps < 2:
-            raise ValueError("tail_steps must be >= 2")
+            raise SettingError("tail_steps must be >= 2", "tail_steps")
 
 
 # A DAO grid has at most this many cells per side: 1 cm cells over the
@@ -69,10 +76,6 @@ class AlignmentConfig:
 # side (about 12 MB on a CROSSROADS map at the cap), and finer cells only
 # split the same occupancy further.
 MAX_DAO_CELLS_PER_SIDE = 10_000
-
-
-class GridTooFineError(ValueError):
-    """A DAO cell too small for ``MAX_DAO_CELLS_PER_SIDE``."""
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,16 @@ class DaoConfig:
     scale: float = 1e4
 
     def __post_init__(self):
-        if self.cell <= 0 or self.roi_side <= 0:
-            raise ValueError("cell and roi_side must be positive")
+        if self.cell <= 0:
+            raise SettingError("cell must be positive", "cell")
+        if self.roi_side <= 0:
+            raise SettingError("roi_side must be positive", "roi_side")
         # compared before rounding up, which overflows on an infinite ratio
         if not self.roi_side / self.cell <= MAX_DAO_CELLS_PER_SIDE:
-            raise GridTooFineError(
+            raise SettingError(
                 f"cell too small: a {self.roi_side} m ROI in {self.cell} m cells "
-                f"has more than {MAX_DAO_CELLS_PER_SIDE} cells per side"
+                f"has more than {MAX_DAO_CELLS_PER_SIDE} cells per side",
+                "cell", "roi_side",
             )
 
     @property
@@ -228,7 +234,7 @@ def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
 # -- proposed diversity --------------------------------------------------------
 
 
-def aae(pred: PredictionSet, unit: str = "deg") -> float:
+def aae(pred: PredictionSet, unit: AngleUnit = AngleUnit.DEG) -> float:
     """Mean pairwise angle between mode displacement vectors.
 
     Zero-displacement modes carry no direction and are excluded from pairs.
@@ -242,7 +248,7 @@ def aae(pred: PredictionSet, unit: str = "deg") -> float:
     i, j = _pairs(len(vectors))
     angles = geom.angles_between(vectors[i], vectors[j]).tolist()
     mean = sum(angles) / len(angles)
-    return math.degrees(mean) if unit == "deg" else mean
+    return math.degrees(mean) if unit == AngleUnit.DEG else mean
 
 
 def amv(

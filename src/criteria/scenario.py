@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import geom
-from .errors import DataConsistencyError
+from .errors import DataConsistencyError, SettingError
 from .map_model import RoadMap, is_turn_lane
 from .trajectory import Trajectory
 
@@ -57,10 +57,12 @@ class ScenarioConfig:
     beta: float = 28.8
 
     def __post_init__(self):
-        if self.turn_radius <= 0 or self.beta <= 0:
-            raise ValueError("turn_radius and beta must be positive")
+        if self.turn_radius <= 0:
+            raise SettingError("turn_radius must be positive", "turn_radius")
+        if self.beta <= 0:
+            raise SettingError("beta must be positive", "beta")
         if any(a <= 0 for a in self.alpha) or abs(sum(self.alpha) - 1.0) > 1e-9:
-            raise ValueError("alpha must be positive and sum to 1")
+            raise SettingError("alpha must be positive and sum to 1", "alpha")
 
 
 @dataclass(frozen=True)

@@ -193,14 +193,16 @@ def _route_polyline(road: RoadMap, lane_id: str, rng) -> np.ndarray:
     return np.vstack(pts)
 
 
-def _point_at(polyline: np.ndarray, s: float) -> np.ndarray:
+def _points_at(polyline: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The ``(N, 2)`` points at arc lengths ``s`` along ``polyline``, each
+    clamped to the line; a zero-length segment gives its start point."""
     seg = np.diff(polyline, axis=0)
     lens = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(lens)])
-    s = min(max(s, 0.0), cum[-1])
-    i = min(int(np.searchsorted(cum, s, side="right")) - 1, len(lens) - 1)
-    t = (s - cum[i]) / lens[i] if lens[i] > 0 else 0.0
-    return polyline[i] + t * seg[i]
+    s = np.clip(s, 0.0, cum[-1])
+    i = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(lens) - 1)
+    t = np.divide(s - cum[i], lens[i], out=np.zeros_like(s), where=lens[i] > 0)
+    return polyline[i] + t[:, None] * seg[i]
 
 
 def gen_scenarios(road: RoadMap, spec: SynthSpec) -> list[ScenarioRecord]:
@@ -229,7 +231,7 @@ def gen_scenarios(road: RoadMap, spec: SynthSpec) -> list[ScenarioRecord]:
         offsets = s0 + speed * spec.dt * np.arange(
             -(spec.obs_steps - 1), spec.pred_steps + 1
         )
-        pts = np.array([_point_at(route, s) for s in offsets])
+        pts = _points_at(route, offsets)
         records.append(
             ScenarioRecord(
                 id=f"s{idx:04d}",
@@ -319,18 +321,14 @@ def toy_predict(
         for m in range(k):
             poly, s_a, total = routes[m % len(routes)]
             speed = obs_speed * (0.7 + 0.6 * m / (k - 1))
-            pts = []
-            end_dir = None
-            for t in range(1, horizon + 1):
-                s = s_a + speed * rec.dt * t
-                if s <= total:
-                    pts.append(_point_at(poly, s))
-                else:  # extrapolate straight past the route end
-                    if end_dir is None:
-                        d = poly[-1] - poly[-2]
-                        end_dir = d / np.linalg.norm(d)
-                    pts.append(poly[-1] + (s - total) * end_dir)
-            modes.append(Trajectory(np.array(pts), rec.dt))
+            s = s_a + speed * rec.dt * np.arange(1, horizon + 1)
+            pts = _points_at(poly, s)
+            past = s > total  # extrapolate straight past the route end
+            if past.any():
+                d = poly[-1] - poly[-2]
+                end_dir = d / np.linalg.norm(d)
+                pts[past] = poly[-1] + (s[past] - total)[:, None] * end_dir
+            modes.append(Trajectory(pts, rec.dt))
     return PredictionSet(
         scenario_id=rec.id, modes=modes, anchor=anchor.copy()
     )

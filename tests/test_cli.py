@@ -300,9 +300,18 @@ class TestConfig:
         ({"kinematic": {"bogus": 1}}, "$.kinematic.bogus"),
         ({"amv_reduction": "X"}, "$.amv_reduction"),
         ({"alignment": {"stationary_policy": "X"}}, "$.alignment.stationary_policy"),
+        ({"alignment": {"threshold_lac": 2.0}}, "$.alignment.threshold_lac"),
+        ({"kinematic": {"a_min": 5.0}}, "$.kinematic.a_min"),
+        ({"scenario": {"beta": 0}}, "$.scenario.beta"),
+        ({"dao": {"roi_side": 0}}, "$.dao.roi_side"),
+        ({"dao": {"cell": 1.0, "roi_side": 10001}}, "$.dao.cell"),
+        ({"weights": {"w_hard": 0, "w_middle": 0, "w_easy": 0}}, "$.weights"),
+        ({"kinematc": {"a_min": 1}}, "$.kinematc"),
     ], ids=["nan", "inf", "turn_radius", "alpha", "alpha_length", "bool",
             "string", "float_window", "not_an_object", "tiny_cell", "aae_unit",
-            "anchor", "unknown_key", "amv_reduction", "stationary_policy"])
+            "anchor", "unknown_key", "amv_reduction", "stationary_policy",
+            "threshold_lac", "a_min", "beta", "roi_side", "grid_too_fine",
+            "zero_weights", "unknown_section"])
     @pytest.mark.parametrize("command", ["tag", "eval"])
     def test_bad_value_is_schema_error(self, fixtures, tmp_path, capsys,
                                        doc, path, command):
@@ -500,6 +509,14 @@ NAMED_FAULTS = {
     "map": ("eval", "--maps", "map.json",
             lambda d: d["lanes"][1]["centerline"].__setitem__(1, [1.0]),
             "schema error: $.lanes[1].centerline[1]: "),
+    "flat lane polygon": ("tag", "--maps", "map.json",
+                          lambda d: d["lanes"][1].__setitem__(
+                              "polygon", [[0, 0], [1, 1], [2, 2]]),
+                          "invalid map: lane 'E0t': polygon: degenerate polygon "),
+    "flat drivable ring": ("eval", "--maps", "map.json",
+                           lambda d: d["drivable_area"].__setitem__(
+                               0, [[0, 0], [1, 1], [2, 2]]),
+                           "invalid map: drivable_area[0]: degenerate polygon "),
     "scenarios": ("tag", "--scenarios", "scenarios.json",
                   lambda d: d["scenarios"][0].__setitem__("dt", 0),
                   "schema error: $.scenarios[0].dt: "),

@@ -4,7 +4,8 @@ A tiny synth run gives valid map, scenarios, predictions (with per-mode
 probabilities), tags, metrics, run configuration and minFDE table documents.
 Each example changes one of them at one JSON path (deletes the key or list
 item, or sets it to null, a bool, a string, NaN, a nested list or an empty
-list) and runs every CLI stage that reads it.
+list) and runs every CLI stage that reads it. The run configuration is also
+read with every such change at every path, and with numbers out of range.
 """
 
 import copy
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from criteria import io
 from criteria.cli import EXIT_DATA, EXIT_OK, EXIT_SCHEMA, main
+from criteria.errors import SchemaError
 
 DELETE = object()
 MUTATIONS = (DELETE, None, True, "x", math.nan, [[1]], [])
@@ -163,3 +165,43 @@ def test_every_schema_path_is_fuzzed(run, name):
         want = _table_paths(TABLES[name])
     missing = [p for p in want if not any(_matches(p, got) for got in paths[name])]
     assert not missing
+
+
+CONFIG = io.RunConfig().to_dict()
+# a setting with a range check leaves its range at one of these values
+OUT_OF_RANGE = (-(10**9), 0, 10**9)
+UNCHECKED = {("alignment", "stationary_eps"), ("dao", "scale")}
+
+
+def _json_path(path: tuple) -> str:
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _read_or_fault(doc, where: tuple) -> bool:
+    """True if ``doc`` reads as a run configuration, False if it is refused
+    at ``where`` or at an index inside it; any other outcome fails."""
+    try:
+        io.RunConfig.from_dict(doc)
+    except SchemaError as e:
+        want = _json_path(where)
+        assert e.path == want or e.path.startswith(want + "["), (e.path, want)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path", _paths(CONFIG), ids=lambda p: _json_path(p))
+def test_config_fault_is_named_at_its_path(path):
+    """Each mutation of the run configuration at ``path`` reads, or is
+    refused at that path (the list, for an item deleted from it); each
+    number out of range is refused at its setting (the list, for an item)."""
+    for mutation in MUTATIONS:
+        where = path[:-1] if mutation is DELETE else path
+        _read_or_fault(_mutated(CONFIG, path, mutation), where)
+    value = CONFIG
+    for key in path:
+        value = value[key]
+    if isinstance(value, (int, float)) and path[:2] not in UNCHECKED:
+        setting = path[:-1] if isinstance(path[-1], int) else path
+        read = [_read_or_fault(_mutated(CONFIG, path, type(value)(bad)), setting)
+                for bad in OUT_OF_RANGE]
+        assert not all(read)

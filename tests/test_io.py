@@ -130,7 +130,7 @@ class TestRunConfig:
     def test_dao_roi_side_must_be_positive(self):
         with pytest.raises(SchemaError) as e:
             io.RunConfig.from_dict({"dao": {"roi_side": 0.0}})
-        assert e.value.path == "$"
+        assert e.value.path == "$.dao.roi_side"
 
 
 class TestMapIO:
@@ -291,7 +291,7 @@ class TestMetricsIO:
     def test_roundtrip(self, tmp_path):
         run = evaluate_model(
             "noisy", RECORDS, {ROAD.map_id: ROAD},
-            {p.scenario_id: p for p in PREDS},
+            {p.scenario_id: p for p in PREDS}, io.RunConfig(),
         )
         tags = {
             r.id: ScenarioTag(
@@ -301,7 +301,7 @@ class TestMetricsIO:
         }
         path = tmp_path / "metrics.json"
         io.write_json(
-            path, io.metrics_to_dict(run, io.RunConfig(), {}, tags)
+            path, io.metrics_to_dict(run, {}, tags)
         )
         loaded, loaded_tags = io.load_metrics(path)
         assert loaded.model_name == "noisy"
@@ -328,9 +328,9 @@ class TestMetricsIO:
     def test_bad_scenario_result_names_path(self, edit, where):
         run = evaluate_model(
             "noisy", RECORDS, {ROAD.map_id: ROAD},
-            {p.scenario_id: p for p in PREDS},
+            {p.scenario_id: p for p in PREDS}, io.RunConfig(),
         )
-        doc = json.loads(json.dumps(io.metrics_to_dict(run, io.RunConfig(), {})))
+        doc = json.loads(json.dumps(io.metrics_to_dict(run, {})))
         sid = RECORDS[0].id
         edit(doc["per_scenario"][sid])
         with pytest.raises(SchemaError) as e:

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from criteria.io import RunConfig
 from criteria.bench import (
     METRIC_NAMES,
     EvaluationRun,
@@ -49,7 +50,7 @@ def run_and_tags(name="m", n=4, offset=0.0):
         )
         for i in range(n)
     }
-    return EvaluationRun(name, per, {}), tags
+    return EvaluationRun(name, per, RunConfig()), tags
 
 
 def summaries(*runs):
