@@ -83,8 +83,7 @@ def evaluate_scenario(
 ) -> ScenarioResult:
     if pred.anchor is None:
         raise DataConsistencyError(f"prediction {pred.scenario_id!r} has no anchor")
-    kin = config.kinematic.with_anchor(pred.anchor)
-    triad = metrics.att(pred, road, config.alignment, kin)
+    triad = metrics.att(pred, road, config.alignment, config.kinematic)
     values = {
         "minADE": metrics.min_ade(pred, rec.future),
         "minFDE": metrics.min_fde(pred, rec.future),
@@ -92,8 +91,8 @@ def evaluate_scenario(
         "minASD": metrics.min_asd(pred),
         "minFSD": metrics.min_fsd(pred),
         "AAE": metrics.aae(pred, unit=config.aae_unit),
-        "AMV": metrics.amv(pred, kin, config.amv_reduction),
-        "DAO": metrics.dao(pred, road, config.dao, pred.anchor),
+        "AMV": metrics.amv(pred, config.kinematic, config.amv_reduction),
+        "DAO": metrics.dao(pred, road, config.dao),
         # same value as metrics.dac, without a second boundary test per mode
         "DAC": triad.test_rates()["boundary"],
         "ATT": triad.att_rate,

@@ -67,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tag = sub.add_parser("tag", help="tag scenarios into the 12 categories")
     p_tag.add_argument("--scenarios", required=True)
     p_tag.add_argument("--maps", required=True)
-    p_tag.add_argument("--minfde")
-    p_tag.add_argument("--predictions", nargs="*", default=[])
+    scores = p_tag.add_mutually_exclusive_group(required=True)
+    scores.add_argument("--minfde")
+    scores.add_argument("--predictions", nargs="+")
     p_tag.add_argument("--config")
     p_tag.add_argument("--out", required=True)
 
@@ -115,10 +116,6 @@ def cmd_synth(args) -> int:
 def _min_fde_table(args, records) -> dict[str, list[float]]:
     if args.minfde:
         return io.load_min_fde(args.minfde)
-    if not args.predictions:
-        raise DataConsistencyError(
-            "tag needs either --minfde or --predictions files"
-        )
     by_rec = {r.id: r for r in records}
     table: dict[str, list[float]] = {r.id: [] for r in records}
     for path in args.predictions:
@@ -145,8 +142,9 @@ def cmd_tag(args) -> int:
               "maps": io.sha256_file(args.maps)}
     if args.minfde:
         inputs["minfde"] = io.sha256_file(args.minfde)
-    for i, path in enumerate(args.predictions):
-        inputs[f"predictions[{i}]"] = io.sha256_file(path)
+    else:
+        for i, path in enumerate(args.predictions):
+            inputs[f"predictions[{i}]"] = io.sha256_file(path)
     io.write_json(args.out, io.tags_to_dict(tags, counts, cfg, inputs))
     return EXIT_OK
 

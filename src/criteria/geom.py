@@ -438,14 +438,9 @@ def angles_between(v1, v2) -> np.ndarray:
     v2 = np.asarray(v2, float).reshape(-1, 2)
     n1, n2 = lengths(v1), lengths(v2)
     if (n1 <= DEGENERATE_EPS).any() or (n2 <= DEGENERATE_EPS).any():
-        raise DegenerateHeadingError("degenerate heading in angle_between")
+        raise DegenerateHeadingError("degenerate heading in angles_between")
     c = np.clip(np.vecdot(v1, v2) / (n1 * n2), -1.0, 1.0)
     return np.array([math.acos(x) for x in c.tolist()])
-
-
-def angle_between(v1, v2) -> float:
-    """Unsigned angle in [0, pi] between two vectors; see ``angles_between``."""
-    return float(angles_between(v1, v2)[0])
 
 
 class Polyline:

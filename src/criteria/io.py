@@ -297,12 +297,6 @@ def write_text(path, text: str) -> None:
     _write_atomic(path, lambda f: f.write(text))
 
 
-def _setting_names(config) -> list[str]:
-    """The names of the settings of a config dataclass: its fields, but for
-    ``KinematicConfig.anchor``, which belongs to a scenario, not to the run."""
-    return [f.name for f in fields(config) if f.name != "anchor"]
-
-
 def _json_value(value):
     """A run configuration, or an attribute of a lane or scenario record, as
     the JSON value that ``RunConfig.from_dict`` or the record's table reads
@@ -314,8 +308,7 @@ def _json_value(value):
     if isinstance(value, Trajectory):
         return value.points.tolist()
     if is_dataclass(value):
-        return {name: _json_value(getattr(value, name))
-                for name in _setting_names(value)}
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
     return list(value) if isinstance(value, tuple) else value
@@ -351,7 +344,7 @@ def _read_config(default, doc, path: str):
     or at ``path`` if it blames no single one."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
-    names = _setting_names(default)
+    names = {f.name for f in fields(default)}
     values = {}
     for key, value in doc.items():
         if key not in names:

@@ -8,7 +8,9 @@ the same values in the same order as a per-mode or per-pair loop would, and
 the means over modes and pairs are sequential Python sums in that order, so
 identical inputs give bit-identical outputs.
 
-The triad tests take a ``Trajectory`` too and then answer for that one mode.
+The kinematic, DAO and triad kernels take the whole ``PredictionSet`` and
+answer per mode; the anchor that kinematics start from and the DAO ROI is
+centered on is the set's own ``anchor``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .trajectory import (
     kinematic_clip,
     kinematic_window_check,
     require_modes,
-    scalar_or_array,
     step_vectors,
 )
 
@@ -69,6 +70,8 @@ class AlignmentConfig:
             raise SettingError("threshold_lac must be in (0, 1)", "threshold_lac")
         if self.tail_steps < 2:
             raise SettingError("tail_steps must be >= 2", "tail_steps")
+        if self.stationary_eps < 0:
+            raise SettingError("stationary_eps must be >= 0", "stationary_eps")
 
 
 # A DAO grid has at most this many cells per side: 1 cm cells over the
@@ -92,6 +95,8 @@ class DaoConfig:
             raise SettingError("cell must be positive", "cell")
         if self.roi_side <= 0:
             raise SettingError("roi_side must be positive", "roi_side")
+        if self.scale <= 0:
+            raise SettingError("scale must be positive", "scale")
         # compared before rounding up, which overflows on an infinite ratio
         if not self.roi_side / self.cell <= MAX_DAO_CELLS_PER_SIDE:
             raise SettingError(
@@ -196,12 +201,12 @@ def min_fsd(pred: PredictionSet) -> float:
 # -- map admissibility --------------------------------------------------------
 
 
-def test_boundary(modes, road: RoadMap):
-    """True iff every point of a mode lies in the drivable area; per mode,
-    from one drivable-area query, for a prediction set."""
-    pts = modes.points
-    inside = road.contains_many(pts.reshape(-1, 2)).reshape(pts.shape[:-1])
-    return scalar_or_array(inside.all(axis=-1))
+def test_boundary(pred: PredictionSet, road: RoadMap) -> np.ndarray:
+    """Per mode, True iff every point of the mode lies in the drivable area;
+    from one drivable-area query."""
+    pts = pred.points
+    inside = road.contains_many(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    return inside.all(axis=1)
 
 
 def dac(pred: PredictionSet, road: RoadMap) -> float:
@@ -210,9 +215,10 @@ def dac(pred: PredictionSet, road: RoadMap) -> float:
     return int(passed.sum()) / len(passed)
 
 
-def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig, anchor) -> float:
-    """Scaled share of drivable ROI cells touched by prediction points."""
-    ax, ay = float(anchor[0]), float(anchor[1])
+def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig) -> float:
+    """Scaled share of drivable ROI cells touched by prediction points; the
+    ROI is centered on the set's anchor."""
+    ax, ay = float(pred.anchor[0]), float(pred.anchor[1])
     half = cfg.roi_side / 2.0
     roi = (ax - half, ay - half, ax + half, ay + half)
     occupied = geom.rasterize_occupancy(pred.points.reshape(-1, 2), roi, cfg.cell)
@@ -263,9 +269,9 @@ def amv(
     groups of equal prefix length, so each reduction keeps its length.
     """
     require_modes(pred)
-    mags = np.linalg.norm(step_vectors(pred, kin.anchor), axis=2)  # (K, steps)
+    mags = np.linalg.norm(step_vectors(pred), axis=2)  # (K, steps)
     kept = kinematic_clip(pred, kin)  # points per mode
-    steps = kept if kin.anchor is not None else kept - 1
+    steps = kept if pred.anchor is not None else kept - 1
     i, j = _pairs(pred.k)
     lengths = np.minimum(steps[i], steps[j])
     pair_values = np.empty(len(i))
@@ -286,7 +292,7 @@ def alignment_confidence(delta_theta):
     """Orientation-variance confidence: 1 at zero deviation, 0 at pi;
     elementwise for an array of deviations."""
     delta = np.asarray(delta_theta, dtype=float)
-    return scalar_or_array(np.maximum(0.0, 1.0 - delta / math.pi))
+    return np.maximum(0.0, 1.0 - delta / math.pi)
 
 
 def _unit(headings) -> np.ndarray:
@@ -295,23 +301,23 @@ def _unit(headings) -> np.ndarray:
     return np.array([(math.cos(h), math.sin(h)) for h in headings]).reshape(-1, 2)
 
 
-def test_alignment(modes, road: RoadMap, cfg: AlignmentConfig):
-    """Lane-alignment over the trajectory tail; ``(passed, confidence)``, per
-    mode for a prediction set.
+def test_alignment(pred: PredictionSet, road: RoadMap, cfg: AlignmentConfig):
+    """Lane-alignment over each mode's tail; the per-mode arrays
+    ``(passed, confidence)``.
 
-    The trajectory heading is the chord over the last ``tail_steps`` points;
+    A mode's heading is the chord over the last ``tail_steps`` points;
     confidence is maximized over (tail point, containing lane) pairs and
     compared strictly against the threshold. A stationary tail falls back to
     the configured policy. The tail points of all modes go through one lane
     query, and each lane's centerline headings through one lookup.
     """
-    pts = modes.points
+    pts = pred.points
     n_tail = cfg.tail_steps
-    if pts.shape[-2] < n_tail:
+    if pts.shape[1] < n_tail:
         raise ShapeError(
-            f"alignment test needs >= {n_tail} points, got {pts.shape[-2]}"
+            f"alignment test needs >= {n_tail} points, got {pts.shape[1]}"
         )
-    tails = pts.reshape(-1, *pts.shape[-2:])[:, -n_tail:]  # (K, n_tail, 2)
+    tails = pts[:, -n_tail:]  # (K, n_tail, 2)
     chords = tails[:, -1] - tails[:, 0]
     moving = np.flatnonzero(
         geom.lengths(chords) >= max(cfg.stationary_eps, geom.DEGENERATE_EPS)
@@ -335,13 +341,11 @@ def test_alignment(modes, road: RoadMap, cfg: AlignmentConfig):
         np.maximum.at(best, hit_mode, alignment_confidence(delta))
         conf[moving] = best
         passed[moving] = best > cfg.threshold_lac
-    return scalar_or_array(passed.reshape(pts.shape[:-2])), scalar_or_array(
-        conf.reshape(pts.shape[:-2])
-    )
+    return passed, conf
 
 
-def test_kinematic(modes, kin: KinematicConfig):
-    ok, _, _ = kinematic_window_check(modes, kin)
+def test_kinematic(pred: PredictionSet, kin: KinematicConfig) -> np.ndarray:
+    ok, _, _ = kinematic_window_check(pred, kin)
     return ok
 
 

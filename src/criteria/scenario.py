@@ -150,7 +150,9 @@ def tag_all(
     min_fde_by_model: Mapping[str, Sequence[float]],
     cfg: ScenarioConfig,
 ) -> tuple[dict[str, ScenarioTag], dict[str, int]]:
-    """Compose the three taggers; also returns per-category counts."""
+    """Compose the three taggers; also returns per-category counts. The
+    difficulty split reads the minFDE rows of ``records`` only; rows for
+    other ids are ignored."""
     if not records:
         return {}, {}
     for rec in records:
@@ -161,7 +163,10 @@ def tag_all(
     missing = [r.id for r in records if r.id not in min_fde_by_model]
     if missing:
         raise DataConsistencyError(f"scenarios missing minFDE values: {missing}")
-    difficulty = partition_difficulty(difficulty_scores(min_fde_by_model), cfg.alpha)
+    difficulty = partition_difficulty(
+        difficulty_scores({r.id: min_fde_by_model[r.id] for r in records}),
+        cfg.alpha,
+    )
     tags = {}
     for rec in records:
         tags[rec.id] = ScenarioTag(

@@ -1,18 +1,16 @@
 """Trajectory containers and longitudinal kinematics.
 
-Speeds and accelerations are derived from per-step displacement vectors.
-When the last observed position (the anchor) is known it is prepended, so
-the first predicted step has a defined velocity.
-
-The kinematic functions take anything with ``points`` and ``dt``: a
-``Trajectory`` (points ``(T, 2)``) or a ``PredictionSet`` (points
-``(K, T, 2)``), whose K modes are computed at once along the leading axis.
+The kinematic functions take a ``PredictionSet`` and compute its K modes at
+once along the leading axis of its ``(K, T, 2)`` points. Speeds and
+accelerations are derived from per-step displacement vectors. When the set
+has an anchor (the agent's last observed position) it is prepended, so the
+first predicted step has a defined velocity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -120,94 +118,73 @@ class KinematicConfig:
     a_min: float = -2.0
     a_max: float = 1.47
     window: int = 3
-    anchor: np.ndarray | None = None
 
     def __post_init__(self):
         if self.a_min >= self.a_max:
             raise SettingError("a_min must be < a_max", "a_min", "a_max")
         if self.window < 1:
             raise SettingError("window must be >= 1", "window")
-        if self.anchor is not None:
-            object.__setattr__(
-                self, "anchor", np.asarray(self.anchor, float).reshape(2)
-            )
-
-    def with_anchor(self, anchor) -> "KinematicConfig":
-        return replace(self, anchor=anchor)
 
 
-def scalar_or_array(values: np.ndarray):
-    """A Python scalar for a 0-d result (one trajectory's), else the array."""
-    return values.item() if values.ndim == 0 else values
+def step_vectors(pred: PredictionSet) -> np.ndarray:
+    """Per-step displacement vectors of each mode, ``(K, T, 2)`` from the
+    anchor when the set has one, else ``(K, T-1, 2)``."""
+    pts = pred.points
+    if pred.anchor is not None:
+        first = np.broadcast_to(pred.anchor, (len(pts), 1, 2))
+        pts = np.concatenate([first, pts], axis=1)
+    return np.diff(pts, axis=1)
 
 
-def step_vectors(traj, anchor=None) -> np.ndarray:
-    """Per-step displacement vectors, ``(..., T, 2)`` with anchor else
-    ``(..., T-1, 2)``."""
-    pts = traj.points
-    if anchor is not None:
-        first = np.asarray(anchor, float).reshape(2)
-        pts = np.concatenate(
-            [np.broadcast_to(first, pts.shape[:-2] + (1, 2)), pts], axis=-2
-        )
-    return np.diff(pts, axis=-2)
+def speed_profile(pred: PredictionSet) -> np.ndarray:
+    return np.linalg.norm(step_vectors(pred), axis=-1) / pred.dt
 
 
-def speed_profile(traj, anchor=None) -> np.ndarray:
-    return np.linalg.norm(step_vectors(traj, anchor), axis=-1) / traj.dt
-
-
-def accel_profile(traj, anchor=None) -> np.ndarray:
-    speeds = speed_profile(traj, anchor)
+def accel_profile(pred: PredictionSet) -> np.ndarray:
+    speeds = speed_profile(pred)
     if speeds.shape[-1] < 2:
         raise TooShortError("too short for acceleration (need >= 2 speed samples)")
-    return np.diff(speeds, axis=-1) / traj.dt
+    return np.diff(speeds, axis=-1) / pred.dt
 
 
-def kinematic_window_check(traj, cfg: KinematicConfig):
-    """Mean acceleration over the first and last ``cfg.window`` samples.
+def kinematic_window_check(pred: PredictionSet, cfg: KinematicConfig):
+    """Mean acceleration of each mode over its first and last ``cfg.window``
+    samples.
 
-    Returns ``(ok, a_init, a_final)``, per mode for a prediction set. Passes
-    iff both means lie in [a_min, a_max] inclusive.
+    Returns the per-mode arrays ``(ok, a_init, a_final)``. A mode passes iff
+    both means lie in [a_min, a_max] inclusive.
     """
-    accels = accel_profile(traj, cfg.anchor)
+    accels = accel_profile(pred)
     w = min(cfg.window, accels.shape[-1])
-    a_init = accels[..., :w].mean(axis=-1)
-    a_final = accels[..., -w:].mean(axis=-1)
+    a_init = accels[:, :w].mean(axis=-1)
+    a_final = accels[:, -w:].mean(axis=-1)
     ok = (
         (cfg.a_min <= a_init)
         & (a_init <= cfg.a_max)
         & (cfg.a_min <= a_final)
         & (a_final <= cfg.a_max)
     )
-    return scalar_or_array(ok), scalar_or_array(a_init), scalar_or_array(a_final)
+    return ok, a_init, a_final
 
 
-def kinematic_clip(traj, cfg: KinematicConfig):
-    """Longest prefix whose every acceleration sample is in range.
+def kinematic_clip(pred: PredictionSet, cfg: KinematicConfig) -> np.ndarray:
+    """Each mode's number of kept points: its longest prefix whose every
+    acceleration sample is in range.
 
     The prefix ends at the point producing the last compliant speed; a
-    trajectory violating from the first sample keeps the minimal 2-point
-    prefix (or its first point plus anchor step when anchored).
-
-    A ``Trajectory`` comes back clipped; for a prediction set the clipped
-    modes would be ragged, so it returns each mode's number of kept points.
+    mode violating from the first sample keeps the minimal 2-point prefix
+    (or its first point plus anchor step when anchored).
     """
-    n_points = traj.points.shape[-2]
+    n_points = pred.points.shape[1]
     try:
-        accels = accel_profile(traj, cfg.anchor)
+        accels = accel_profile(pred)
     except TooShortError:
-        keep = np.full(traj.points.shape[:-2], n_points)
-    else:
-        bad = (accels < cfg.a_min) | (accels > cfg.a_max)
-        j = np.argmax(bad, axis=-1)  # first violating sample uses speeds j, j+1
-        # speed j ends at point index j+1 without anchor, j with anchor
-        end = np.maximum(j if cfg.anchor is not None else j + 1, 1)
-        keep = np.where(bad.any(axis=-1), end + 1, n_points)
-    if not isinstance(traj, Trajectory):
-        return keep
-    n = int(keep)
-    return traj if n == n_points else Trajectory(traj.points[:n], traj.dt)
+        return np.full(pred.k, n_points)
+    bad = (accels < cfg.a_min) | (accels > cfg.a_max)
+    j = np.argmax(bad, axis=-1)  # first violating sample uses speeds j, j+1
+    # speed j ends at point index j+1 without anchor, j with anchor
+    end = np.maximum(j if pred.anchor is not None else j + 1, 1)
+    return np.where(bad.any(axis=-1), end + 1, n_points)
 
 
 def displacement_vector(traj) -> np.ndarray:

@@ -179,22 +179,22 @@ def reference_accels(points, dt, anchor) -> np.ndarray:
     return np.diff(speeds) / dt
 
 
-def reference_window_check(points, dt, cfg) -> tuple[bool, float, float]:
-    accels = reference_accels(points, dt, cfg.anchor)
+def reference_window_check(points, dt, cfg, anchor) -> tuple[bool, float, float]:
+    accels = reference_accels(points, dt, anchor)
     w = min(cfg.window, len(accels))
     a_init, a_final = float(accels[:w].mean()), float(accels[-w:].mean())
     ok = cfg.a_min <= a_init <= cfg.a_max and cfg.a_min <= a_final <= cfg.a_max
     return ok, a_init, a_final
 
 
-def reference_clip_length(points, dt, cfg) -> int:
+def reference_clip_length(points, dt, cfg, anchor) -> int:
     """Points kept by the kinematic clip."""
-    accels = reference_accels(points, dt, cfg.anchor)
+    accels = reference_accels(points, dt, anchor)
     bad = np.flatnonzero((accels < cfg.a_min) | (accels > cfg.a_max))
     if len(accels) == 0 or len(bad) == 0:
         return len(points)
     j = int(bad[0])
-    return max(j if cfg.anchor is not None else j + 1, 1) + 1
+    return max(j if anchor is not None else j + 1, 1) + 1
 
 
 def reference_min_ade(pred, gt) -> float:
@@ -238,9 +238,9 @@ def reference_aae(pred) -> float:
 def reference_amv(pred, kin, mean: bool = False) -> float:
     mags = []
     for m in pred.modes:
-        pts = m.points[: reference_clip_length(m.points, m.dt, kin)]
-        if kin.anchor is not None:
-            pts = np.vstack([kin.anchor.reshape(1, 2), pts])
+        pts = m.points[: reference_clip_length(m.points, m.dt, kin, pred.anchor)]
+        if pred.anchor is not None:
+            pts = np.vstack([pred.anchor.reshape(1, 2), pts])
         mags.append(np.linalg.norm(np.diff(pts, axis=0), axis=1))
     values = []
     for a, b in combinations(mags, 2):

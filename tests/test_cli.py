@@ -120,13 +120,57 @@ class TestTag:
         assert f"schema error: $.min_fde.{sid}[1]: " in capsys.readouterr().err
         assert not out.exists()
 
-    def test_no_score_source_is_data_error(self, fixtures, tmp_path):
+    def test_extra_table_rows_leave_tags_unchanged(self, fixtures, tmp_path):
+        """Rows for scenarios that are not tagged take no share of the
+        difficulty split, however hard they are."""
+        records = io.load_scenarios(fixtures / "scenarios.json")
+        table = {r.id: [1.0 + i] for i, r in enumerate(records)}
+        extra = {f"extra{i:02d}": [100.0 + i] for i in range(20)}
+        docs = []
+        for name, rows in (("plain", table), ("extra", {**table, **extra})):
+            path = tmp_path / f"minfde_{name}.json"
+            path.write_text(json.dumps({"min_fde": rows}))
+            out = tmp_path / f"tags_{name}.json"
+            assert main([
+                "tag",
+                "--scenarios", str(fixtures / "scenarios.json"),
+                "--maps", str(fixtures / "map.json"),
+                "--minfde", str(path),
+                "--out", str(out),
+            ]) == EXIT_OK
+            doc = json.loads(out.read_text())
+            del doc["inputs"]  # the two tables' digests
+            docs.append(json.dumps(doc, sort_keys=True))
+        assert docs[0] == docs[1]
+
+    def test_no_score_source_is_usage_error(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "tags.json"
         assert main([
             "tag",
             "--scenarios", str(fixtures / "scenarios.json"),
             "--maps", str(fixtures / "map.json"),
-            "--out", str(tmp_path / "tags.json"),
-        ]) == EXIT_DATA
+            "--out", str(out),
+        ]) == EXIT_USAGE
+        assert "one of the arguments --minfde --predictions is required" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_both_score_sources_is_usage_error(self, fixtures, tmp_path, capsys):
+        records = io.load_scenarios(fixtures / "scenarios.json")
+        table = tmp_path / "minfde.json"
+        table.write_text(json.dumps({"min_fde": {r.id: [1.0] for r in records}}))
+        out = tmp_path / "tags.json"
+        assert main([
+            "tag",
+            "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--minfde", str(table),
+            "--predictions", str(fixtures / "predictions_noisy.json"),
+            "--out", str(out),
+        ]) == EXIT_USAGE
+        assert "argument --predictions: not allowed with argument --minfde" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:
@@ -301,6 +345,8 @@ class TestConfig:
         ({"amv_reduction": "X"}, "$.amv_reduction"),
         ({"alignment": {"stationary_policy": "X"}}, "$.alignment.stationary_policy"),
         ({"alignment": {"threshold_lac": 2.0}}, "$.alignment.threshold_lac"),
+        ({"alignment": {"stationary_eps": -5}}, "$.alignment.stationary_eps"),
+        ({"dao": {"scale": -1}}, "$.dao.scale"),
         ({"kinematic": {"a_min": 5.0}}, "$.kinematic.a_min"),
         ({"scenario": {"beta": 0}}, "$.scenario.beta"),
         ({"dao": {"roi_side": 0}}, "$.dao.roi_side"),
@@ -310,7 +356,7 @@ class TestConfig:
     ], ids=["nan", "inf", "turn_radius", "alpha", "alpha_length", "bool",
             "string", "float_window", "not_an_object", "tiny_cell", "aae_unit",
             "anchor", "unknown_key", "amv_reduction", "stationary_policy",
-            "threshold_lac", "a_min", "beta", "roi_side", "grid_too_fine",
+            "threshold_lac", "stationary_eps", "scale", "a_min", "beta", "roi_side", "grid_too_fine",
             "zero_weights", "unknown_section"])
     @pytest.mark.parametrize("command", ["tag", "eval"])
     def test_bad_value_is_schema_error(self, fixtures, tmp_path, capsys,
@@ -637,7 +683,7 @@ class TestParserReuse:
         ["synth", "--out", "b"],
         ["tag", "--scenarios", "s", "--maps", "m", "--out", "o",
          "--predictions", "p", "q"],
-        ["tag", "--scenarios", "s", "--maps", "m", "--out", "o"],
+        ["tag", "--scenarios", "s", "--maps", "m", "--out", "o", "--minfde", "t"],
         ["report", "--metrics", "x", "--out", "o", "--balance", "amv"],
         ["report", "--metrics", "x", "--out", "o"],
     ])

@@ -248,7 +248,7 @@ class TestAngleBetween:
         ],
     )
     def test_basics(self, v1, v2, want):
-        assert geom.angle_between(v1, v2) == pytest.approx(want)
+        assert geom.angles_between(v1, v2)[0] == pytest.approx(want)
 
     @settings(max_examples=50)
     @given(
@@ -260,14 +260,14 @@ class TestAngleBetween:
         v1, v2 = np.array([x1, y1]), np.array([x2, y2])
         if np.linalg.norm(v1) < 1e-3 or np.linalg.norm(v2) < 1e-3:
             return
-        a = geom.angle_between(v1, v2)
-        assert a == geom.angle_between(v2, v1)
+        a = geom.angles_between(v1, v2)[0]
+        assert a == geom.angles_between(v2, v1)[0]
         assert 0 <= a <= math.pi
         rot = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         # acos is ill-conditioned near parallel vectors, hence the tolerance
-        b = geom.angle_between(scale * rot @ v1, scale * rot @ v2)
+        b = geom.angles_between(scale * rot @ v1, scale * rot @ v2)[0]
         assert b == pytest.approx(a, abs=1e-7)
 
 

@@ -17,10 +17,11 @@ from criteria.trajectory import KinematicConfig
 from conftest import make_pred, make_traj, single_lane_map, straight_mode
 
 
-def offset_pred(offsets, n=30, step=(1.0, 0.0), start=(0.0, 0.0)):
+def offset_pred(offsets, n=30, step=(1.0, 0.0), start=(0.0, 0.0), anchor=None):
     """Modes marching east, each shifted laterally by its offset."""
     return make_pred(
-        [straight_mode(np.add(start, (0.0, dy)), step, n) for dy in offsets]
+        [straight_mode(np.add(start, (0.0, dy)), step, n) for dy in offsets],
+        anchor=anchor,
     )
 
 
@@ -141,7 +142,9 @@ class TestBoundaryAndDac:
             for _ in range(5)
         ]
         pred = make_pred(modes)
-        per_mode = [metrics.test_boundary(m, t_road) for m in pred.modes]
+        per_mode = [
+            metrics.test_boundary(make_pred([m.points]), t_road)[0] for m in pred.modes
+        ]
         assert metrics.dac(pred, t_road) == pytest.approx(
             sum(per_mode) / len(per_mode)
         )
@@ -154,15 +157,16 @@ class TestDao:
 
     def test_no_points_in_roi(self):
         road = self.big_map()
-        pred = offset_pred([0.0, 1.0], n=10, start=(500.0, 0.0))
-        assert metrics.dao(pred, road, DaoConfig(), (0.0, 0.0)) == 0.0
+        pred = offset_pred([0.0, 1.0], n=10, start=(500.0, 0.0), anchor=(0.0, 0.0))
+        assert metrics.dao(pred, road, DaoConfig()) == 0.0
 
     def test_enumerated_cells(self):
         road = self.big_map()
         # 30 points 1 m apart on a line: 30 distinct 0.5 m cells, one mode
         pts = np.column_stack([np.arange(30) + 0.25, np.full(30, 0.25)])
-        pred = make_pred([pts, pts])  # second mode identical: same cells
-        got = metrics.dao(pred, road, DaoConfig(), (0.0, 0.0))
+        # second mode identical: same cells
+        pred = make_pred([pts, pts], anchor=(0.0, 0.0))
+        got = metrics.dao(pred, road, DaoConfig())
         assert got == pytest.approx(30 / 40000 * 1e4)
 
     def test_monotone_in_points(self):
@@ -170,12 +174,10 @@ class TestDao:
         rng = np.random.default_rng(4)
         base = np.cumsum(rng.normal(scale=2.0, size=(20, 2)), axis=0)
         longer = np.vstack([base, base + [40.0, 0.0]])
-        small = make_pred([base, base + [0, 1]])
-        large = make_pred([longer, longer + [0, 1]])
+        small = make_pred([base, base + [0, 1]], anchor=(0, 0))
+        large = make_pred([longer, longer + [0, 1]], anchor=(0, 0))
         cfg = DaoConfig()
-        assert metrics.dao(large, road, cfg, (0, 0)) >= metrics.dao(
-            small, road, cfg, (0, 0)
-        )
+        assert metrics.dao(large, road, cfg) >= metrics.dao(small, road, cfg)
 
 
 class TestAae:
@@ -221,15 +223,15 @@ class TestAae:
 
 class TestAmv:
     def test_identical_modes(self):
-        pred = offset_pred([0.0, 0.0])
-        kin = KinematicConfig(anchor=(-1.0, 0.0))
+        pred = offset_pred([0.0, 0.0], anchor=(-1.0, 0.0))
+        kin = KinematicConfig()
         assert metrics.amv(pred, kin) == 0.0
 
     def test_sum_arithmetic(self):
         a = straight_mode((0, 0), (0.1, 0.0), 3)
         b = straight_mode((0, 0), (0.12, 0.0), 3)
-        pred = make_pred([a, b])
-        kin = KinematicConfig(anchor=(0.0, 0.0))
+        pred = make_pred([a, b], anchor=(0.0, 0.0))
+        kin = KinematicConfig()
         # per-step magnitudes 0.1 vs 0.12 over 3 steps
         assert metrics.amv(pred, kin, Reduction.SUM) == pytest.approx(0.06)
         assert metrics.amv(pred, kin, Reduction.MEAN) == pytest.approx(0.02)
@@ -242,32 +244,32 @@ class TestAmv:
         xb = np.cumsum(np.asarray(speeds_b) * dt)
         a = np.column_stack([xa, np.zeros(10)])
         b = np.column_stack([xb, np.zeros(10)])
-        pred = make_pred([a, b])
-        kin = KinematicConfig(anchor=(0.0, 0.0))
+        pred = make_pred([a, b], anchor=(0.0, 0.0))
+        kin = KinematicConfig()
         got = metrics.amv(pred, kin)
         # clipped b keeps its 5-step compliant prefix where speeds match a
         assert got == pytest.approx(0.0, abs=1e-9)
         unclipped = np.abs(
             np.asarray([10.0] * 10) - np.asarray(speeds_b)
         ).sum() * dt
-        loose = metrics.amv(pred, KinematicConfig(a_min=-1e9, a_max=1e9,
-                                                  anchor=(0.0, 0.0)))
+        loose = metrics.amv(pred, KinematicConfig(a_min=-1e9, a_max=1e9))
         assert loose == pytest.approx(unclipped)
 
     def test_symmetry_and_rigid_motion(self):
         rng = np.random.default_rng(3)
         modes = [np.cumsum(rng.normal(scale=0.5, size=(12, 2)), axis=0)
                  for _ in range(3)]
-        kin = KinematicConfig(anchor=(0.0, 0.0))
-        v1 = metrics.amv(make_pred(modes), kin)
-        v2 = metrics.amv(make_pred(modes[::-1]), kin)
+        kin = KinematicConfig()
+        v1 = metrics.amv(make_pred(modes, anchor=(0.0, 0.0)), kin)
+        v2 = metrics.amv(make_pred(modes[::-1], anchor=(0.0, 0.0)), kin)
         assert v1 == pytest.approx(v2)
         theta = 0.9
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         moved = [m @ rot.T for m in modes]
-        kin_rot = KinematicConfig(anchor=tuple(rot @ np.zeros(2)))
-        assert metrics.amv(make_pred(moved), kin_rot) == pytest.approx(v1)
+        moved_anchor = tuple(rot @ np.zeros(2))
+        assert metrics.amv(make_pred(moved, anchor=moved_anchor), kin) == \
+            pytest.approx(v1)
         assert v1 >= 0
 
 
@@ -279,36 +281,36 @@ class TestAlignment:
 
     def test_aligned_passes(self):
         road = single_lane_map(x1=100.0)
-        mode = make_traj(straight_mode((0, 0), (1.0, 0.0), 30))
-        ok, conf = metrics.test_alignment(mode, road, AlignmentConfig())
+        mode = make_pred([straight_mode((0, 0), (1.0, 0.0), 30)])
+        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
         assert ok and conf == pytest.approx(1.0)
 
     def test_head_on_fails(self):
         road = single_lane_map(x1=100.0)
-        mode = make_traj(straight_mode((60, 0), (-1.0, 0.0), 30))
-        ok, conf = metrics.test_alignment(mode, road, AlignmentConfig())
+        mode = make_pred([straight_mode((60, 0), (-1.0, 0.0), 30)])
+        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
         assert not ok and conf == pytest.approx(0.0)
 
     def test_45_degrees_passes(self):
         # lane wide enough for a diagonal tail
         road = single_lane_map(x1=100.0, width=60.0)
         s = 1.0 / math.sqrt(2)
-        mode = make_traj(straight_mode((10, -10), (s, s), 20))
-        ok, conf = metrics.test_alignment(mode, road, AlignmentConfig())
+        mode = make_pred([straight_mode((10, -10), (s, s), 20)])
+        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
         assert ok and conf == pytest.approx(0.75)
 
     def test_off_lane_tail_fails(self):
         road = single_lane_map(x1=100.0)
-        mode = make_traj(straight_mode((0, 50.0), (1.0, 0.0), 30))
-        ok, conf = metrics.test_alignment(mode, road, AlignmentConfig())
+        mode = make_pred([straight_mode((0, 50.0), (1.0, 0.0), 30)])
+        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
         assert not ok and conf == 0.0
 
     def test_stationary_policy(self):
         road = single_lane_map(x1=100.0)
-        mode = make_traj([(5.0, 0.0)] * 30)
-        assert metrics.test_alignment(mode, road, AlignmentConfig())[0]
+        mode = make_pred([[(5.0, 0.0)] * 30])
+        assert metrics.test_alignment(mode, road, AlignmentConfig())[0][0]
         cfg = AlignmentConfig(stationary_policy=StationaryPolicy.FAIL)
-        assert not metrics.test_alignment(mode, road, cfg)[0]
+        assert not metrics.test_alignment(mode, road, cfg)[0][0]
 
 
 class TestAtt:
@@ -318,29 +320,28 @@ class TestAtt:
         modes = [
             straight_mode((0, 0), (1.0, dy), 30) for dy in (0.0, 0.004, -0.004)
         ]
-        pred = make_pred(modes)
-        res = metrics.att(pred, road, AlignmentConfig(),
-                          KinematicConfig(anchor=(0.0, 0.0)))
+        pred = make_pred(modes, anchor=(0.0, 0.0))
+        res = metrics.att(pred, road, AlignmentConfig(), KinematicConfig())
         assert res.att_rate == 1.0
         assert all(v == 1.0 for v in res.test_rates().values())
 
     def test_five_of_six(self):
         road = single_lane_map(x1=100.0)
         bad = straight_mode((0, 50.0), (1.0, 0.0), 30)
-        pred = make_pred([straight_mode((0, 0), (1, 0), 30)] * 5 + [bad])
-        res = metrics.att(pred, road, AlignmentConfig(),
-                          KinematicConfig(anchor=(0.0, 0.0)))
+        pred = make_pred([straight_mode((0, 0), (1, 0), 30)] * 5 + [bad],
+                         anchor=(0.0, 0.0))
+        res = metrics.att(pred, road, AlignmentConfig(), KinematicConfig())
         assert res.att_rate == pytest.approx(5 / 6)
 
     def test_conjunction_bound(self, t_road):
         rng = np.random.default_rng(5)
-        kin = KinematicConfig(anchor=(0.0, 0.0))
+        kin = KinematicConfig()
         for _ in range(30):
             modes = [
                 np.cumsum(rng.normal(scale=1.0, size=(10, 2)), axis=0)
                 for _ in range(4)
             ]
-            pred = make_pred(modes)
+            pred = make_pred(modes, anchor=(0.0, 0.0))
             res = metrics.att(pred, t_road, AlignmentConfig(), kin)
             assert res.att_rate <= min(res.test_rates().values()) + 1e-12
             assert res.att_rate <= metrics.dac(pred, t_road) + 1e-12

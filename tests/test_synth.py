@@ -12,8 +12,7 @@ def spec(kind=synth.MapKind.STRAIGHT, seed=0, **kwargs):
 
 
 def triad_for(rec, road, pred):
-    kin = KinematicConfig().with_anchor(pred.anchor)
-    return metrics.att(pred, road, AlignmentConfig(), kin)
+    return metrics.att(pred, road, AlignmentConfig(), KinematicConfig())
 
 
 class TestGenMap:
@@ -129,9 +128,8 @@ class TestToyPredict:
         pred = synth.toy_predict(
             synth.PredictorKind.CONST_VEL, rec, road, k=4, seed=0
         )
-        kin = KinematicConfig().with_anchor(pred.anchor)
         assert metrics.aae(pred) == 0.0
-        assert metrics.amv(pred, kin) == 0.0
+        assert metrics.amv(pred, KinematicConfig()) == 0.0
         assert metrics.min_asd(pred) == 0.0
 
     def test_noisy_is_deterministic_per_seed(self):

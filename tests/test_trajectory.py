@@ -16,14 +16,20 @@ from criteria.trajectory import (
     step_vectors,
 )
 
-from conftest import make_traj, straight_mode
+from conftest import make_pred, make_traj, straight_mode
 
 
-def traj_from_speeds(speeds, dt=0.1):
-    """Straight-line trajectory along x whose step speeds are ``speeds``."""
+def one_mode(points, dt=0.1, anchor=None) -> PredictionSet:
+    """The prediction set whose one mode is ``points``."""
+    return make_pred([points], dt=dt, anchor=anchor)
+
+
+def set_from_speeds(speeds, dt=0.1, anchor=None) -> PredictionSet:
+    """One-mode set on a straight line along x from the origin, whose step
+    speeds are ``speeds``."""
     steps = np.asarray(speeds, float) * dt
     xs = np.concatenate([[0.0], np.cumsum(steps)])
-    return Trajectory(np.column_stack([xs, np.zeros_like(xs)]), dt)
+    return one_mode(np.column_stack([xs, np.zeros_like(xs)]), dt, anchor)
 
 
 class TestPredictionSet:
@@ -96,50 +102,50 @@ class TestPredictionSet:
 
 class TestStepVectors:
     def test_no_anchor(self):
-        t = make_traj([(0, 0), (1, 0), (2, 0)])
-        assert step_vectors(t).tolist() == [[1, 0], [1, 0]]
+        t = one_mode([(0, 0), (1, 0), (2, 0)])
+        assert step_vectors(t)[0].tolist() == [[1, 0], [1, 0]]
 
     def test_with_anchor(self):
-        t = make_traj([(0, 0), (1, 0), (2, 0)])
-        assert step_vectors(t, (-1, 0)).tolist() == [[1, 0], [1, 0], [1, 0]]
+        t = one_mode([(0, 0), (1, 0), (2, 0)], anchor=(-1, 0))
+        assert step_vectors(t)[0].tolist() == [[1, 0], [1, 0], [1, 0]]
 
     def test_prefix_sum_reconstructs(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(15, 2))
-        t = Trajectory(pts, 0.1)
-        rebuilt = pts[0] + np.vstack([[0, 0], np.cumsum(step_vectors(t), axis=0)])
+        t = one_mode(pts)
+        rebuilt = pts[0] + np.vstack([[0, 0], np.cumsum(step_vectors(t)[0], axis=0)])
         assert np.allclose(rebuilt, pts)
 
 
 class TestSpeedProfile:
     def test_constant(self):
-        t = traj_from_speeds([10.0] * 5)
-        assert np.allclose(speed_profile(t, anchor=(-1.0, 0.0)), 10.0)
+        t = set_from_speeds([10.0] * 5, anchor=(-1.0, 0.0))
+        assert np.allclose(speed_profile(t), 10.0)
 
     def test_stationary(self):
-        t = make_traj([(1, 1)] * 4)
+        t = one_mode([(1, 1)] * 4)
         assert np.allclose(speed_profile(t), 0.0)
 
     def test_scaling_linearity(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(10, 2))
-        s1 = speed_profile(Trajectory(pts, 0.1))
-        s2 = speed_profile(Trajectory(2 * pts, 0.1))
+        s1 = speed_profile(one_mode(pts))
+        s2 = speed_profile(one_mode(2 * pts))
         assert np.allclose(s2, 2 * s1)
 
 
 class TestAccelProfile:
     def test_constant_speed(self):
-        t = traj_from_speeds([10.0] * 6)
+        t = set_from_speeds([10.0] * 6)
         assert np.allclose(accel_profile(t), 0.0)
 
     def test_arithmetic(self):
-        assert accel_profile(traj_from_speeds([10.0, 10.1]))[0] == pytest.approx(1.0)
-        assert accel_profile(traj_from_speeds([10.0, 9.7]))[0] == pytest.approx(-3.0)
+        assert accel_profile(set_from_speeds([10.0, 10.1]))[0, 0] == pytest.approx(1.0)
+        assert accel_profile(set_from_speeds([10.0, 9.7]))[0, 0] == pytest.approx(-3.0)
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            accel_profile(make_traj([(0, 0), (1, 0)]))
+            accel_profile(one_mode([(0, 0), (1, 0)]))
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(4)
@@ -148,15 +154,15 @@ class TestAccelProfile:
         rot = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
-        a1 = accel_profile(Trajectory(pts, 0.1))
-        a2 = accel_profile(Trajectory(pts @ rot.T + [5, -3], 0.1))
+        a1 = accel_profile(one_mode(pts))
+        a2 = accel_profile(one_mode(pts @ rot.T + [5, -3]))
         assert np.allclose(a1, a2)
 
 
 class TestWindowCheck:
     def test_constant_speed_passes(self):
-        ok, a_init, a_final = kinematic_window_check(
-            traj_from_speeds([10.0] * 10), KinematicConfig()
+        (ok,), (a_init,), (a_final,) = kinematic_window_check(
+            set_from_speeds([10.0] * 10), KinematicConfig()
         )
         assert ok
         assert a_init == pytest.approx(0.0, abs=1e-9)
@@ -164,8 +170,8 @@ class TestWindowCheck:
 
     def test_hard_acceleration_fails(self):
         speeds = 10.0 + np.arange(10)  # +10 m/s^2 at dt=0.1
-        ok, a_init, a_final = kinematic_window_check(
-            traj_from_speeds(speeds), KinematicConfig()
+        (ok,), (a_init,), (a_final,) = kinematic_window_check(
+            set_from_speeds(speeds), KinematicConfig()
         )
         assert not ok
         assert a_init == pytest.approx(10.0)
@@ -173,8 +179,8 @@ class TestWindowCheck:
 
     def test_hard_braking_fails(self):
         speeds = 10.0 - 0.3 * np.arange(10)  # -3 m/s^2
-        ok, a_init, a_final = kinematic_window_check(
-            traj_from_speeds(speeds), KinematicConfig()
+        (ok,), (a_init,), (a_final,) = kinematic_window_check(
+            set_from_speeds(speeds), KinematicConfig()
         )
         assert not ok
         assert a_init == pytest.approx(-3.0)
@@ -182,56 +188,54 @@ class TestWindowCheck:
 
     def test_boundary_is_inclusive(self):
         cfg = KinematicConfig(a_max=1.5, window=1)
-        ok, _, _ = kinematic_window_check(
-            traj_from_speeds([10.0, 11.5], dt=1.0), cfg
+        (ok,), _, _ = kinematic_window_check(
+            set_from_speeds([10.0, 11.5], dt=1.0), cfg
         )
         assert ok
 
 
 class TestKinematicClip:
+    """``kinematic_clip`` counts the points of each mode's kept prefix."""
+
     def test_compliant_unchanged(self):
-        t = traj_from_speeds([10.0] * 8)
-        clipped = kinematic_clip(t, KinematicConfig())
-        assert np.array_equal(clipped.points, t.points)
+        t = set_from_speeds([10.0] * 8)
+        assert kinematic_clip(t, KinematicConfig())[0] == t.points.shape[1]
 
     def test_cut_before_first_violation(self):
         # accel samples: 0, 30, 0 -> violation at the 2nd sample
-        t = traj_from_speeds([10.0, 10.0, 13.0, 13.0])
-        clipped = kinematic_clip(t, KinematicConfig())
-        assert np.array_equal(clipped.points, t.points[:3])
+        t = set_from_speeds([10.0, 10.0, 13.0, 13.0])
+        assert kinematic_clip(t, KinematicConfig())[0] == 3
 
     def test_all_violating_keeps_two_points(self):
-        t = traj_from_speeds([1.0, 5.0, 1.0, 5.0, 1.0])
-        clipped = kinematic_clip(t, KinematicConfig())
-        assert len(clipped) == 2
+        t = set_from_speeds([1.0, 5.0, 1.0, 5.0, 1.0])
+        assert kinematic_clip(t, KinematicConfig())[0] == 2
 
     def test_prefix_and_idempotent(self):
         rng = np.random.default_rng(9)
         cfg = KinematicConfig()
         for _ in range(50):
             speeds = rng.uniform(0, 20, size=12)
-            t = traj_from_speeds(speeds)
-            c1 = kinematic_clip(t, cfg)
-            assert np.array_equal(c1.points, t.points[: len(c1)])
-            c2 = kinematic_clip(c1, cfg)
-            assert np.array_equal(c2.points, c1.points)
+            t = set_from_speeds(speeds)
+            (n1,) = kinematic_clip(t, cfg)
+            assert 2 <= n1 <= t.points.shape[1]
+            (n2,) = kinematic_clip(one_mode(t.points[0, :n1]), cfg)
+            assert n2 == n1
 
     def test_window1_pass_implies_full_length(self):
         rng = np.random.default_rng(31)
         cfg = KinematicConfig(window=1)
         for _ in range(100):
             speeds = rng.uniform(8, 12, size=8)
-            t = traj_from_speeds(speeds)
+            t = set_from_speeds(speeds)
             ok, _, _ = kinematic_window_check(t, cfg)
             accels = accel_profile(t)
             if (accels >= cfg.a_min).all() and (accels <= cfg.a_max).all():
-                assert len(kinematic_clip(t, cfg)) == len(t)
+                assert kinematic_clip(t, cfg)[0] == t.points.shape[1]
 
     def test_anchor_counts_first_step(self):
         # first accel sample (anchor step -> first step) already violates
-        t = make_traj([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0)])
-        clipped = kinematic_clip(t, KinematicConfig(anchor=(0.0, 0.0)))
-        assert len(clipped) == 2
+        t = one_mode([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0)], anchor=(0.0, 0.0))
+        assert kinematic_clip(t, KinematicConfig())[0] == 2
 
 
 class TestDisplacementVector:
