@@ -126,6 +126,11 @@ def evaluate_model(
                 f"scenario {rec.id!r}: prediction horizon "
                 f"{pred.points.shape[1]} != ground truth {len(rec.future)}"
             )
+        if pred.dt != rec.dt:
+            raise DataConsistencyError(
+                f"scenario {rec.id!r}: prediction dt {pred.dt} != scenario dt "
+                f"{rec.dt}"
+            )
 
     per_scenario = {
         rec.id: evaluate_scenario(rec, maps[rec.map_id], predictions[rec.id], config)

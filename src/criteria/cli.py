@@ -193,6 +193,14 @@ def cmd_report(args) -> int:
                 f"{args.metrics[0]} and {path} were evaluated under "
                 "different run configurations"
             )
+        if runs and run.per_scenario.keys() != runs[0][0].per_scenario.keys():
+            raise DataConsistencyError(
+                f"{args.metrics[0]} and {path} were evaluated on different scenarios"
+            )
+        if runs and tags != runs[0][1]:
+            raise DataConsistencyError(
+                f"{args.metrics[0]} and {path} carry different scenario tags"
+            )
         runs.append((run, tags))
         inputs[f"metrics[{run.model_name}]"] = io.sha256_file(path)
     cfg = runs[0][0].config

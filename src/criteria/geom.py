@@ -25,6 +25,9 @@ DEGENERATE_EPS = 1e-6
 BOX_PAD = 1e-6
 # lower and upper offsets of a padded range, as a column to add to an (E,) row
 _PADS = np.array([[-BOX_PAD], [BOX_PAD]])
+# Map geometry lies within this many meters of the origin on each axis, so
+# the squared lengths and shoelace products of its coordinates stay finite.
+COORD_LIMIT = 1e150
 # RingTable.contains takes its (point, edge) pairs in blocks of about this
 # many, so its memory stays bounded however many pairs a query has.
 PAIR_BLOCK = 4096
@@ -58,12 +61,6 @@ def signed_area(ring: np.ndarray) -> float:
     x, y = ring[:, 0], ring[:, 1]
     xn, yn = _successors(x), _successors(y)
     return 0.5 * float(np.sum(x * yn - xn * y))
-
-
-def normalize_ring(ring) -> np.ndarray:
-    """Validate a polygon ring and return it counter-clockwise: the one-ring
-    case of ``normalize_rings``."""
-    return normalize_rings([ring])[0]
 
 
 def normalize_rings(rings) -> list[np.ndarray]:
@@ -103,9 +100,10 @@ def _point_blocks(blocks, min_len: int, short):
     the bad block's error (``None`` if there is none), whose ``index`` is
     set to the block's position.
 
-    A block is bad when ``as_points`` rejects it, with that error, or when
-    it holds fewer than ``min_len`` points, with the error ``short(n)``; the
-    finiteness of all blocks is one check.
+    A block is bad when ``as_points`` rejects it, with that error, when a
+    coordinate lies beyond ``COORD_LIMIT``, or when it holds fewer than
+    ``min_len`` points, with the error ``short(n)``; the range of all blocks
+    is one check.
     """
     arrays, fault = [], None
     for block in blocks:
@@ -117,15 +115,17 @@ def _point_blocks(blocks, min_len: int, short):
     sizes = np.array([len(a) for a in arrays], dtype=np.int64)
     pts = np.concatenate([np.empty((0, 2)), *arrays])
     n = len(arrays)
-    finite = np.isfinite(pts)
-    if not finite.all():  # a block's own bad rows come before its length
-        n = int(sizes.cumsum().searchsorted(finite.all(axis=1).argmin(), "right"))
+    bad = ~(np.abs(pts) <= COORD_LIMIT).all(axis=1)  # NaN fails too
+    if bad.any():  # a block's own bad rows come before its length
+        row = int(bad.argmax())
+        n = int(sizes.cumsum().searchsorted(row, "right"))
     too_short = np.flatnonzero(sizes[:n] < min_len)
     if len(too_short):
         n = int(too_short[0])
         fault = short(sizes[n])
     elif n < len(arrays):
-        fault = ValueError("points contain NaN or inf")
+        fault = ValueError("points contain NaN or inf" if not np.isfinite(pts[row]).all()
+                           else f"points lie beyond {COORD_LIMIT:g} m of the origin")
     if fault is not None:
         fault.index = n
     return arrays[:n], pts[:sizes[:n].sum()], sizes[:n], fault
@@ -397,17 +397,9 @@ def arc_length(polyline) -> float:
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
 
 
-def heading(v) -> float:
-    """Direction of ``v`` in radians, x-axis = 0, range (-pi, pi]."""
-    vx, vy = float(v[0]), float(v[1])
-    if math.hypot(vx, vy) <= DEGENERATE_EPS:
-        raise DegenerateHeadingError(f"degenerate heading for vector ({vx}, {vy})")
-    return _angle(vx, vy)
-
-
 def headings(v: np.ndarray) -> np.ndarray:
-    """``heading`` of every row of ``(N, 2)`` vectors in one pass, NaN where
-    it raises."""
+    """Direction of every row of ``(N, 2)`` vectors in radians, x-axis = 0,
+    range (-pi, pi]; NaN for a vector no longer than ``DEGENERATE_EPS``."""
     return np.array([
         math.nan if math.hypot(vx, vy) <= DEGENERATE_EPS else _angle(vx, vy)
         for vx, vy in v.tolist()
@@ -447,50 +439,51 @@ class Polyline:
     """A validated polyline with its segments laid out once, for repeated
     nearest-point queries: its ``points``, and for each segment its start
     ``a``, vector ``ab``, squared length ``denom``, length ``seg_len`` and
-    tangent heading ``tangents``. A segment's tangent is its ``heading``; a
-    zero-length one takes the heading of the polyline's first segment longer
-    than ``DEGENERATE_EPS``. The tangent is NaN where there is none, or where
-    the segment is shorter than that but not zero."""
-
-    def __init__(self, polyline):
-        """The one-polyline case of ``many``."""
-        vars(self).update(vars(Polyline.many([polyline])[0]))
+    tangent heading ``tangents``. A segment's tangent is its ``headings``
+    value; a segment with none (no longer than ``DEGENERATE_EPS``) takes the
+    tangent of the polyline's first segment that has one. Built only by
+    ``many``."""
 
     @classmethod
     def many(cls, polylines) -> list["Polyline"]:
         """Each of ``polylines`` as ``as_points`` returns it, checked to have
-        at least 2 points, with the segments of all of them laid out and
-        their tangents computed in one pass over the concatenated points. The
-        first bad polyline raises its error, with its position as the error's
-        ``index``."""
+        at least 2 points and a segment with a heading, with the segments of
+        all of them laid out and their tangents computed in one pass over the
+        concatenated points. The first bad polyline raises its error, with
+        its position as the error's ``index``."""
         arrays, pts, sizes, fault = _point_blocks(
             polylines, 2, lambda n: ValueError("polyline needs >= 2 points"))
+        lines = []
+        if arrays:
+            # segment j joins points j and j + 1; drop those that join two lines
+            keep = np.ones(len(pts) - 1, dtype=bool)
+            keep[sizes.cumsum()[:-1] - 1] = False
+            a, ab = pts[:-1][keep], (pts[1:] - pts[:-1])[keep]
+            denom = np.einsum("ij,ij->i", ab, ab)
+            seg_len = np.sqrt(denom)
+            sizes = sizes - 1  # segments per line
+            seg_ends = sizes.cumsum()
+            seg_starts = seg_ends - sizes
+            heads = headings(ab)
+            has = ~np.isnan(heads)
+            usable = np.flatnonzero(has)
+            # each line's first segment with a heading; a line has none when
+            # that lands past its end
+            first = np.append(usable, seg_ends[-1])[np.searchsorted(usable, seg_starts)]
+            blind = np.flatnonzero(first >= seg_ends)
+            if len(blind):
+                fault = ValueError("polyline has no usable direction")
+                fault.index = int(blind[0])
+                raise fault
+            tangents = np.where(has, heads, np.repeat(heads[first], sizes))
+            for p, lo, hi in zip(arrays, seg_starts.tolist(), seg_ends.tolist()):
+                line = cls.__new__(cls)
+                line.points, line.a, line.ab = p, a[lo:hi], ab[lo:hi]
+                line.denom, line.seg_len = denom[lo:hi], seg_len[lo:hi]
+                line.tangents = tangents[lo:hi]
+                lines.append(line)
         if fault is not None:
             raise fault
-        if not arrays:
-            return []
-        # segment j joins points j and j + 1; drop those that join two lines
-        keep = np.ones(len(pts) - 1, dtype=bool)
-        keep[sizes.cumsum()[:-1] - 1] = False
-        a, ab = pts[:-1][keep], (pts[1:] - pts[:-1])[keep]
-        denom = np.einsum("ij,ij->i", ab, ab)
-        seg_len = np.sqrt(denom)
-        sizes = sizes - 1  # segments per line
-        seg_ends = sizes.cumsum()
-        seg_starts = seg_ends - sizes
-        heads = headings(ab)
-        usable = np.flatnonzero(seg_len > DEGENERATE_EPS)
-        # each line's first usable segment, if it has one
-        first = np.append(usable, seg_ends[-1])[np.searchsorted(usable, seg_starts)]
-        fallback = np.where(first < seg_ends, np.append(heads, math.nan)[first], math.nan)
-        tangents = np.where(denom > 0, heads, np.repeat(fallback, sizes))
-        lines = []
-        for p, lo, hi in zip(arrays, seg_starts.tolist(), seg_ends.tolist()):
-            line = cls.__new__(cls)
-            line.points, line.a, line.ab = p, a[lo:hi], ab[lo:hi]
-            line.denom, line.seg_len = denom[lo:hi], seg_len[lo:hi]
-            line.tangents = tangents[lo:hi]
-            lines.append(line)
         return lines
 
     def nearest(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -510,25 +503,14 @@ class Polyline:
         rows = np.arange(len(pts))
         return i, t[rows, i], foot[rows, i]
 
-    def tangent(self, i: int) -> float:
-        """The tangent heading of segment ``i``."""
-        h = float(self.tangents[i])
-        if math.isnan(h):
-            raise DegenerateHeadingError("polyline has no usable direction")
-        return h
 
-
-def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float, float]:
-    """Closest point on a polyline.
-
-    Returns ``(foot, arc_offset, tangent_heading)``. When the foot lands on a
-    shared vertex the following segment supplies the heading.
-    """
-    line = Polyline(polyline)
+def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float]:
+    """Closest point on a polyline: ``(foot, arc_offset)``."""
+    line = Polyline.many([polyline])[0]
     idx, t, foot = line.nearest(p)
     i = int(idx[0])
     offset = float(line.seg_len[:i].sum() + t[0] * line.seg_len[i])
-    return foot[0].copy(), offset, line.tangent(i)
+    return foot[0].copy(), offset
 
 
 class GridIndex:

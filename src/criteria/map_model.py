@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from . import geom
-from .errors import DegenerateHeadingError, InvalidMapError
+from .errors import InvalidMapError
 
 log = logging.getLogger(__name__)
 
@@ -52,10 +52,11 @@ def is_turn_lane(lane: LaneSegment) -> bool:
 
 class RoadMap:
     """Immutable lane map, checked and laid out once when built: one
-    ``geom.Polyline.many`` call lays out every centerline, one
-    ``geom.normalize_rings`` call turns every lane polygon and drivable ring
-    counter-clockwise, and the drivable rings and lane polygons are held as
-    two ``geom.RingTable``s for batched point queries."""
+    ``geom.Polyline.many`` call lays out every centerline and refuses one
+    with no direction, one ``geom.normalize_rings`` call turns every lane
+    polygon and drivable ring counter-clockwise, and the drivable rings and
+    lane polygons are held as two ``geom.RingTable``s for batched point
+    queries."""
 
     def __init__(
         self,
@@ -129,43 +130,28 @@ class RoadMap:
 
     # -- queries ---------------------------------------------------------
 
-    def _lane_mask(self, points, eps: float):
-        """Lanes within ``eps`` of ``(N, 2)`` points (inside counts) as an
-        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
-        ``(2,)`` point, the sorted ids of those lanes."""
-        mask = self._lanes.contains(geom.as_points(points), eps)
-        if np.ndim(points) == 1:
-            return [self.lane_ids[col] for col in np.flatnonzero(mask[0])]
-        return mask
-
-    def lanes_containing(self, points):
+    def lanes_containing(self, points) -> np.ndarray:
         """Lane membership of ``(N, 2)`` points (boundary counts) as an
-        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
-        ``(2,)`` point, the sorted ids of the lanes that contain it."""
-        return self._lane_mask(points, geom.BOUNDARY_EPS)
+        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``."""
+        return self._lanes.contains(geom.as_points(points), geom.BOUNDARY_EPS)
 
-    def lanes_within_radius(self, points, r: float):
+    def lanes_within_radius(self, points, r: float) -> np.ndarray:
         """Lanes inside or within ``r`` of each of ``(N, 2)`` points as an
-        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``; for one
-        ``(2,)`` point, the sorted ids of those lanes. A lane's boundary band
-        is never narrower than the containment test's."""
+        ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``. A
+        lane's boundary band is never narrower than the containment test's."""
         if not r > 0:
             raise ValueError("radius must be positive")
-        return self._lane_mask(points, max(float(r), geom.BOUNDARY_EPS))
+        return self._lanes.contains(geom.as_points(points),
+                                    max(float(r), geom.BOUNDARY_EPS))
 
-    def lane_heading_at(self, lane_id: str, points):
+    def lane_heading_at(self, lane_id: str, points) -> np.ndarray:
         """Tangent heading of the lane's centerline at the point nearest to
-        each of ``(N, 2)`` points, as an ``(N,)`` array; a float for one
-        ``(2,)`` point."""
-        pts = np.asarray(points, float)
+        each of ``(N, 2)`` points, as an ``(N,)`` array. Every centerline has
+        a direction (the map refuses one that has none), so every heading is
+        defined."""
         line = self._centerlines[lane_id]
-        seg, _, _ = line.nearest(pts)
-        headings = line.tangents[seg]
-        if np.isnan(headings).any():
-            raise DegenerateHeadingError(
-                f"lane {lane_id!r}: centerline has no usable direction there"
-            )
-        return float(headings[0]) if pts.ndim == 1 else headings
+        seg, _, _ = line.nearest(points)
+        return line.tangents[seg]
 
     def contains_many(self, points) -> np.ndarray:
         """Vectorized drivable-area membership for a batch of points."""

@@ -307,9 +307,11 @@ def test_alignment(pred: PredictionSet, road: RoadMap, cfg: AlignmentConfig):
 
     A mode's heading is the chord over the last ``tail_steps`` points;
     confidence is maximized over (tail point, containing lane) pairs and
-    compared strictly against the threshold. A stationary tail falls back to
-    the configured policy. The tail points of all modes go through one lane
-    query, and each lane's centerline headings through one lookup.
+    compared strictly against the threshold. A tail is moving when its chord
+    has a heading (``geom.headings``) and is at least ``stationary_eps``
+    long; any other tail falls back to the configured policy. The tail points
+    of all modes go through one lane query, and each lane's centerline
+    headings through one lookup.
     """
     pts = pred.points
     n_tail = cfg.tail_steps
@@ -319,13 +321,14 @@ def test_alignment(pred: PredictionSet, road: RoadMap, cfg: AlignmentConfig):
         )
     tails = pts[:, -n_tail:]  # (K, n_tail, 2)
     chords = tails[:, -1] - tails[:, 0]
+    heads = geom.headings(chords)
     moving = np.flatnonzero(
-        geom.lengths(chords) >= max(cfg.stationary_eps, geom.DEGENERATE_EPS)
+        ~np.isnan(heads) & (geom.lengths(chords) >= cfg.stationary_eps)
     )
     passed = np.full(len(tails), cfg.stationary_policy is StationaryPolicy.PASS)
     conf = np.zeros(len(tails))
     if len(moving):
-        hvec = _unit([geom.heading(c) for c in chords[moving]])
+        hvec = _unit(heads[moving].tolist())
         probe = tails[moving].reshape(-1, 2)
         mode_of = np.repeat(np.arange(len(moving)), n_tail)
         point, lane = np.nonzero(road.lanes_containing(probe))

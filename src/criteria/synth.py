@@ -308,14 +308,14 @@ def toy_predict(
             for _ in range(k)
         ]
     else:  # LANE_FAN
-        containing = road.lanes_containing(anchor)
-        if not containing:
+        containing = np.flatnonzero(road.lanes_containing(anchor)[0])
+        if not len(containing):
             raise ValueError(f"scenario {rec.id!r}: anchor is off every lane")
         # each route's polyline, the anchor's arc offset on it and its length
         routes = []
-        for chain in _routes_from(road, containing[0])[:k]:
+        for chain in _routes_from(road, road.lane_ids[containing[0]])[:k]:
             poly = _chain_polyline(road, chain)
-            _, s_a, _ = geom.nearest_on_polyline(anchor, poly)
+            _, s_a = geom.nearest_on_polyline(anchor, poly)
             routes.append((poly, s_a, geom.arc_length(poly)))
         modes = []
         for m in range(k):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from criteria import geom, synth
-from criteria.errors import DegenerateHeadingError, InvalidMapError
+from criteria.errors import InvalidMapError
 from criteria.map_model import LaneSegment, RoadMap, is_turn_lane
 from criteria.scenario import Structure
 from criteria.trajectory import PredictionSet, Trajectory
@@ -58,10 +58,20 @@ def reference_angle_between(v1, v2) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
+def reference_heading(v) -> float:
+    """Direction of ``v`` in radians, x-axis = 0, range (-pi, pi]; NaN for a
+    vector no longer than ``DEGENERATE_EPS``."""
+    vx, vy = float(v[0]), float(v[1])
+    if math.hypot(vx, vy) <= geom.DEGENERATE_EPS:
+        return math.nan
+    h = math.atan2(vy, vx)
+    return h + 2 * math.pi if h <= -math.pi else h
+
+
 def reference_polyline_heading(p, polyline) -> float:
     """Tangent heading at the point of ``polyline`` nearest to ``p``: the
-    later segment wins ties, a degenerate one falls back to the first
-    usable segment."""
+    later segment wins ties, a segment with no heading takes the first
+    segment's that has one."""
     p = np.asarray(p, float)
     a, b = polyline[:-1], polyline[1:]
     ab = b - a
@@ -70,53 +80,63 @@ def reference_polyline_heading(p, polyline) -> float:
     t = np.where(denom > 0, np.clip(t, 0.0, 1.0), 0.0)
     d = np.linalg.norm(p[None, :] - (a + t[:, None] * ab), axis=1)
     i = int(np.flatnonzero(d <= d.min() + 1e-12)[-1])
-    return reference_tangent(ab, denom, i)
+    return reference_tangent(ab, i)
 
 
-def reference_tangent(ab, denom, i: int) -> float:
+def reference_tangent(ab, i: int) -> float:
     """Heading of segment ``i`` of a polyline whose segments have the vectors
-    ``ab`` and squared lengths ``denom``: its own, or for a zero-length
-    segment the first usable segment's."""
-    if denom[i] > 0:
-        return geom.heading(ab[i])
-    usable = np.flatnonzero(np.sqrt(denom) > geom.DEGENERATE_EPS)
-    if len(usable) == 0:
-        raise DegenerateHeadingError("polyline has no usable direction")
-    return geom.heading(ab[usable[0]])
+    ``ab``: its own, or for a segment with none the heading of the first
+    segment that has one."""
+    for v in (ab[i], *ab):
+        h = reference_heading(v)
+        if not math.isnan(h):
+            return h
+    raise ValueError("polyline has no usable direction")
 
 
 # -- per-item references for the batched map-geometry constructors -----------
 
 
+def reference_points(block) -> np.ndarray:
+    """``block`` as ``(N, 2)`` map points, checked row by row: the first row
+    with NaN or inf, or with a coordinate beyond ``COORD_LIMIT``, raises."""
+    pts = geom._shaped(block)
+    for row in pts:
+        if not np.isfinite(row).all():
+            raise ValueError("points contain NaN or inf")
+        if (np.abs(row) > geom.COORD_LIMIT).any():
+            raise ValueError(f"points lie beyond {geom.COORD_LIMIT:g} m of the origin")
+    return pts
+
+
 def reference_polyline(polyline) -> dict[str, np.ndarray]:
     """A polyline checked and laid out on its own, segment by segment: the
-    fields of ``geom.Polyline``, with each tangent NaN where
-    ``reference_tangent`` raises."""
-    pts = geom.as_points(polyline)
+    fields of ``geom.Polyline``."""
+    pts = reference_points(polyline)
     if len(pts) < 2:
         raise ValueError("polyline needs >= 2 points")
     ab = pts[1:] - pts[:-1]
     denom = np.einsum("ij,ij->i", ab, ab)
-    tangents = []
-    for i in range(len(ab)):
-        try:
-            tangents.append(reference_tangent(ab, denom, i))
-        except DegenerateHeadingError:
-            tangents.append(math.nan)
+    tangents = np.array([reference_tangent(ab, i) for i in range(len(ab))])
     return dict(points=pts, a=pts[:-1], ab=ab, denom=denom,
-                seg_len=np.sqrt(denom), tangents=np.array(tangents))
+                seg_len=np.sqrt(denom), tangents=tangents)
 
 
 def reference_normalize_ring(ring) -> np.ndarray:
     """One polygon ring checked on its own and turned counter-clockwise by
     the sign of its ``signed_area``."""
-    ring = geom.as_points(ring)
+    ring = reference_points(ring)
     if len(ring) < 3:
         raise InvalidMapError(f"polygon needs >= 3 vertices, got {len(ring)}")
     area = geom.signed_area(ring)
     if abs(area) < 1e-12:
         raise InvalidMapError("degenerate polygon (zero area)")
     return ring[::-1].copy() if area < 0 else ring
+
+
+def lane_ids_of(road, row) -> list[str]:
+    """The ids of the lanes flagged in one row of a lane mask."""
+    return [road.lane_ids[c] for c in np.flatnonzero(row)]
 
 
 def reference_lanes_containing(road, p) -> list[str]:
@@ -158,9 +178,9 @@ def reference_test_alignment(points, road, cfg) -> tuple[bool, float]:
 
     tail = points[-cfg.tail_steps :]
     chord = tail[-1] - tail[0]
-    if np.linalg.norm(chord) < max(cfg.stationary_eps, geom.DEGENERATE_EPS):
+    h = reference_heading(chord)
+    if math.isnan(h) or np.linalg.norm(chord) < cfg.stationary_eps:
         return cfg.stationary_policy is StationaryPolicy.PASS, 0.0
-    h = geom.heading(chord)
     hvec = np.array([math.cos(h), math.sin(h)])
     max_conf = 0.0
     for p in tail:

@@ -74,6 +74,20 @@ class TestEvaluateModel:
         with pytest.raises(ShapeError, match=RECORDS[0].id):
             evaluate_model("m", RECORDS, MAPS, preds, RunConfig())
 
+    def test_dt_mismatch_rejected(self):
+        """Predictions sampled at another step than their scenario would
+        score without error; the scenario and both steps are named."""
+        preds = dict(PREDS)
+        rec = RECORDS[1]
+        good = preds[rec.id]
+        preds[rec.id] = PredictionSet.from_points(
+            good.scenario_id, good.points, 10 * good.dt, anchor=good.anchor
+        )
+        want = f"scenario {rec.id!r}: prediction dt {10 * rec.dt} != scenario dt {rec.dt}"
+        with pytest.raises(DataConsistencyError) as e:
+            evaluate_model("m", RECORDS, MAPS, preds, RunConfig())
+        assert str(e.value) == want
+
 
 @functools.lru_cache(maxsize=1)
 def base_run():

@@ -313,6 +313,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert pred["scenario_id"] in err and ">= 2 modes" in err
 
+    def test_dt_mismatch_is_data_error(self, fixtures, tmp_path, capsys):
+        """Predictions sampled every 1 s against scenarios sampled every
+        0.1 s are refused, naming the first scenario and both steps."""
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        doc["dt"] = 1.0
+        bad = tmp_path / "dt.json"
+        bad.write_text(json.dumps(doc))
+        first = json.loads((fixtures / "scenarios.json").read_text())["scenarios"][0]
+        capsys.readouterr()
+        assert self._eval(fixtures, tmp_path, predictions=bad) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            f"data error: scenario {first['id']!r}: prediction dt 1.0 != "
+            f"scenario dt {first['dt']}"
+        )
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_tags_is_data_error(self, fixtures, tmp_path):
         empty_tags = tmp_path / "tags.json"
         empty_tags.write_text(json.dumps({"tags": {}}))
@@ -453,16 +469,45 @@ class TestReport:
         assert str(paths["const_vel"]) in err and str(copy) in err
         assert not (tmp_path / "r").exists()
 
-    def _eval(self, fixtures, out, model, config=None):
+    def _eval(self, fixtures, out, model, config=None, scenarios=None, tags=None):
         return main([
             "eval",
-            "--scenarios", str(fixtures / "scenarios.json"),
+            "--scenarios", str(scenarios or fixtures / "scenarios.json"),
             "--maps", str(fixtures / "map.json"),
             "--predictions", str(fixtures / f"predictions_{model}.json"),
-            "--tags", str(fixtures / "tags.json"),
+            "--tags", str(tags or fixtures / "tags.json"),
             *(["--config", str(config)] if config else []),
             "--out", str(out),
         ])
+
+    @pytest.mark.parametrize("mismatch, problem", [
+        ("scenarios", "were evaluated on different scenarios"),
+        ("tags", "carry different scenario tags"),
+    ])
+    def test_mixed_scenarios_or_tags_are_data_error(self, fixtures, tmp_path, capsys,
+                                                    mismatch, problem):
+        """One model scored on half the scenarios, or under another tag for
+        one scenario, cannot share a table with a model scored on all of
+        them; both files are named."""
+        scenarios = json.loads((fixtures / "scenarios.json").read_text())
+        tags = json.loads((fixtures / "tags.json").read_text())
+        if mismatch == "scenarios":
+            scenarios["scenarios"] = scenarios["scenarios"][:2]
+        else:
+            tag = tags["tags"][scenarios["scenarios"][0]["id"]]
+            tag["difficulty"] = "EASY" if tag["difficulty"] == "HARD" else "HARD"
+        (tmp_path / "scenarios.json").write_text(json.dumps(scenarios))
+        (tmp_path / "tags.json").write_text(json.dumps(tags))
+        const_vel, noisy = tmp_path / "m_cv.json", tmp_path / "m_noisy.json"
+        assert self._eval(fixtures, const_vel, "const_vel") == EXIT_OK
+        assert self._eval(fixtures, noisy, "noisy", scenarios=tmp_path / "scenarios.json",
+                          tags=tmp_path / "tags.json") == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(const_vel), str(noisy),
+                     "--out", str(tmp_path / "r")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {const_vel} and {noisy} {problem}\n")
+        assert not (tmp_path / "r").exists()
 
     def test_mixed_run_configs_are_data_error(self, fixtures, tmp_path, capsys):
         """Degrees and radians in one table, with the first file's config
@@ -559,6 +604,11 @@ NAMED_FAULTS = {
                           lambda d: d["lanes"][1].__setitem__(
                               "polygon", [[0, 0], [1, 1], [2, 2]]),
                           "invalid map: lane 'E0t': polygon: degenerate polygon "),
+    "directionless centerline": ("eval", "--maps", "map.json",
+                                 lambda d: d["lanes"][1].__setitem__(
+                                     "centerline", [[0.5, 0.5]] * 3),
+                                 "invalid map: lane 'E0t': centerline: polyline has "
+                                 "no usable direction "),
     "flat drivable ring": ("eval", "--maps", "map.json",
                            lambda d: d["drivable_area"].__setitem__(
                                0, [[0, 0], [1, 1], [2, 2]]),

@@ -132,6 +132,57 @@ def test_mutated_document_never_raises(run, data):
         assert main(argv) in (EXIT_OK, EXIT_SCHEMA, EXIT_DATA)
 
 
+def _collapse_centerlines(doc):
+    for lane in doc["lanes"]:
+        lane["centerline"] = [lane["centerline"][0]] * 2
+
+
+def _tiny_tail_chord(doc):
+    """Every first mode ends at the origin, its last step 1e-6 m long."""
+    for pred in doc["predictions"]:
+        n = len(pred["modes"][0])
+        pred["modes"][0] = [[0.0, 0.0]] * (n - 1) + [[1e-6, 0.0]]
+
+
+def _stationary_modes(doc):
+    for pred in doc["predictions"]:
+        pred["modes"] = [[pred["anchor"]] * len(m) for m in pred["modes"]]
+
+
+def _stationary_past(doc):
+    for rec in doc["scenarios"]:
+        rec["past"] = [rec["past"][-1]] * len(rec["past"])
+
+
+# well-typed but degenerate inputs: the edit of each document, and the exit
+# code of every stage that reads them
+DEGENERATE = {
+    "collapsed_centerlines": ({"map": _collapse_centerlines}, EXIT_SCHEMA),
+    "tiny_tail_chord": ({"predictions": _tiny_tail_chord,
+                         "config": lambda d: d["alignment"].update(stationary_eps=0)},
+                        EXIT_OK),
+    "stationary_modes": ({"predictions": _stationary_modes}, EXIT_OK),
+    "stationary_past": ({"scenarios": _stationary_past}, EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_input_never_raises(run, case):
+    """Bad geometry is refused with a clean exit and odd motion is scored;
+    neither ends in a traceback."""
+    root, files, docs, _ = run
+    edits, want = DEGENERATE[case]
+    inputs = dict(files)
+    for name, edit in edits.items():
+        doc = copy.deepcopy(docs[name])
+        edit(doc)
+        inputs[name] = root / case / files[name].name
+        inputs[name].parent.mkdir(exist_ok=True)
+        inputs[name].write_text(json.dumps(doc))
+    for stage in ("tag", "eval"):
+        assert main(_argv(stage, inputs, root / case / f"{stage}_out")) == want
+
+
 ANY = object()  # a list index, or a key the table does not name
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from criteria import geom
-from criteria.errors import DegenerateHeadingError, InvalidMapError
+from criteria.errors import InvalidMapError
 
 from conftest import (
     assert_cover_matches,
@@ -26,7 +26,7 @@ def random_convex_polygon(rng, n=8, radius=10.0):
 
 def halfplane_contains(p, ring):
     """Convex-polygon oracle: point left of (or on) every CCW edge."""
-    ring = geom.normalize_ring(ring)
+    ring = geom.normalize_rings([ring])[0]
     a = ring
     b = np.roll(ring, -1, axis=0)
     cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
@@ -222,20 +222,27 @@ class TestArcLength:
         )
 
 
+def heading(v) -> float:
+    return float(geom.headings(np.array([v], float))[0])
+
+
 class TestHeading:
     @pytest.mark.parametrize(
         "v,want",
         [((1, 0), 0.0), ((0, 1), math.pi / 2), ((-1, 0), math.pi)],
     )
     def test_axes(self, v, want):
-        assert geom.heading(v) == pytest.approx(want)
+        assert heading(v) == pytest.approx(want)
 
     def test_range(self):
-        assert geom.heading((-1, -1e-9)) <= math.pi
+        assert heading((-1, -1e-9)) <= math.pi
+        assert heading((-1, -0.0)) == math.pi
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateHeadingError):
-            geom.heading((1e-9, 0))
+        """A vector no longer than DEGENERATE_EPS has no heading."""
+        assert math.isnan(heading((1e-9, 0)))
+        assert math.isnan(heading((geom.DEGENERATE_EPS, 0)))
+        assert not math.isnan(heading((2 * geom.DEGENERATE_EPS, 0)))
 
 
 class TestAngleBetween:
@@ -273,24 +280,25 @@ class TestAngleBetween:
 
 class TestNearestOnPolyline:
     def test_perpendicular_drop(self):
-        foot, offset, hdg = geom.nearest_on_polyline((3, 4), [(0, 0), (10, 0)])
+        foot, offset = geom.nearest_on_polyline((3, 4), [(0, 0), (10, 0)])
         assert foot == pytest.approx([3, 0])
         assert offset == pytest.approx(3)
-        assert hdg == pytest.approx(0)
 
     def test_vertex_uses_following_segment(self):
         pl = [(0, 0), (5, 0), (5, 5)]
-        foot, offset, hdg = geom.nearest_on_polyline((5, 0), pl)
+        foot, offset = geom.nearest_on_polyline((5, 0), pl)
         assert foot == pytest.approx([5, 0])
         assert offset == pytest.approx(5)
-        assert hdg == pytest.approx(math.pi / 2)  # heading of the next segment
+        line = geom.Polyline.many([pl])[0]
+        seg, _, _ = line.nearest((5, 0))
+        assert line.tangents[seg[0]] == pytest.approx(math.pi / 2)  # the next segment's
 
     def test_dense_sampling_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             pl = np.cumsum(rng.normal(size=(6, 2)), axis=0)
             p = rng.normal(scale=3, size=2)
-            foot, _, _ = geom.nearest_on_polyline(p, pl)
+            foot, _ = geom.nearest_on_polyline(p, pl)
             # dense samples along every segment
             t = np.linspace(0, 1, 2000)[:, None]
             samples = np.concatenate(
@@ -301,11 +309,11 @@ class TestNearestOnPolyline:
 
 
 # coordinates that make good rings and lines, collinear or repeated points,
-# and areas near normalize_ring's 1e-12 threshold
+# areas near normalize_rings' 1e-12 threshold, and points out of range
 COORDS = st.one_of(
     st.floats(-100, 100),
     st.integers(-3, 3),
-    st.sampled_from([0.0, 1e-6, -1e-6, 2e-6, 1e-7]),
+    st.sampled_from([0.0, 1e-6, -1e-6, 2e-6, 1e-7, geom.COORD_LIMIT, -1e151]),
 )
 # good and bad point blocks: lists of pairs (on a small grid, where
 # repeated points make zero-length segments, or empty, short or with NaN or
@@ -393,9 +401,12 @@ class TestBatchedConstructors:
                         lines) == want
 
     def test_tangent_raises_where_there_is_none(self):
-        line = geom.Polyline([(0, 0), (0, 0)])
-        with pytest.raises(DegenerateHeadingError):
-            line.tangent(0)
+        """A line with no segment longer than DEGENERATE_EPS has no tangent
+        anywhere, so it is refused at its position, before a later bad line."""
+        lines = [[(0, 0), (1, 0)], [(0, 0), (0, 0), (1e-6, 0)], [(0, 0)]]
+        with pytest.raises(ValueError, match="no usable direction") as e:
+            geom.Polyline.many(lines)
+        assert e.value.index == 1
 
 
 class TestGridIndex:

@@ -29,12 +29,14 @@ from criteria.trajectory import (
 
 from conftest import (
     assert_ulp_close,
+    lane_ids_of,
     reference_aae,
     reference_amv,
     reference_angle_between,
     reference_clip_length,
     reference_dao,
     reference_fdes,
+    reference_heading,
     reference_lanes_containing,
     reference_min_ade,
     reference_min_asd,
@@ -84,7 +86,7 @@ def mode_sets(draw, kinds=tuple(synth.MapKind)):
     anchor = lane.centerline[i] + rng.uniform(0.0, 1.0) * (
         lane.centerline[i + 1] - lane.centerline[i]
     )
-    lane_heading = geom.heading(lane.centerline[i + 1] - lane.centerline[i])
+    lane_heading = reference_heading(lane.centerline[i + 1] - lane.centerline[i])
     modes = []
     for kind in mode_kinds:
         if kind == "stationary":
@@ -211,15 +213,16 @@ class TestAlignment:
         assert mask.shape == (len(probe), len(road.lane_ids))
         for p, row in zip(probe, mask):
             want = reference_lanes_containing(road, p)
-            assert [road.lane_ids[c] for c in np.flatnonzero(row)] == want
-            assert road.lanes_containing(p) == want
+            assert lane_ids_of(road, row) == want
+            # one (2,) point is answered as a batch of one
+            np.testing.assert_array_equal(road.lanes_containing(p), row[None])
         for col, lane_id in enumerate(road.lane_ids):
             pts = probe[mask[:, col]]
             if len(pts):
                 line = road.lanes[lane_id].centerline
                 want = [reference_polyline_heading(p, line) for p in pts]
                 assert road.lane_heading_at(lane_id, pts).tolist() == want
-                assert road.lane_heading_at(lane_id, pts[0]) == want[0]
+                assert road.lane_heading_at(lane_id, pts[0]).tolist() == want[:1]
 
 
 class TestDao:

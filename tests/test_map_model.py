@@ -9,17 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from criteria import geom, io, synth
-from criteria.errors import DegenerateHeadingError, InvalidMapError
+from criteria.errors import InvalidMapError
 from criteria.geom import BOX_PAD
 from criteria.map_model import LaneSegment, RoadMap, Turn, is_turn_lane
 
 from conftest import (
     assert_cover_matches,
+    lane_ids_of,
     reference_grid_mask,
     reference_in_polygon,
     reference_lane_within_radius,
     reference_lanes_containing,
     reference_normalize_ring,
+    reference_heading,
     reference_polyline,
     simple_lane,
 )
@@ -114,7 +116,7 @@ class TestPrefilterMatchesReference:
             for lane_id, lane in road.lanes.items()
             if reference_in_polygon(p, lane.polygon)[0]
         )
-        assert road.lanes_containing(p) == want
+        assert lane_ids_of(road, road.lanes_containing(p)[0]) == want
 
 
 @st.composite
@@ -150,12 +152,12 @@ class TestRadiusMatchesReference:
         np.testing.assert_array_equal(road.lanes_within_radius(pts, r), want)
 
     @given(kind=st.sampled_from(synth.MapKind), r=RADII, data=st.data())
-    def test_one_point_gives_its_row_as_ids(self, kind, r, data):
+    def test_one_point_gives_its_row(self, kind, r, data):
+        """A ``(2,)`` point is answered as a batch of one."""
         road = synth_road(kind)
         p = data.draw(radius_probe(probe_anchors(kind, True), r))
         row = road.lanes_within_radius(np.array([p]), r)[0]
-        want = [lane_id for lane_id, hit in zip(road.lane_ids, row) if hit]
-        assert road.lanes_within_radius(p, r) == want
+        np.testing.assert_array_equal(road.lanes_within_radius(p, r), row[None])
 
     @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
     def test_radius_must_be_positive(self, straight_road, r):
@@ -230,8 +232,8 @@ class TestRingTableMatchesReference:
         for ring in road.drivable:
             want |= reference_in_polygon(pts, ring)
         np.testing.assert_array_equal(road.contains_many(pts), want)
-        for p in pts:
-            assert road.lanes_containing(p) == reference_lanes_containing(road, p)
+        for p, row in zip(pts, road.lanes_containing(pts)):
+            assert lane_ids_of(road, row) == reference_lanes_containing(road, p)
 
     @given(kind=st.sampled_from(synth.MapKind), angle=ANGLES, r=RADII,
            data=st.data())
@@ -267,15 +269,16 @@ class TestLanesContaining:
     def test_centerline_midpoint(self, straight_road):
         lane = straight_road.lanes["E0"]
         mid = lane.centerline[len(lane.centerline) // 2]
-        assert "E0" in straight_road.lanes_containing(mid)
+        assert "E0" in lane_ids_of(straight_road, straight_road.lanes_containing(mid)[0])
 
     def test_far_off_road(self, straight_road):
-        assert straight_road.lanes_containing((0.0, 80.0)) == []
+        row = straight_road.lanes_containing((0.0, 80.0))[0]
+        assert lane_ids_of(straight_road, row) == []
 
     def test_overlap_returns_both(self):
         road = overlap_map()
         p = (50.0, 0.0)
-        got = road.lanes_containing(p)
+        got = lane_ids_of(road, road.lanes_containing(p)[0])
         want = [
             lane_id
             for lane_id in sorted(road.lanes)
@@ -286,12 +289,12 @@ class TestLanesContaining:
 
 class TestLanesWithinRadius:
     def test_covers_parallel_lanes(self, straight_road):
-        got = straight_road.lanes_within_radius((0.0, -1.85), 100.0)
-        assert set(got) == set(straight_road.lanes)
+        got = straight_road.lanes_within_radius((0.0, -1.85), 100.0)[0]
+        assert set(lane_ids_of(straight_road, got)) == set(straight_road.lanes)
 
     def test_tight_radius(self, straight_road):
-        got = straight_road.lanes_within_radius((0.0, -1.85), 1.0)
-        assert got == ["E0"]
+        got = straight_road.lanes_within_radius((0.0, -1.85), 1.0)[0]
+        assert lane_ids_of(straight_road, got) == ["E0"]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_linear_scan(self, straight_road, seed):
@@ -306,33 +309,33 @@ class TestLanesWithinRadius:
                 or geom.distance_to_ring(p.reshape(1, 2), lane.polygon)[0] <= r
             )
         )
-        assert straight_road.lanes_within_radius(p, r) == want
+        got = straight_road.lanes_within_radius(p, r)[0]
+        assert lane_ids_of(straight_road, got) == want
 
     def test_containing_subset_of_radius(self, t_road):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = rng.uniform(-50, 50, size=2)
-            contained = set(t_road.lanes_containing(p))
-            for r in (0.5, 5.0, 50.0):
-                assert contained <= set(t_road.lanes_within_radius(p, r))
+        pts = rng.uniform(-50, 50, size=(50, 2))
+        contained = t_road.lanes_containing(pts)
+        for r in (0.5, 5.0, 50.0):
+            assert not (contained & ~t_road.lanes_within_radius(pts, r)).any()
 
 
 class TestLaneHeading:
     def test_eastbound(self, straight_road):
-        assert straight_road.lane_heading_at("E0", (10.0, -1.85)) == pytest.approx(0.0)
+        got = straight_road.lane_heading_at("E0", (10.0, -1.85))
+        assert got.tolist() == pytest.approx([0.0])
 
     def test_westbound(self, straight_road):
-        assert straight_road.lane_heading_at("W0", (10.0, 1.85)) == pytest.approx(
-            np.pi
-        )
+        got = straight_road.lane_heading_at("W0", (10.0, 1.85))
+        assert got.tolist() == pytest.approx([np.pi])
 
     def test_chord_heading_on_curved_lane(self, t_road):
         lane = next(l for l in t_road.lanes.values() if l.turn is Turn.LEFT)
         cl = lane.centerline
         i = len(cl) // 2
         mid = (cl[i] + cl[i + 1]) / 2
-        want = geom.heading(cl[i + 1] - cl[i])
-        assert t_road.lane_heading_at(lane.id, mid) == pytest.approx(want)
+        want = reference_heading(cl[i + 1] - cl[i])
+        assert t_road.lane_heading_at(lane.id, mid).tolist() == pytest.approx([want])
 
     @pytest.mark.parametrize("centerline", [
         [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 0.0], [10.0, 5.0]],
@@ -342,25 +345,30 @@ class TestLaneHeading:
     ], ids=["repeated_vertices", "too_short", "no_usable_segment", "minus_pi"])
     def test_tangents_follow_polyline_tangent(self, centerline):
         """The headings laid out at build time follow the per-segment rule
-        (``reference_tangent``), NaN where it raises: a zero-length segment
-        takes the first usable one, a segment shorter than
-        ``DEGENERATE_EPS`` has none, and -pi turns into pi."""
+        (``reference_tangent``): a segment no longer than ``DEGENERATE_EPS``,
+        zero-length or not, takes the first one that has a heading, and -pi
+        turns into pi. A centerline where the rule finds none is refused."""
         box = np.array([[-1.0, -1.0], [11.0, -1.0], [11.0, 6.0], [-1.0, 6.0]])
         lane = LaneSegment(id="L", centerline=np.array(centerline), polygon=box)
-        road = RoadMap(map_id="m", lanes=[lane], drivable=[box])
-        np.testing.assert_array_equal(road._centerlines["L"].tangents,
-                                      reference_polyline(centerline)["tangents"])
+        try:
+            want = reference_polyline(centerline)["tangents"]
+        except ValueError as e:
+            with pytest.raises(InvalidMapError, match=f"lane 'L': centerline: {e}"):
+                RoadMap(map_id="m", lanes=[lane], drivable=[box])
+        else:
+            road = RoadMap(map_id="m", lanes=[lane], drivable=[box])
+            np.testing.assert_array_equal(road._centerlines["L"].tangents, want)
 
     def test_tangents_of_many_lanes_stay_per_lane(self):
-        """One pass lays out every lane's headings; a lane with no usable
-        segment keeps NaN even when the next lane has one."""
+        """One pass lays out every lane's headings; a lane's segments with
+        no heading take that lane's first heading, never a neighbour's."""
         box = np.array([[-1.0, -1.0], [11.0, -1.0], [11.0, 6.0], [-1.0, 6.0]])
         centerlines = [
-            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 5.0]],
             [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 0.0], [10.0, 5.0]],
             [[0.0, 0.0], [1e-7, 0.0], [10.0, 0.0]],
             [[10.0, 0.0], [0.0, -0.0], [0.0, 5.0]],
-            [[0.0, 0.0], [1e-7, 0.0]],
+            [[0.0, 5.0], [0.0, 5.0], [1e-7, 5.0], [10.0, 0.0]],
         ]
         lanes = [LaneSegment(id=f"L{i}", centerline=np.array(c), polygon=box)
                  for i, c in enumerate(centerlines)]
@@ -370,11 +378,13 @@ class TestLaneHeading:
                                           reference_polyline(centerline)["tangents"])
 
     def test_no_usable_direction_raises(self):
+        """A centerline with no direction is refused when the map is built,
+        so no heading query can meet one."""
         box = np.array([[-1.0, -1.0], [11.0, -1.0], [11.0, 6.0], [-1.0, 6.0]])
         lane = LaneSegment(id="L", centerline=np.zeros((2, 2)), polygon=box)
-        road = RoadMap(map_id="m", lanes=[lane], drivable=[box])
-        with pytest.raises(DegenerateHeadingError, match="lane 'L'"):
-            road.lane_heading_at("L", (0.0, 0.0))
+        with pytest.raises(InvalidMapError) as e:
+            RoadMap(map_id="m", lanes=[lane], drivable=[box])
+        assert str(e.value) == "lane 'L': centerline: polyline has no usable direction"
 
 
 class TestLaneSegmentMany:
@@ -433,7 +443,12 @@ class TestLaneSegmentMany:
          "lane '{}': centerline: polyline needs >= 2 points"),
         (dict(centerline=np.array([[0.0, 0.0], [np.nan, 0.0]])),
          "lane '{}': centerline: points contain NaN or inf"),
-    ], ids=["flat_polygon", "short_centerline", "nan_centerline"])
+        (dict(centerline=np.zeros((3, 2))),
+         "lane '{}': centerline: polyline has no usable direction"),
+        (dict(polygon=np.array([[0.0, 0.0], [2e150, 0.0], [0.0, 2e150]])),
+         "lane '{}': polygon: points lie beyond 1e+150 m of the origin"),
+    ], ids=["flat_polygon", "short_centerline", "nan_centerline",
+            "directionless_centerline", "far_polygon"])
     def test_first_bad_lane_raises(self, bad, error):
         lanes = self.lanes(synth.MapKind.CROSSROADS)
         lanes[1] = dataclasses.replace(lanes[1], **bad)
@@ -553,8 +568,11 @@ class TestInvariants:
         np.testing.assert_array_equal(
             loaded.contains_many(probes), t_road.contains_many(probes)
         )
-        for p in probes:
-            assert loaded.lanes_containing(p) == t_road.lanes_containing(p)
-            assert loaded.lanes_within_radius(p, 50.0) == t_road.lanes_within_radius(
-                p, 50.0
-            )
+        assert loaded.lane_ids == t_road.lane_ids
+        np.testing.assert_array_equal(
+            loaded.lanes_containing(probes), t_road.lanes_containing(probes)
+        )
+        np.testing.assert_array_equal(
+            loaded.lanes_within_radius(probes, 50.0),
+            t_road.lanes_within_radius(probes, 50.0),
+        )
