@@ -158,7 +158,11 @@ def cmd_eval(args) -> int:
     missing = sorted(r.id for r in records if r.id not in tags)
     if missing:
         raise DataConsistencyError(f"tags missing for scenarios: {missing}")
-    run = evaluate_model(model, records, {road.map_id: road}, preds, cfg)
+    try:
+        run = evaluate_model(model, records, {road.map_id: road}, preds, cfg)
+    except CriteriaError as e:  # a prediction that does not fit its scenario
+        e.file = args.predictions
+        raise
     inputs = {
         "scenarios": io.sha256_file(args.scenarios),
         "maps": io.sha256_file(args.maps),

@@ -17,6 +17,8 @@ import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from .bench import METRIC_NAMES, EvaluationRun, ScenarioResult, WeightConfig
 from .errors import CriteriaError, DataConsistencyError, SchemaError, SettingError
+from .geom import COORD_LIMIT
 from .map_model import LaneSegment, RoadMap, Turn
 from .metrics import AlignmentConfig, AngleUnit, DaoConfig, Reduction, TriadResult
 from .scenario import ScenarioConfig, ScenarioRecord, ScenarioTag
@@ -52,8 +55,8 @@ def _finite_number(c) -> bool:
 
 def _number_array(value, tail_shape: tuple) -> np.ndarray | None:
     """``value`` as a float array of shape ``(n, *tail_shape)`` when it is a
-    nested list of finite JSON numbers of that shape, else ``None``; a
-    ``None`` in ``tail_shape`` matches any length.
+    nested list of JSON numbers of that shape, each within ``COORD_LIMIT``
+    of 0, else ``None``; a ``None`` in ``tail_shape`` matches any length.
 
     One ``np.array`` call reads the whole block. Strings, nulls and objects
     come back as another dtype, ragged or deeper lists as another shape or a
@@ -70,7 +73,7 @@ def _number_array(value, tail_shape: tuple) -> np.ndarray | None:
     if any(n is not None and n != got for n, got in zip(tail_shape, arr.shape[1:])):
         return None
     arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
+    if not (np.abs(arr) <= COORD_LIMIT).all():  # NaN fails too
         return None
     for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
         leaf = value
@@ -85,7 +88,9 @@ def _pairs(value: list, path: str) -> np.ndarray:
     """The block ``value`` checked pair by pair: a ``SchemaError`` naming the
     first bad pair, or the block as an ``(n, 2)`` float array if every pair
     is fine (``np.array`` gives an object array for an integer beyond
-    int64, which converts to a finite float all the same)."""
+    int64, which converts to a finite float all the same). A coordinate
+    beyond ``COORD_LIMIT`` is refused, so that the metrics' squared
+    distances stay finite."""
     for i, pt in enumerate(value):
         if (
             not isinstance(pt, list)
@@ -94,6 +99,11 @@ def _pairs(value: list, path: str) -> np.ndarray:
         ):
             raise SchemaError(
                 f"{path}[{i}]", "expected an [x, y] pair of finite numbers"
+            )
+        if not all(abs(c) <= COORD_LIMIT for c in pt):
+            raise SchemaError(
+                f"{path}[{i}]", f"expected an [x, y] pair within {COORD_LIMIT:g} m "
+                "of the origin"
             )
     return np.asarray(value, dtype=float)
 
@@ -262,13 +272,93 @@ def _load(path, from_dict):
         raise
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        return super().default(o)
+def _scalar(o) -> str | None:
+    """``o`` as ``json`` writes a string, null, bool or number, in its order
+    of tests; ``None`` for any other value."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):  # json's own text for NaN and the infinities
+        return float.__repr__(o) if math.isfinite(o) else json.dumps(o)
+    return None
+
+
+def _block(o, indent: str) -> str | None:
+    """The non-empty list ``o`` as one ``%`` format of a template made for
+    it, when it holds only finite floats, or only equal-length non-empty
+    lists of them; else ``None``. Only an exact ``float`` qualifies: the
+    ``repr`` of a subclass such as ``np.float64`` differs from ``json``'s."""
+    inner = indent + "  "
+    first = o[0]
+    if type(first) is list or type(first) is tuple:
+        n = len(first)
+        if not n or any((type(row) is not list and type(row) is not tuple)
+                        or len(row) != n for row in o):
+            return None
+        deep = inner + "  "
+        item = "[\n" + deep + (",\n" + deep).join(["%r"] * n) + "\n" + inner + "]"
+        values = tuple(chain.from_iterable(o))
+    else:
+        item = "%r"
+        values = tuple(o)
+    if set(map(type, values)) != {float}:
+        return None
+    text = ("[\n" + inner + (",\n" + inner).join([item] * len(o))
+            + "\n" + indent + "]") % values
+    # a finite float's repr has no letter n; nan and inf take the general path
+    return None if "n" in text else text
+
+
+def _dump(o, write, indent: str = "") -> None:
+    """Write ``o`` through ``write`` in chunks, as ``json.dump`` with
+    ``indent=2`` and ``sort_keys=True`` does at the indentation ``indent``.
+    Arrays are written as their ``tolist()``, numpy scalars as their
+    ``item()``; any other value is a ``TypeError``."""
+    text = _scalar(o)
+    if text is not None:
+        write(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            write("[]")
+            return
+        text = _block(o, indent)
+        if text is not None:
+            write(text)
+            return
+        inner = indent + "  "
+        head = "[\n" + inner
+        for item in o:
+            write(head)
+            _dump(item, write, inner)
+            head = ",\n" + inner
+        write("\n" + indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            write("{}")
+            return
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key, value in sorted(o.items()):
+            # a number, bool or null key is quoted; any other key is a
+            # TypeError, as in json, since _scalar gives None for it
+            key = key if isinstance(key, str) else _scalar(key)
+            write(head + encode_basestring_ascii(key) + ": ")
+            _dump(value, write, inner)
+            head = ",\n" + inner
+        write("\n" + indent + "}")
+    elif isinstance(o, np.ndarray):
+        _dump(o.tolist(), write, indent)
+    elif isinstance(o, (np.floating, np.integer)):
+        _dump(o.item(), write, indent)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _write_atomic(path, write) -> None:
@@ -288,7 +378,7 @@ def _write_atomic(path, write) -> None:
 
 def write_json(path, doc) -> None:
     def dump(f):  # streamed: a large document is never one string
-        json.dump(doc, f, indent=2, sort_keys=True, cls=_Encoder)
+        _dump(doc, f.write)
         f.write("\n")
     _write_atomic(path, dump)
 

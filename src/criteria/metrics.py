@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import geom
-from .errors import SettingError, ShapeError
+from .errors import DataConsistencyError, SettingError, ShapeError
 from .map_model import RoadMap
 from .trajectory import (
     KinematicConfig,
@@ -221,12 +221,18 @@ def dao(pred: PredictionSet, road: RoadMap, cfg: DaoConfig) -> float:
     ax, ay = float(pred.anchor[0]), float(pred.anchor[1])
     half = cfg.roi_side / 2.0
     roi = (ax - half, ay - half, ax + half, ay + half)
-    occupied = geom.rasterize_occupancy(pred.points.reshape(-1, 2), roi, cfg.cell)
-
     nx = ny = cfg.cells_per_side
     # cell centers; (xs[ix], ys[iy]) is the center of cell (ix, iy)
     xs = roi[0] + (np.arange(nx) + 0.5) * cfg.cell
     ys = roi[1] + (np.arange(ny) + 0.5) * cfg.cell
+    # far from the origin, floats are coarser than a cell and the ROI's
+    # edges and cell centers merge
+    if not (roi[0] < roi[2] and roi[1] < roi[3]
+            and (np.diff(xs) > 0).all() and (np.diff(ys) > 0).all()):
+        raise DataConsistencyError(
+            f"scenario {pred.scenario_id!r}: the DAO lattice of {cfg.cell} m cells "
+            f"around the anchor ({ax}, {ay}) is not strictly ascending")
+    occupied = geom.rasterize_occupancy(pred.points.reshape(-1, 2), roi, cfg.cell)
     drivable = road.contains_grid(xs, ys)
     if drivable.count == 0:
         return 0.0

@@ -298,37 +298,33 @@ def toy_predict(
     )
 
     if kind is PredictorKind.CONST_VEL:
-        pts = _const_vel_points(rec, horizon)
-        modes = [Trajectory(pts.copy(), rec.dt) for _ in range(k)]
+        points = np.broadcast_to(_const_vel_points(rec, horizon), (k, horizon, 2))
     elif kind is PredictorKind.NOISY:
         base = _const_vel_points(rec, horizon)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        modes = [
-            Trajectory(base + rng.normal(0.0, 1.0, size=base.shape), rec.dt)
-            for _ in range(k)
-        ]
+        # one draw gives the same stream as k draws of one mode each
+        points = base + rng.normal(0.0, 1.0, size=(k, horizon, 2))
     else:  # LANE_FAN
         containing = np.flatnonzero(road.lanes_containing(anchor)[0])
         if not len(containing):
             raise ValueError(f"scenario {rec.id!r}: anchor is off every lane")
-        # each route's polyline, the anchor's arc offset on it and its length
-        routes = []
-        for chain in _routes_from(road, road.lane_ids[containing[0]])[:k]:
+        chains = _routes_from(road, road.lane_ids[containing[0]])[:k]
+        m = np.arange(k)
+        # speed * dt first, then times the step index: the fixture bytes
+        # depend on this order
+        steps = obs_speed * (0.7 + 0.6 * m / (k - 1)) * rec.dt
+        index = np.arange(1, horizon + 1)
+        points = np.empty((k, horizon, 2))
+        for r, chain in enumerate(chains):  # mode m follows route m % len(chains)
             poly = _chain_polyline(road, chain)
             _, s_a = geom.nearest_on_polyline(anchor, poly)
-            routes.append((poly, s_a, geom.arc_length(poly)))
-        modes = []
-        for m in range(k):
-            poly, s_a, total = routes[m % len(routes)]
-            speed = obs_speed * (0.7 + 0.6 * m / (k - 1))
-            s = s_a + speed * rec.dt * np.arange(1, horizon + 1)
+            total = geom.arc_length(poly)
+            s = (s_a + steps[r::len(chains), None] * index).ravel()
             pts = _points_at(poly, s)
             past = s > total  # extrapolate straight past the route end
             if past.any():
                 d = poly[-1] - poly[-2]
                 end_dir = d / np.linalg.norm(d)
                 pts[past] = poly[-1] + (s[past] - total)[:, None] * end_dir
-            modes.append(Trajectory(pts, rec.dt))
-    return PredictionSet(
-        scenario_id=rec.id, modes=modes, anchor=anchor.copy()
-    )
+            points[r::len(chains)] = pts.reshape(-1, horizon, 2)
+    return PredictionSet.from_points(rec.id, points, rec.dt, anchor=anchor.copy())

@@ -681,6 +681,40 @@ class TestErrorsNameTheirFile:
         assert err.startswith(start), err
         assert err.rstrip().endswith(f"(in {bad})"), err
 
+    @pytest.mark.parametrize("source, edit, problem", [
+        ("predictions_noisy.json", lambda d: d.update(dt=1.0), "prediction dt 1.0"),
+        ("predictions_noisy.json",
+         lambda d: d["predictions"][0].update(
+             modes=[m[:-1] for m in d["predictions"][0]["modes"]]),
+         "prediction horizon"),
+        ("predictions_noisy.json",
+         lambda d: d["predictions"][0].update(modes=d["predictions"][0]["modes"][:1]),
+         ">= 2 modes"),
+        ("scenarios.json", lambda d: d["scenarios"][0].update(map_id="elsewhere"),
+         "unknown map 'elsewhere'"),
+    ], ids=["dt", "horizon", "one_mode", "unknown_map"])
+    def test_evaluation_error_names_the_predictions_file(self, fixtures, tmp_path,
+                                                         capsys, source, edit, problem):
+        """A prediction that does not fit its scenario is found after every
+        file has loaded; the error names the predictions file."""
+        doc = json.loads((fixtures / source).read_text())
+        edit(doc)
+        bad = tmp_path / source
+        bad.write_text(json.dumps(doc))
+        files = {"scenarios.json": fixtures / "scenarios.json",
+                 "predictions_noisy.json": fixtures / "predictions_noisy.json",
+                 source: bad}
+        capsys.readouterr()
+        assert main([
+            "eval", "--scenarios", str(files["scenarios.json"]),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(files["predictions_noisy.json"]),
+            "--tags", str(fixtures / "tags.json"), "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: scenario ") and problem in err, err
+        assert err.rstrip().endswith(f"(in {files['predictions_noisy.json']})"), err
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -183,6 +183,58 @@ def test_degenerate_input_never_raises(run, case):
         assert main(_argv(stage, inputs, root / case / f"{stage}_out")) == want
 
 
+def _shift_first_prediction(doc):
+    """The first prediction moved 1e20 m east, where floats are coarser
+    than a DAO cell."""
+    pred = doc["predictions"][0]
+    pred["anchor"][0] += 1e20
+    for mode in pred["modes"]:
+        for pt in mode:
+            pt[0] += 1e20
+
+
+def _huge_mode_end(doc):
+    doc["predictions"][0]["modes"][1][-1] = [1e200, 1e200]
+
+
+def _huge_future_end(doc):
+    doc["scenarios"][0]["future"][-1] = [1e200, -1e200]
+
+
+# finite but far coordinates: the document edited, its edit, eval's exit code
+# and what the message names
+FAR = {
+    "shifted_1e20": ("predictions", _shift_first_prediction, EXIT_DATA,
+                     "data error: scenario {sid!r}: the DAO lattice"),
+    "mode_end_1e200": ("predictions", _huge_mode_end, EXIT_SCHEMA,
+                       "schema error: $.predictions[0].modes[1][{last}]: "),
+    "future_end_1e200": ("scenarios", _huge_future_end, EXIT_SCHEMA,
+                         "schema error: $.scenarios[0].future[{last}]: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR))
+def test_far_coordinates_are_refused_by_name(run, capsys, case):
+    """eval refuses a coordinate too far for its metrics with a clean exit
+    that names the scenario or the JSON path and the file, instead of a
+    traceback or a metrics file that report refuses."""
+    root, files, docs, _ = run
+    name, edit, want, named = FAR[case]
+    doc = copy.deepcopy(docs[name])
+    edit(doc)
+    inputs = {**files, name: root / case / files[name].name}
+    inputs[name].parent.mkdir(exist_ok=True)
+    inputs[name].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_argv("eval", inputs, root / case / "metrics.json")) == want
+    err = capsys.readouterr().err
+    sid = docs["predictions"]["predictions"][0]["scenario_id"]
+    last = len(docs["scenarios"]["scenarios"][0]["future"]) - 1
+    assert err.startswith(named.format(sid=sid, last=last)), err
+    assert err.rstrip().endswith(f"(in {inputs[name]})"), err
+    assert not (root / case / "metrics.json").exists()
+
+
 ANY = object()  # a list index, or a key the table does not name
 
 

@@ -14,6 +14,7 @@ from criteria.errors import (
     InvalidMapError,
     SchemaError,
 )
+from criteria.geom import COORD_LIMIT
 from criteria.metrics import MAX_DAO_CELLS_PER_SIDE, Reduction, StationaryPolicy
 from criteria.scenario import (
     Difficulty,
@@ -29,12 +30,14 @@ PREDS = [
     synth.toy_predict(synth.PredictorKind.NOISY, r, ROAD, k=4, seed=1)
     for r in RECORDS
 ]
-# [x, y] pairs that are not two finite numbers; a bool shares an array with
-# floats as 1.0 or 0.0 and with ints as 1 or 0, so it needs its own check
+# [x, y] pairs that are not two finite numbers within COORD_LIMIT of 0; a
+# bool shares an array with floats as 1.0 or 0.0 and with ints as 1 or 0, so
+# it needs its own check
 BAD_PAIRS = [
     [True, 1.0], ["1.0", 2.0], [1.0, None], [1.0, [2.0]], [1.0, 2.0, 3.0],
     [float("nan"), 0.0], [0.0, float("-inf")], [10**400, 0.0],
     [1, True], [False, 2.5], [0, False], [True, False],
+    [2e150, 0.0], [0.0, -(10**151)], [1e200, 1e200],
 ]
 
 
@@ -213,6 +216,14 @@ class TestScenarioIO:
             io.load_scenarios(path)
         assert "scenarios[0].past[5]" in str(e.value)
 
+    def test_coordinates_at_the_limit_load(self, tmp_path):
+        doc = io.scenarios_to_dict(RECORDS)
+        doc["scenarios"][0]["past"][5] = [COORD_LIMIT, -COORD_LIMIT]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        past = io.load_scenarios(path)[0].past.points
+        assert past[5].tolist() == [COORD_LIMIT, -COORD_LIMIT]
+
     def test_int_coordinates_load_as_floats(self, tmp_path):
         doc = io.scenarios_to_dict(RECORDS)
         doc["scenarios"][0]["past"][5] = [3, -4]
@@ -338,7 +349,99 @@ class TestMetricsIO:
         assert e.value.path == f"$.per_scenario.{sid}{where}"
 
 
+class _Encoder(json.JSONEncoder):
+    """The encoder ``io.write_json`` passed to ``json.dump`` before it had
+    its own emitter; the emitter must write the same bytes."""
+
+    def default(self, o):
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
+        return super().default(o)
+
+
+def reference_json(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True, cls=_Encoder) + "\n").encode()
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.1,
+                     1e16, 1e-7, 1.7976931348623157e308, math.nan, math.inf,
+                     -math.inf]),
+)
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "é", "\ud800", "\u2028", '"\\\n\t\x00\x7f', "\U0001f600"]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(2**70), 2**70),
+                    FLOATS, STRINGS)
+# coordinate blocks as the emitter's fast path takes them, and lists that are
+# nearly blocks: ragged or empty rows, or a NaN, an int, a bool or an
+# np.float64 among the floats
+NEAR_FLOATS = st.one_of(FINITE_FLOATS, FINITE_FLOATS, FINITE_FLOATS, FLOATS,
+                        st.integers(-3, 3), st.booleans(),
+                        st.builds(np.float64, FLOATS))
+BLOCKS = st.one_of(
+    st.lists(FINITE_FLOATS, min_size=1, max_size=6),
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(FINITE_FLOATS, min_size=n, max_size=n), min_size=1, max_size=5)),
+    st.lists(NEAR_FLOATS, max_size=6),
+    st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(NEAR_FLOATS, min_size=n, max_size=n), min_size=1, max_size=4)),
+    st.lists(st.lists(FINITE_FLOATS, max_size=3), max_size=4),
+    st.lists(st.tuples(FINITE_FLOATS, FINITE_FLOATS), min_size=1, max_size=3),
+)
+NUMPY = st.one_of(
+    st.builds(np.float64, FLOATS),
+    st.builds(np.float32, FINITE_FLOATS.filter(lambda x: abs(x) < 1e38)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.lists(FLOATS, max_size=6).map(lambda v: np.array(v, dtype=float)),
+    st.lists(FINITE_FLOATS, max_size=6).map(lambda v: np.array(v).reshape(-1, 1)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
+)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, BLOCKS, NUMPY),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(STRINGS, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 class TestWriteJson:
+    @given(DOCUMENTS)
+    def test_bytes_equal_json_dump(self, tmp_path_factory, doc):
+        """The emitter writes what ``json.dump`` with ``indent=2``, sorted
+        keys and the old encoder wrote, byte for byte."""
+        path = tmp_path_factory.getbasetemp() / "writer" / "doc.json"
+        io.write_json(path, doc)
+        assert path.read_bytes() == reference_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1: "a", 2.5: "b"}, {True: 0, False: 1}, {None: 1},
+        {"a": {-0.0: [], math.inf: {}}},
+    ], ids=["int_float", "bool", "null", "nested"])
+    def test_non_string_keys_as_json_writes_them(self, tmp_path, doc):
+        io.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_bytes() == reference_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [object()], {"a": {1, 2}}, np.bool_(True), {(1, 2): 0}, {"a": 1, 2: 3},
+    ], ids=["object", "set", "numpy_bool", "tuple_key", "mixed_keys"])
+    def test_unwritable_value_raises_type_error_and_leaves_no_file(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            reference_json(doc)
+        with pytest.raises(TypeError):
+            io.write_json(tmp_path / "doc.json", doc)
+        assert list(tmp_path.iterdir()) == []
+
     def test_sorted_and_newline_terminated(self, tmp_path):
         path = tmp_path / "doc.json"
         io.write_json(path, {"b": 1, "a": np.float64(2.0)})
@@ -366,6 +469,11 @@ def reference_coords(value, path: str, min_len: int) -> np.ndarray:
         ):
             raise SchemaError(
                 f"{path}[{i}]", "expected an [x, y] pair of finite numbers"
+            )
+        if not all(abs(c) <= COORD_LIMIT for c in pt):
+            raise SchemaError(
+                f"{path}[{i}]", f"expected an [x, y] pair within {COORD_LIMIT:g} m "
+                "of the origin"
             )
     return np.asarray(value, dtype=float)
 

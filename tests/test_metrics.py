@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from criteria import metrics
-from criteria.errors import InsufficientModesError, ShapeError
+from criteria.errors import DataConsistencyError, InsufficientModesError, ShapeError
 from criteria.metrics import (
     AlignmentConfig,
     DaoConfig,
@@ -178,6 +178,23 @@ class TestDao:
         large = make_pred([longer, longer + [0, 1]], anchor=(0, 0))
         cfg = DaoConfig()
         assert metrics.dao(large, road, cfg) >= metrics.dao(small, road, cfg)
+
+    @pytest.mark.parametrize("x, cfg", [
+        (1e20, DaoConfig()),
+        (1e16, DaoConfig()),  # a 2 m float step merges pairs of 0.5 m cells
+        (1e20, DaoConfig(cell=100.0, roi_side=100.0)),  # one cell, no lattice step
+    ], ids=["far", "coarse", "single_cell"])
+    def test_lattice_beyond_float_resolution_is_data_error(self, x, cfg):
+        pred = make_pred([straight_mode((x, dy), (1.0, 0.0), 10) for dy in (0.0, 1.0)],
+                         scenario_id="far", anchor=(x, 0.0))
+        with pytest.raises(DataConsistencyError,
+                           match="scenario 'far': the DAO lattice .* is not strictly"):
+            metrics.dao(pred, self.big_map(), cfg)
+
+    def test_lattice_near_float_resolution_is_scored(self):
+        """At 1e15 m a float step is 0.125 m, finer than a cell."""
+        pred = offset_pred([0.0, 1.0], n=10, start=(1e15, 0.0), anchor=(1e15, 0.0))
+        assert metrics.dao(pred, self.big_map(), DaoConfig()) == 0.0
 
 
 class TestAae:
