@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import metrics
 from .errors import DataConsistencyError, SettingError, ShapeError
@@ -74,6 +74,8 @@ class MetricReport:
     model_name: str
     # category key "STRUCTURE/DIFFICULTY/LENGTH" -> metric -> mean
     per_category: dict[str, dict[str, float]]
+    # block key "STRUCTURE/LENGTH" (difficulties pooled) -> metric -> mean
+    per_block: dict[str, dict[str, float]]
     overall: dict[str, float]
     att_ablation: dict[str, float]
 
@@ -144,44 +146,54 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
+def _group_means(groups: Iterable[tuple]) -> dict:
+    """Group key -> metric -> mean over the group's results."""
+    return {
+        key: {name: _mean([r.values[name] for r in results])
+              for name in METRIC_NAMES}
+        for key, results in groups
+    }
+
+
 def aggregate(
     run: EvaluationRun,
     tags: Mapping[str, ScenarioTag],
     weights: WeightConfig = WeightConfig(),
 ) -> MetricReport:
+    """Category, block and weighted overall means of one run, grouped by tag
+    in one pass, and the ATT ablation."""
+    if not run.per_scenario:
+        raise DataConsistencyError(
+            f"model {run.model_name!r}: no scenarios to aggregate")
     missing = sorted(sid for sid in run.per_scenario if sid not in tags)
     if missing:
         raise DataConsistencyError(f"tags missing for scenarios: {missing}")
 
     by_category: dict[str, list[ScenarioResult]] = {}
+    by_block: dict[str, list[ScenarioResult]] = {}
     by_difficulty: dict[Difficulty, list[ScenarioResult]] = {}
     for sid, result in run.per_scenario.items():
         tag = tags[sid]
         by_category.setdefault(tag.category(), []).append(result)
+        by_block.setdefault(f"{tag.structure.value}/{tag.length.value}",
+                            []).append(result)
         by_difficulty.setdefault(tag.difficulty, []).append(result)
 
-    per_category = {
-        cat: {
-            name: _mean([r.values[name] for r in results])
-            for name in METRIC_NAMES
-        }
-        for cat, results in sorted(by_category.items())
-    }
-
     # weights divided by the largest present one: no weighted sum overflows
-    top = max((weights.of(d) for d in by_difficulty), default=1.0)
+    top = max(weights.of(d) for d in by_difficulty)
     if top == 0:
         raise DataConsistencyError("weights are 0 for every difficulty present")
+    # not sorted: the weighted sums add difficulties in first-seen order
+    per_difficulty = _group_means(by_difficulty.items())
     overall: dict[str, float] = {}
     for name in METRIC_NAMES:
         num = 0.0
         den = 0.0
-        for d, results in by_difficulty.items():
+        for d, means in per_difficulty.items():
             w = weights.of(d) / top
-            num += w * _mean([r.values[name] for r in results])
+            num += w * means[name]
             den += w
-        if den > 0:
-            overall[name] = num / den
+        overall[name] = num / den
 
     all_triads = [r.triad for r in run.per_scenario.values()]
     att_ablation = {
@@ -190,7 +202,8 @@ def aggregate(
     }
     return MetricReport(
         model_name=run.model_name,
-        per_category=per_category,
+        per_category=_group_means(sorted(by_category.items())),
+        per_block=_group_means(by_block.items()),
         overall=overall,
         att_ablation=att_ablation,
     )

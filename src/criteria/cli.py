@@ -85,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--metrics", nargs="+", required=True)
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--balance", choices=["aae", "amv"])
-    p_rep.add_argument("--category")
+    p_rep.add_argument("--category", choices=[
+        scenario.ScenarioTag(s, d, l).category() for s in scenario.Structure
+        for d in scenario.Difficulty for l in scenario.LengthClass])
     return parser
 
 
@@ -130,10 +132,24 @@ def _min_fde_table(args, records) -> dict[str, list[float]]:
     return table
 
 
-def cmd_tag(args) -> int:
-    cfg = io.load_config(args.config)
+def _load_scenarios_and_map(args):
+    """The ``--scenarios`` records and the ``--maps`` map; a scenario that
+    names another map is a data error in the scenarios file."""
     records = io.load_scenarios(args.scenarios)
     road = io.load_map(args.maps)
+    for rec in records:
+        if rec.map_id != road.map_id:
+            err = DataConsistencyError(
+                f"scenario {rec.id!r}: unknown map {rec.map_id!r}; "
+                f"{args.maps} holds map {road.map_id!r}")
+            err.file = args.scenarios
+            raise err
+    return records, road
+
+
+def cmd_tag(args) -> int:
+    cfg = io.load_config(args.config)
+    records, road = _load_scenarios_and_map(args)
     table = _min_fde_table(args, records)
     tags, counts = scenario.tag_all(
         records, {road.map_id: road}, table, cfg.scenario
@@ -151,8 +167,7 @@ def cmd_tag(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = io.load_config(args.config)
-    records = io.load_scenarios(args.scenarios)
-    road = io.load_map(args.maps)
+    records, road = _load_scenarios_and_map(args)
     model, preds = io.load_predictions(args.predictions)
     tags = io.load_tags(args.tags)
     missing = sorted(r.id for r in records if r.id not in tags)
@@ -210,16 +225,13 @@ def cmd_report(args) -> int:
     cfg = runs[0][0].config
 
     # each run aggregated once, for the report, the tables and the chart
-    summaries = [
-        (aggregate(run, tags, cfg.weights), report_mod.block_means(run, tags))
-        for run, tags in runs
-    ]
-    doc = report_mod.build_report(summaries)
+    reports = [aggregate(run, tags, cfg.weights) for run, tags in runs]
+    doc = report_mod.build_report(reports)
     doc["config"] = cfg.to_dict()
     doc["inputs"] = inputs
     io.write_json(out / "report.json", doc)
 
-    tables = report_mod.collect_block_tables(summaries)
+    tables = report_mod.collect_block_tables(reports)
     md_parts = []
     for name, per_model in tables.items():
         slug = name.replace("/", "_").lower()
@@ -230,7 +242,7 @@ def cmd_report(args) -> int:
 
     if args.balance:
         diversity = args.balance.upper()
-        rows = balance_data([rep for rep, _ in summaries], diversity, args.category)
+        rows = balance_data(reports, diversity, args.category)
         io.write_text(out / "balance.csv",
                       report_mod.render_balance_csv(rows, diversity))
         io.write_text(out / "balance.svg",
@@ -242,6 +254,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "report" and args.category and not args.balance:
+            parser.error("argument --category: only applies with --balance")
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:

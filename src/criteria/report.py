@@ -5,34 +5,16 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .bench import METRIC_NAMES, EvaluationRun, MetricReport, rank
+from .bench import METRIC_NAMES, MetricReport, rank
 # not called here: perfbench/layers.py hooks ``report.aggregate`` by name
 from .bench import aggregate  # noqa: F401
-from .scenario import ScenarioTag, Structure, LengthClass
+from .scenario import Structure, LengthClass
 
 BLOCKS = [
     f"{s.value}/{l.value}"
     for s in (Structure.TURN, Structure.CRUISING)
     for l in (LengthClass.SHORT, LengthClass.LONG)
 ]
-
-
-def block_means(
-    run: EvaluationRun, tags: Mapping[str, ScenarioTag]
-) -> dict[str, dict[str, float]]:
-    """Metric means per structure/length block (difficulties pooled)."""
-    grouped: dict[str, list] = {}
-    for sid, result in run.per_scenario.items():
-        tag = tags[sid]
-        key = f"{tag.structure.value}/{tag.length.value}"
-        grouped.setdefault(key, []).append(result)
-    return {
-        key: {
-            name: sum(r.values[name] for r in results) / len(results)
-            for name in METRIC_NAMES
-        }
-        for key, results in grouped.items()
-    }
 
 
 def _table_rows(
@@ -124,18 +106,14 @@ def render_balance_svg(rows: Sequence[tuple[str, float, float, float]],
     return "\n".join(parts) + "\n"
 
 
-def build_report(summaries: Sequence[tuple[MetricReport, dict]]) -> dict:
+def build_report(reports: Sequence[MetricReport]) -> dict:
     """Assemble the JSON report document from each evaluated model's
-    ``aggregate`` report and ``block_means``."""
-    reports = [rep for rep, _ in summaries]
-    blocks_per_model = {rep.model_name: blocks for rep, blocks in summaries}
-
-    overall = {rep.model_name: rep.overall for rep in reports}
+    ``aggregate`` report."""
     overall_ranks = {
-        name: rank({m: v[name] for m, v in overall.items() if name in v}, name)
+        name: rank({rep.model_name: rep.overall[name] for rep in reports}, name)
         for name in METRIC_NAMES
     }
-    doc = {
+    return {
         "models": {
             rep.model_name: {
                 "overall": rep.overall,
@@ -145,27 +123,19 @@ def build_report(summaries: Sequence[tuple[MetricReport, dict]]) -> dict:
             for rep in reports
         },
         "overall_ranks": overall_ranks,
-        "blocks": blocks_per_model,
+        "blocks": {rep.model_name: rep.per_block for rep in reports},
     }
-    return doc
 
 
 def collect_block_tables(
-    summaries: Sequence[tuple[MetricReport, dict]]
+    reports: Sequence[MetricReport]
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """Table name -> model -> metric means, for CSV/Markdown rendering, from
-    the summaries ``build_report`` reads."""
-    tables: dict[str, dict[str, dict[str, float]]] = {}
-    overall: dict[str, dict[str, float]] = {}
-    for rep, blocks in summaries:
-        overall[rep.model_name] = rep.overall
-        for block, means in blocks.items():
-            tables.setdefault(block, {})[rep.model_name] = means
-    out = {"OVERALL": overall}
+    """Table name -> model -> metric means, for CSV/Markdown rendering: the
+    overall table, then one per structure/length block in ``BLOCKS`` order."""
+    out = {"OVERALL": {rep.model_name: rep.overall for rep in reports}}
     for block in BLOCKS:
-        if block in tables:
-            out[block] = tables[block]
-    for block in sorted(tables):
-        if block not in out:
-            out[block] = tables[block]
+        per_model = {rep.model_name: rep.per_block[block]
+                     for rep in reports if block in rep.per_block}
+        if per_model:
+            out[block] = per_model
     return out

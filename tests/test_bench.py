@@ -9,6 +9,7 @@ from criteria import metrics, synth
 from criteria.bench import (
     METRIC_DIRECTIONS,
     METRIC_NAMES,
+    EvaluationRun,
     MetricReport,
     WeightConfig,
     aggregate,
@@ -198,6 +199,10 @@ class TestAggregate:
         rep = aggregate(run, tags)
         assert all("/HARD/" in cat for cat in rep.per_category)
 
+    def test_empty_run_rejected_with_its_model(self):
+        with pytest.raises(DataConsistencyError, match="model 'm': no scenarios"):
+            aggregate(EvaluationRun("m", {}, RunConfig()), {})
+
     def test_missing_tag_rejected(self):
         run, tags = run_with_tags([Difficulty.EASY] * len(RECORDS))
         del tags[sorted(run.per_scenario)[0]]
@@ -263,6 +268,7 @@ def report(name, **overall):
     return MetricReport(
         model_name=name,
         per_category={"CRUISING/EASY/SHORT": dict(base)},
+        per_block={"CRUISING/SHORT": dict(base)},
         overall=base,
         att_ablation={},
     )

@@ -416,6 +416,52 @@ class TestReport:
         for per_metric in rep["overall_ranks"].values():
             assert per_metric == {"lane_fan": 1}
 
+    @pytest.fixture(scope="class")
+    def two_models(self, fixtures, tmp_path_factory):
+        """Metrics files of the const_vel and noisy models."""
+        root = tmp_path_factory.mktemp("two_models")
+        paths = []
+        for name in ("const_vel", "noisy"):
+            paths.append(root / f"metrics_{name}.json")
+            assert main([
+                "eval", "--scenarios", str(fixtures / "scenarios.json"),
+                "--maps", str(fixtures / "map.json"),
+                "--predictions", str(fixtures / f"predictions_{name}.json"),
+                "--tags", str(fixtures / "tags.json"), "--out", str(paths[-1]),
+            ]) == EXIT_OK
+        return [str(p) for p in paths]
+
+    def test_category_balance_chart(self, fixtures, two_models, tmp_path):
+        """``--category`` draws the balance chart from that category's means."""
+        counts = json.loads((fixtures / "tags.json").read_text())["category_counts"]
+        category = sorted(counts)[0]
+        out = tmp_path / "r"
+        assert main(["report", "--metrics", *two_models, "--out", str(out),
+                     "--balance", "amv", "--category", category]) == EXIT_OK
+        models = json.loads((out / "report.json").read_text())["models"]
+        rows = (out / "balance.csv").read_text().splitlines()
+        assert rows[0] == "model,AMV,ATT,minFDE"
+        assert rows[1:] == [
+            f"{m},{v['AMV']:.6f},{v['ATT']:.6f},{v['minFDE']:.6f}"
+            for m in ("const_vel", "noisy")
+            for v in [models[m]["per_category"][category]]
+        ]
+
+    @pytest.mark.parametrize("extra, problem", [
+        (["--balance", "aae", "--category", "TURN/HARD/LONGG"],
+         "argument --category: invalid choice: 'TURN/HARD/LONGG'"),
+        (["--category", "TURN/HARD/LONG"],
+         "argument --category: only applies with --balance"),
+    ], ids=["unknown_category", "without_balance"])
+    def test_category_usage_error(self, two_models, tmp_path, capsys, extra,
+                                  problem):
+        out = tmp_path / "r"
+        capsys.readouterr()
+        assert main(["report", "--metrics", *two_models, "--out", str(out),
+                     *extra]) == EXIT_USAGE
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
     def test_metrics_without_scenarios_is_data_error(self, fixtures, tmp_path):
         tags = json.loads((fixtures / "tags.json").read_text())["tags"]
         path = tmp_path / "empty.json"
@@ -690,9 +736,7 @@ class TestErrorsNameTheirFile:
         ("predictions_noisy.json",
          lambda d: d["predictions"][0].update(modes=d["predictions"][0]["modes"][:1]),
          ">= 2 modes"),
-        ("scenarios.json", lambda d: d["scenarios"][0].update(map_id="elsewhere"),
-         "unknown map 'elsewhere'"),
-    ], ids=["dt", "horizon", "one_mode", "unknown_map"])
+    ], ids=["dt", "horizon", "one_mode"])
     def test_evaluation_error_names_the_predictions_file(self, fixtures, tmp_path,
                                                          capsys, source, edit, problem):
         """A prediction that does not fit its scenario is found after every
@@ -714,6 +758,31 @@ class TestErrorsNameTheirFile:
         err = capsys.readouterr().err
         assert err.startswith("data error: scenario ") and problem in err, err
         assert err.rstrip().endswith(f"(in {files['predictions_noisy.json']})"), err
+
+    @pytest.mark.parametrize("stage", ["tag", "eval"])
+    def test_unknown_map_names_the_scenarios_file(self, fixtures, tmp_path,
+                                                  capsys, stage):
+        """A scenario naming another map than ``--maps`` holds is an error in
+        the scenarios file; the message names the map file and its id."""
+        doc = json.loads((fixtures / "scenarios.json").read_text())
+        doc["scenarios"][0]["map_id"] = "elsewhere"
+        bad = tmp_path / "scenarios.json"
+        bad.write_text(json.dumps(doc))
+        road = io.load_map(fixtures / "map.json")
+        extra = (["--tags", str(fixtures / "tags.json")] if stage == "eval"
+                 else [])
+        capsys.readouterr()
+        assert main([
+            stage, "--scenarios", str(bad), "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_noisy.json"), *extra,
+            "--out", str(tmp_path / "out.json"),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: scenario "), err
+        assert "unknown map 'elsewhere'" in err, err
+        assert f"{fixtures / 'map.json'} holds map {road.map_id!r}" in err, err
+        assert err.rstrip().endswith(f"(in {bad})"), err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestUsage:

@@ -2,8 +2,8 @@ import csv
 import io as stdio
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from criteria.io import RunConfig
 from criteria.bench import (
@@ -16,7 +16,6 @@ from criteria.bench import (
 from criteria.metrics import TriadResult
 from criteria.report import (
     BLOCKS,
-    block_means,
     build_report,
     collect_block_tables,
     render_balance_csv,
@@ -53,17 +52,21 @@ def run_and_tags(name="m", n=4, offset=0.0):
     return EvaluationRun(name, per, RunConfig()), tags
 
 
-def summaries(*runs):
-    """Each run's ``aggregate`` report and ``block_means``, as ``report``
-    computes them."""
-    return [(aggregate(run, tags, WeightConfig()), block_means(run, tags))
-            for run, tags in runs]
+def reports(*runs):
+    """Each run's ``aggregate`` report, as ``report`` computes it."""
+    return [aggregate(run, tags, WeightConfig()) for run, tags in runs]
+
+
+TAGS = st.builds(ScenarioTag, st.sampled_from(Structure),
+                 st.sampled_from(Difficulty), st.sampled_from(LengthClass))
+VALUES = st.lists(st.floats(-1e6, 1e6), min_size=len(METRIC_NAMES),
+                  max_size=len(METRIC_NAMES))
 
 
 class TestBlockMeans:
     def test_pools_difficulties(self):
         run, tags = run_and_tags()
-        means = block_means(run, tags)
+        means = aggregate(run, tags).per_block
         assert set(means) <= set(BLOCKS)
         # s0 (CRUISING/LONG) stands alone in its block
         for name in METRIC_NAMES:
@@ -73,19 +76,43 @@ class TestBlockMeans:
         run, tags = run_and_tags(n=4)
         # put s1 and s3 in the same TURN/LONG block
         tags["s3"] = ScenarioTag(Structure.TURN, Difficulty.HARD, LengthClass.LONG)
-        means = block_means(run, tags)
-        want = np.mean([
-            run.per_scenario["s1"].values["minADE"],
-            run.per_scenario["s3"].values["minADE"],
-        ])
+        means = aggregate(run, tags).per_block
+        want = (run.per_scenario["s1"].values["minADE"]
+                + run.per_scenario["s3"].values["minADE"]) / 2
         assert means["TURN/LONG"]["minADE"] == pytest.approx(want)
+
+
+class TestPerBlock:
+    @given(st.lists(st.tuples(TAGS, VALUES), min_size=1, max_size=12))
+    @example([(ScenarioTag(Structure.TURN, Difficulty.HARD, LengthClass.LONG),
+               [0.1 * i for i in range(len(METRIC_NAMES))])])
+    def test_matches_a_plain_loop(self, drawn):
+        """Block means pool difficulties; a block with no scenario is
+        absent. Compared exactly with one loop per block."""
+        run, tags = EvaluationRun("m", {}, RunConfig()), {}
+        for i, (tag, values) in enumerate(drawn):
+            run.per_scenario[f"s{i:02d}"] = ScenarioResult(
+                dict(zip(METRIC_NAMES, values)), result().triad)
+            tags[f"s{i:02d}"] = tag
+        want = {}
+        for block in BLOCKS:
+            members = [
+                r for sid, r in run.per_scenario.items()
+                if f"{tags[sid].structure.value}/{tags[sid].length.value}" == block
+            ]
+            if members:
+                want[block] = {
+                    name: sum(r.values[name] for r in members) / len(members)
+                    for name in METRIC_NAMES
+                }
+        assert aggregate(run, tags).per_block == want
 
 
 class TestRenderCsv:
     def test_parses_and_ranks(self):
         run_a, tags = run_and_tags("a")
         run_b, _ = run_and_tags("b", offset=1.0)
-        tables = collect_block_tables(summaries((run_a, tags), (run_b, tags)))
+        tables = collect_block_tables(reports((run_a, tags), (run_b, tags)))
         text = render_csv(tables["OVERALL"])
         rows = list(csv.DictReader(stdio.StringIO(text)))
         assert [r["model"] for r in rows] == ["a", "b"]
@@ -95,7 +122,7 @@ class TestRenderCsv:
 
     def test_overall_table_first(self):
         run, tags = run_and_tags()
-        tables = collect_block_tables(summaries((run, tags)))
+        tables = collect_block_tables(reports((run, tags)))
         assert list(tables)[0] == "OVERALL"
         assert all(b in BLOCKS for b in list(tables)[1:])
 
@@ -103,7 +130,7 @@ class TestRenderCsv:
 class TestRenderMarkdown:
     def test_header_and_rows(self):
         run, tags = run_and_tags()
-        tables = collect_block_tables(summaries((run, tags)))
+        tables = collect_block_tables(reports((run, tags)))
         md = render_markdown("OVERALL", tables["OVERALL"])
         lines = md.splitlines()
         assert lines[0] == "## OVERALL"
@@ -116,7 +143,7 @@ class TestBuildReport:
     def test_document_shape(self):
         run_a, tags = run_and_tags("a")
         run_b, _ = run_and_tags("b", offset=1.0)
-        doc = build_report(summaries((run_a, tags), (run_b, tags)))
+        doc = build_report(reports((run_a, tags), (run_b, tags)))
         assert set(doc["models"]) == {"a", "b"}
         assert set(doc["overall_ranks"]) == set(METRIC_NAMES)
         assert doc["overall_ranks"]["minADE"] == {"a": 1, "b": 2}
@@ -126,13 +153,13 @@ class TestBuildReport:
     def test_shared_summaries_change_nothing(self):
         """``report`` aggregates each run once and hands the results to both
         builders, which then agree on every overall and block mean."""
-        shared = summaries(run_and_tags("a"), run_and_tags("b", offset=0.5))
+        shared = reports(run_and_tags("a"), run_and_tags("b", offset=0.5))
         doc, tables = build_report(shared), collect_block_tables(shared)
-        for rep, blocks in shared:
+        for rep in shared:
             model = rep.model_name
             assert doc["models"][model]["overall"] == tables["OVERALL"][model]
-            assert doc["blocks"][model] == blocks
-            for block, means in blocks.items():
+            assert doc["blocks"][model] == rep.per_block
+            for block, means in rep.per_block.items():
                 assert tables[block][model] == means
 
 
