@@ -83,8 +83,6 @@ class MetricReport:
 def evaluate_scenario(
     rec: ScenarioRecord, road: RoadMap, pred: PredictionSet, config: RunConfig
 ) -> ScenarioResult:
-    if pred.anchor is None:
-        raise DataConsistencyError(f"prediction {pred.scenario_id!r} has no anchor")
     triad = metrics.att(pred, road, config.alignment, config.kinematic)
     values = {
         "minADE": metrics.min_ade(pred, rec.future),
@@ -109,14 +107,29 @@ def evaluate_model(
     predictions: Mapping[str, PredictionSet],
     config: RunConfig,
 ) -> EvaluationRun:
-    missing = sorted(r.id for r in records if r.id not in predictions)
-    if missing:
-        raise DataConsistencyError(f"predictions missing for scenarios: {missing}")
+    check_predictions(records, predictions)
     for rec in records:
         if rec.map_id not in maps:
             raise DataConsistencyError(
                 f"scenario {rec.id!r}: unknown map {rec.map_id!r}"
             )
+
+    per_scenario = {
+        rec.id: evaluate_scenario(rec, maps[rec.map_id], predictions[rec.id], config)
+        for rec in sorted(records, key=lambda r: r.id)
+    }
+    return EvaluationRun(model_name=model_name, per_scenario=per_scenario,
+                         config=config)
+
+
+def check_predictions(records: Sequence[ScenarioRecord],
+                      predictions: Mapping[str, PredictionSet]) -> None:
+    """Refuse predictions that do not fit their scenarios: a scenario with
+    no prediction, fewer than 2 modes, or another horizon or dt."""
+    missing = sorted(r.id for r in records if r.id not in predictions)
+    if missing:
+        raise DataConsistencyError(f"predictions missing for scenarios: {missing}")
+    for rec in records:
         pred = predictions[rec.id]
         if pred.k < 2:
             raise DataConsistencyError(
@@ -133,13 +146,6 @@ def evaluate_model(
                 f"scenario {rec.id!r}: prediction dt {pred.dt} != scenario dt "
                 f"{rec.dt}"
             )
-
-    per_scenario = {
-        rec.id: evaluate_scenario(rec, maps[rec.map_id], predictions[rec.id], config)
-        for rec in sorted(records, key=lambda r: r.id)
-    }
-    return EvaluationRun(model_name=model_name, per_scenario=per_scenario,
-                         config=config)
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import io, metrics, report as report_mod, scenario, synth
-from .bench import balance_data, evaluate_model, aggregate
+from .bench import aggregate, balance_data, check_predictions, evaluate_model
 from .errors import (
     CriteriaError,
     DataConsistencyError,
@@ -122,11 +122,11 @@ def _min_fde_table(args, records) -> dict[str, list[float]]:
     table: dict[str, list[float]] = {r.id: [] for r in records}
     for path in args.predictions:
         _, preds = io.load_predictions(path)
-        missing = sorted(sid for sid in table if sid not in preds)
-        if missing:
-            raise DataConsistencyError(
-                f"{path}: predictions missing for scenarios: {missing}"
-            )
+        try:
+            check_predictions(records, preds)
+        except CriteriaError as e:
+            e.file = path
+            raise
         for sid in table:
             table[sid].append(metrics.min_fde(preds[sid], by_rec[sid].future))
     return table

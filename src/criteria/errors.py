@@ -52,9 +52,5 @@ class DegenerateHeadingError(CriteriaError):
     """A direction was requested for a vector shorter than the noise floor."""
 
 
-class TooShortError(CriteriaError):
-    """Trajectory has too few samples for the requested derivative."""
-
-
 class InsufficientModesError(CriteriaError):
     """A pairwise metric needs at least two usable modes."""

@@ -276,8 +276,7 @@ def amv(
     """
     require_modes(pred)
     mags = np.linalg.norm(step_vectors(pred), axis=2)  # (K, steps)
-    kept = kinematic_clip(pred, kin)  # points per mode
-    steps = kept if pred.anchor is not None else kept - 1
+    steps = kinematic_clip(pred, kin)  # points per mode, one step each
     i, j = _pairs(pred.k)
     lengths = np.minimum(steps[i], steps[j])
     pair_values = np.empty(len(i))

@@ -118,13 +118,13 @@ def gen_map(spec: SynthSpec) -> RoadMap:
     else:
         # Branch/crossing lane x-positions (northbound east of center for
         # crossroads; centered corridor for the T branch).
-        if spec.kind is MapKind.T_INTERSECTION:
-            x_north = [(i + 0.5) * w - n * w / 2 for i in range(n)]
-            branch_y0 = box
-        else:
+        crossroads = spec.kind is MapKind.CROSSROADS
+        if crossroads:
             x_north = [+(w / 2 + i * w) for i in range(n)]
             x_south = [-(w / 2 + i * w) for i in range(n)]
-            branch_y0 = box
+        else:
+            x_north = [(i + 0.5) * w - n * w / 2 for i in range(n)]
+        branch_y0 = box
 
         for i, y in enumerate(y_east):
             turn_id = f"EL{i}"
@@ -133,9 +133,9 @@ def gen_map(spec: SynthSpec) -> RoadMap:
             add(f"E{i}t", _line((-box, y), (box, y)), w,
                 is_intersection=True, successors=[f"E{i}x"])
             add(f"E{i}x", _line((box, y), (ROAD_HALF, y)), w)
-            xb = x_north[i % len(x_north)]
+            xb = x_north[i]
             add(turn_id, _bezier((-box, y), (xb, y), (xb, branch_y0)), w,
-                turn=Turn.LEFT, is_intersection=True, successors=[f"N{i % n}"])
+                turn=Turn.LEFT, is_intersection=True, successors=[f"N{i}"])
         for i, y in enumerate(y_west):
             turn_id = f"WR{i}"
             add(f"W{i}a", _line((ROAD_HALF, y), (box, y)), w,
@@ -143,18 +143,16 @@ def gen_map(spec: SynthSpec) -> RoadMap:
             add(f"W{i}t", _line((box, y), (-box, y)), w,
                 is_intersection=True, successors=[f"W{i}x"])
             add(f"W{i}x", _line((-box, y), (-ROAD_HALF, y)), w)
-            xb = x_north[i % len(x_north)]
+            xb = x_north[i]
             add(turn_id, _bezier((box, y), (xb, y), (xb, branch_y0)), w,
-                turn=Turn.RIGHT, is_intersection=True, successors=[f"N{i % n}"])
+                turn=Turn.RIGHT, is_intersection=True, successors=[f"N{i}"])
 
-        if spec.kind is MapKind.T_INTERSECTION:
-            for i, x in enumerate(x_north):
-                add(f"N{i}", _line((x, branch_y0), (x, ROAD_HALF)), w)
-        else:
-            for i, x in enumerate(x_north):
-                add(f"N{i}", _line((x, branch_y0), (x, ROAD_HALF)), w)
+        for i, x in enumerate(x_north):
+            add(f"N{i}", _line((x, branch_y0), (x, ROAD_HALF)), w)
+            if crossroads:
                 add(f"N{i}in", _line((x, -ROAD_HALF), (x, branch_y0)), w,
                     successors=[f"N{i}"])
+        if crossroads:
             for i, x in enumerate(x_south):
                 add(f"S{i}", _line((x, ROAD_HALF), (x, -ROAD_HALF)), w)
 
@@ -182,15 +180,13 @@ def _spawn_lane_ids(road: RoadMap, spec: SynthSpec) -> list[str]:
 
 def _route_polyline(road: RoadMap, lane_id: str, rng) -> np.ndarray:
     """Concatenate centerlines along a random successor chain."""
-    pts = [road.lanes[lane_id].centerline]
-    current = lane_id
+    chain = [lane_id]
     for _ in range(8):
-        succ = road.lanes[current].successors
+        succ = road.lanes[chain[-1]].successors
         if not succ:
             break
-        current = succ[int(rng.integers(len(succ)))]
-        pts.append(road.lanes[current].centerline[1:])
-    return np.vstack(pts)
+        chain.append(succ[int(rng.integers(len(succ)))])
+    return _chain_polyline(road, chain)
 
 
 def _points_at(polyline: np.ndarray, s: np.ndarray) -> np.ndarray:

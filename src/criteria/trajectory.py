@@ -2,9 +2,9 @@
 
 The kinematic functions take a ``PredictionSet`` and compute its K modes at
 once along the leading axis of its ``(K, T, 2)`` points. Speeds and
-accelerations are derived from per-step displacement vectors. When the set
-has an anchor (the agent's last observed position) it is prepended, so the
-first predicted step has a defined velocity.
+accelerations are derived from per-step displacement vectors, starting at
+the set's anchor (the agent's last observed position), so the first
+predicted step has a defined velocity.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geom
-from .errors import InsufficientModesError, SettingError, ShapeError, TooShortError
+from .errors import InsufficientModesError, SettingError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ class PredictionSet:
     points: np.ndarray = field(repr=False, compare=False)
     dt: float = field(compare=False)
     probabilities: list[float] | None = None
-    anchor: np.ndarray | None = None  # last observed position
+    anchor: np.ndarray  # last observed position, a finite (2,) pair
 
     def __init__(self, scenario_id: str, modes: list[Trajectory],
-                 probabilities: list[float] | None = None, anchor=None):
+                 probabilities: list[float] | None = None, *, anchor):
         if not modes:
             raise ValueError("prediction set needs at least one mode")
         dt = modes[0].dt
@@ -71,7 +71,7 @@ class PredictionSet:
     @classmethod
     def from_points(cls, scenario_id: str, points, dt: float,
                     probabilities: list[float] | None = None,
-                    anchor=None) -> "PredictionSet":
+                    *, anchor) -> "PredictionSet":
         """The set of the modes ``points[k]`` of a finite ``(K, T, 2)``
         block, K >= 1 and T >= 2, sampled every ``dt``; no ``Trajectory`` is
         made until ``modes`` is read."""
@@ -97,8 +97,9 @@ class PredictionSet:
                 raise ValueError("probabilities must be finite and non-negative")
             if abs(sum(probabilities) - 1.0) > 1e-6:
                 raise ValueError("probabilities must sum to 1")
-        if anchor is not None:
-            anchor = np.asarray(anchor, float).reshape(2)
+        anchor = np.asarray(anchor, dtype=float)
+        if anchor.shape != (2,) or not np.isfinite(anchor).all():
+            raise ValueError(f"anchor must be a finite (2,) pair, got {anchor!r}")
         self.__dict__.update(scenario_id=scenario_id, points=points, dt=dt,
                              probabilities=probabilities, anchor=anchor)
 
@@ -127,13 +128,11 @@ class KinematicConfig:
 
 
 def step_vectors(pred: PredictionSet) -> np.ndarray:
-    """Per-step displacement vectors of each mode, ``(K, T, 2)`` from the
-    anchor when the set has one, else ``(K, T-1, 2)``."""
+    """Per-step displacement vectors of each mode from the anchor,
+    ``(K, T, 2)``."""
     pts = pred.points
-    if pred.anchor is not None:
-        first = np.broadcast_to(pred.anchor, (len(pts), 1, 2))
-        pts = np.concatenate([first, pts], axis=1)
-    return np.diff(pts, axis=1)
+    first = np.broadcast_to(pred.anchor, (len(pts), 1, 2))
+    return np.diff(np.concatenate([first, pts], axis=1), axis=1)
 
 
 def speed_profile(pred: PredictionSet) -> np.ndarray:
@@ -141,10 +140,7 @@ def speed_profile(pred: PredictionSet) -> np.ndarray:
 
 
 def accel_profile(pred: PredictionSet) -> np.ndarray:
-    speeds = speed_profile(pred)
-    if speeds.shape[-1] < 2:
-        raise TooShortError("too short for acceleration (need >= 2 speed samples)")
-    return np.diff(speeds, axis=-1) / pred.dt
+    return np.diff(speed_profile(pred), axis=-1) / pred.dt
 
 
 def kinematic_window_check(pred: PredictionSet, cfg: KinematicConfig):
@@ -171,20 +167,17 @@ def kinematic_clip(pred: PredictionSet, cfg: KinematicConfig) -> np.ndarray:
     """Each mode's number of kept points: its longest prefix whose every
     acceleration sample is in range.
 
-    The prefix ends at the point producing the last compliant speed; a
-    mode violating from the first sample keeps the minimal 2-point prefix
-    (or its first point plus anchor step when anchored).
+    The prefix ends at the point producing the last compliant speed, but
+    keeps at least 2 points: a mode whose first acceleration sample violates
+    keeps 2, as one whose first violation is its second sample does, so its
+    clipped speeds include the violating step.
     """
-    n_points = pred.points.shape[1]
-    try:
-        accels = accel_profile(pred)
-    except TooShortError:
-        return np.full(pred.k, n_points)
+    accels = accel_profile(pred)
     bad = (accels < cfg.a_min) | (accels > cfg.a_max)
     j = np.argmax(bad, axis=-1)  # first violating sample uses speeds j, j+1
-    # speed j ends at point index j+1 without anchor, j with anchor
-    end = np.maximum(j if pred.anchor is not None else j + 1, 1)
-    return np.where(bad.any(axis=-1), end + 1, n_points)
+    # speed j, counted from the anchor, ends at point index j
+    end = np.maximum(j, 1)
+    return np.where(bad.any(axis=-1), end + 1, pred.points.shape[1])
 
 
 def displacement_vector(traj) -> np.ndarray:

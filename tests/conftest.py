@@ -193,8 +193,7 @@ def reference_test_alignment(points, road, cfg) -> tuple[bool, float]:
 
 
 def reference_accels(points, dt, anchor) -> np.ndarray:
-    if anchor is not None:
-        points = np.vstack([np.asarray(anchor, float).reshape(1, 2), points])
+    points = np.vstack([np.asarray(anchor, float).reshape(1, 2), points])
     speeds = np.linalg.norm(np.diff(points, axis=0), axis=1) / dt
     return np.diff(speeds) / dt
 
@@ -211,10 +210,10 @@ def reference_clip_length(points, dt, cfg, anchor) -> int:
     """Points kept by the kinematic clip."""
     accels = reference_accels(points, dt, anchor)
     bad = np.flatnonzero((accels < cfg.a_min) | (accels > cfg.a_max))
-    if len(accels) == 0 or len(bad) == 0:
+    if len(bad) == 0:
         return len(points)
     j = int(bad[0])
-    return max(j if anchor is not None else j + 1, 1) + 1
+    return max(j, 1) + 1
 
 
 def reference_min_ade(pred, gt) -> float:
@@ -259,8 +258,7 @@ def reference_amv(pred, kin, mean: bool = False) -> float:
     mags = []
     for m in pred.modes:
         pts = m.points[: reference_clip_length(m.points, m.dt, kin, pred.anchor)]
-        if pred.anchor is not None:
-            pts = np.vstack([pred.anchor.reshape(1, 2), pts])
+        pts = np.vstack([pred.anchor.reshape(1, 2), pts])
         mags.append(np.linalg.norm(np.diff(pts, axis=0), axis=1))
     values = []
     for a, b in combinations(mags, 2):
@@ -359,10 +357,21 @@ def make_traj(points, dt=0.1):
 
 
 def make_pred(mode_points, dt=0.1, scenario_id="s", anchor=None, probs=None):
+    """The set of the modes ``mode_points``, anchored at ``anchor`` or, by
+    default, at the first point of the first mode."""
     modes = [make_traj(p, dt) for p in mode_points]
     return PredictionSet(
-        scenario_id=scenario_id, modes=modes, probabilities=probs, anchor=anchor
+        scenario_id=scenario_id, modes=modes, probabilities=probs,
+        anchor=modes[0].points[0] if anchor is None else anchor,
     )
+
+
+def make_track(points, dt=0.1, scenario_id="s") -> PredictionSet:
+    """The one-mode set that continues the track ``points``: anchored at its
+    first point, predicting the rest. Its steps, speeds and accelerations
+    are those of the whole track."""
+    points = np.asarray(points, float)
+    return make_pred([points[1:]], dt, scenario_id, anchor=points[0])
 
 
 def straight_mode(start, step, n, dt=0.1):

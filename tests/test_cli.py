@@ -642,6 +642,18 @@ class TestReport:
 # the input documents, each with one fault: the stage that reads it, its
 # option, the fixture file it is edited from (None: built by ``_doc``), the
 # edit, and the start of the error line
+# (edit of a predictions file, problem reported) for a prediction that does
+# not fit its scenario
+UNFIT_PREDICTIONS = [
+    (lambda d: d.update(dt=1.0), "prediction dt 1.0"),
+    (lambda d: d["predictions"][0].update(
+        modes=[m[:-1] for m in d["predictions"][0]["modes"]]),
+     "prediction horizon"),
+    (lambda d: d["predictions"][0].update(modes=d["predictions"][0]["modes"][:1]),
+     ">= 2 modes"),
+]
+UNFIT_PREDICTION_IDS = ["dt", "horizon", "one_mode"]
+
 NAMED_FAULTS = {
     "map": ("eval", "--maps", "map.json",
             lambda d: d["lanes"][1]["centerline"].__setitem__(1, [1.0]),
@@ -727,37 +739,52 @@ class TestErrorsNameTheirFile:
         assert err.startswith(start), err
         assert err.rstrip().endswith(f"(in {bad})"), err
 
-    @pytest.mark.parametrize("source, edit, problem", [
-        ("predictions_noisy.json", lambda d: d.update(dt=1.0), "prediction dt 1.0"),
-        ("predictions_noisy.json",
-         lambda d: d["predictions"][0].update(
-             modes=[m[:-1] for m in d["predictions"][0]["modes"]]),
-         "prediction horizon"),
-        ("predictions_noisy.json",
-         lambda d: d["predictions"][0].update(modes=d["predictions"][0]["modes"][:1]),
-         ">= 2 modes"),
-    ], ids=["dt", "horizon", "one_mode"])
+    def _unfit_predictions(self, fixtures, tmp_path, edit):
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        edit(doc)
+        bad = tmp_path / "predictions_noisy.json"
+        bad.write_text(json.dumps(doc))
+        return bad
+
+    @pytest.mark.parametrize("edit, problem", UNFIT_PREDICTIONS,
+                             ids=UNFIT_PREDICTION_IDS)
     def test_evaluation_error_names_the_predictions_file(self, fixtures, tmp_path,
-                                                         capsys, source, edit, problem):
+                                                         capsys, edit, problem):
         """A prediction that does not fit its scenario is found after every
         file has loaded; the error names the predictions file."""
-        doc = json.loads((fixtures / source).read_text())
-        edit(doc)
-        bad = tmp_path / source
-        bad.write_text(json.dumps(doc))
-        files = {"scenarios.json": fixtures / "scenarios.json",
-                 "predictions_noisy.json": fixtures / "predictions_noisy.json",
-                 source: bad}
+        bad = self._unfit_predictions(fixtures, tmp_path, edit)
         capsys.readouterr()
         assert main([
-            "eval", "--scenarios", str(files["scenarios.json"]),
+            "eval", "--scenarios", str(fixtures / "scenarios.json"),
             "--maps", str(fixtures / "map.json"),
-            "--predictions", str(files["predictions_noisy.json"]),
+            "--predictions", str(bad),
             "--tags", str(fixtures / "tags.json"), "--out", str(tmp_path / "m.json"),
         ]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: scenario ") and problem in err, err
-        assert err.rstrip().endswith(f"(in {files['predictions_noisy.json']})"), err
+        assert err.rstrip().endswith(f"(in {bad})"), err
+
+    @pytest.mark.parametrize("edit, problem", [
+        *UNFIT_PREDICTIONS,
+        (lambda d: d["predictions"].pop(1), "predictions missing for scenarios"),
+    ], ids=[*UNFIT_PREDICTION_IDS, "missing"])
+    def test_tag_refuses_what_eval_refuses(self, fixtures, tmp_path, capsys,
+                                           edit, problem):
+        """``tag --predictions`` holds each file to the checks of ``eval``
+        and names the file that fails them; no tags file is written."""
+        bad = self._unfit_predictions(fixtures, tmp_path, edit)
+        out = tmp_path / "tags.json"
+        capsys.readouterr()
+        assert main([
+            "tag", "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_const_vel.json"), str(bad),
+            "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and problem in err, err
+        assert err.rstrip().endswith(f"(in {bad})"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["tag", "eval"])
     def test_unknown_map_names_the_scenarios_file(self, fixtures, tmp_path,

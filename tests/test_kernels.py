@@ -108,11 +108,6 @@ def mode_sets(draw, kinds=tuple(synth.MapKind)):
     return road, pred, gt
 
 
-def unanchored_unless(anchored: bool, pred: PredictionSet) -> PredictionSet:
-    """``pred``, or the same modes with no anchor."""
-    return pred if anchored else PredictionSet.from_points("s", pred.points, DT)
-
-
 class TestAccuracy:
     @given(mode_sets())
     def test_matches_reference(self, case):
@@ -123,9 +118,9 @@ class TestAccuracy:
 
 
 class TestPairwise:
-    @given(mode_sets(), st.booleans())
-    def test_matches_reference(self, case, anchored):
-        pred = unanchored_unless(anchored, case[1])
+    @given(mode_sets())
+    def test_matches_reference(self, case):
+        _, pred, _ = case
         kin = KinematicConfig()
         assert_ulp_close(metrics.min_asd(pred), reference_min_asd(pred))
         assert_ulp_close(metrics.min_fsd(pred), reference_min_fsd(pred))
@@ -157,9 +152,9 @@ class TestPairwise:
 
 
 class TestKinematics:
-    @given(mode_sets(), st.booleans())
-    def test_matches_reference(self, case, anchored):
-        pred = unanchored_unless(anchored, case[1])
+    @given(mode_sets())
+    def test_matches_reference(self, case):
+        _, pred, _ = case
         kin = KinematicConfig()
         ok, a_init, a_final = kinematic_window_check(pred, kin)
         kept = kinematic_clip(pred, kin)

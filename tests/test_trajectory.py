@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from criteria.errors import ShapeError, TooShortError
+from criteria.errors import ShapeError
 from criteria.trajectory import (
     KinematicConfig,
     PredictionSet,
@@ -16,20 +18,27 @@ from criteria.trajectory import (
     step_vectors,
 )
 
-from conftest import make_pred, make_traj, straight_mode
+from conftest import (
+    make_pred,
+    make_track,
+    make_traj,
+    reference_accels,
+    reference_window_check,
+    straight_mode,
+)
 
 
-def one_mode(points, dt=0.1, anchor=None) -> PredictionSet:
+def one_mode(points, anchor, dt=0.1) -> PredictionSet:
     """The prediction set whose one mode is ``points``."""
     return make_pred([points], dt=dt, anchor=anchor)
 
 
-def set_from_speeds(speeds, dt=0.1, anchor=None) -> PredictionSet:
-    """One-mode set on a straight line along x from the origin, whose step
-    speeds are ``speeds``."""
+def set_from_speeds(speeds, dt=0.1) -> PredictionSet:
+    """One-mode set on a straight line along x, anchored at the origin,
+    whose step speeds are ``speeds``."""
     steps = np.asarray(speeds, float) * dt
     xs = np.concatenate([[0.0], np.cumsum(steps)])
-    return one_mode(np.column_stack([xs, np.zeros_like(xs)]), dt, anchor)
+    return make_track(np.column_stack([xs, np.zeros_like(xs)]), dt)
 
 
 class TestPredictionSet:
@@ -38,7 +47,7 @@ class TestPredictionSet:
 
     def test_points_stack_modes(self):
         modes = self.modes()
-        pred = PredictionSet("s", modes)
+        pred = PredictionSet("s", modes, anchor=(0, 0))
         assert pred.points.shape == (4, 3, 2) and pred.dt == 0.1
         for k, m in enumerate(modes):
             assert np.array_equal(pred.points[k], m.points)
@@ -51,7 +60,7 @@ class TestPredictionSet:
     ], ids=["length", "dt"])
     def test_mismatched_mode_rejected(self, odd):
         with pytest.raises(ShapeError, match="mode 4"):
-            PredictionSet("s", [*self.modes(), odd])
+            PredictionSet("s", [*self.modes(), odd], anchor=(0, 0))
 
     @pytest.mark.parametrize("probs", [
         [math.nan] * 4,
@@ -62,17 +71,19 @@ class TestPredictionSet:
     ], ids=["all_nan", "one_nan", "inf", "negative", "bad_sum"])
     def test_bad_probabilities_rejected(self, probs):
         with pytest.raises(ValueError):
-            PredictionSet("s", self.modes(), probabilities=probs)
+            PredictionSet("s", self.modes(), probabilities=probs, anchor=(0, 0))
 
     def test_probabilities_length_checked(self):
         with pytest.raises(ShapeError):
-            PredictionSet("s", self.modes(), probabilities=[0.5, 0.5])
+            PredictionSet("s", self.modes(), probabilities=[0.5, 0.5],
+                          anchor=(0, 0))
 
     def test_from_points_matches_modes(self):
         modes = self.modes()
         want = PredictionSet("s", modes, probabilities=[0.25] * 4, anchor=(0, 1))
         points = np.stack([m.points for m in modes])
-        pred = PredictionSet.from_points("s", points, 0.1, [0.25] * 4, (0, 1))
+        pred = PredictionSet.from_points("s", points, 0.1, [0.25] * 4,
+                                         anchor=(0, 1))
         assert pred.points.tobytes() == want.points.tobytes()
         assert (pred.k, pred.dt, pred.probabilities) == (4, 0.1, [0.25] * 4)
         assert pred.anchor.tolist() == [0.0, 1.0]
@@ -93,16 +104,35 @@ class TestPredictionSet:
     ], ids=["no_mode", "one_point", "triples", "2d", "nan", "zero_dt", "nan_dt"])
     def test_from_points_rejects_what_modes_would(self, points, dt):
         with pytest.raises(ValueError):
-            PredictionSet.from_points("s", points, dt)
+            PredictionSet.from_points("s", points, dt, anchor=(0, 0))
 
     def test_from_points_checks_probabilities(self):
         with pytest.raises(ShapeError):
-            PredictionSet.from_points("s", np.zeros((2, 3, 2)), 0.1, [1.0])
+            PredictionSet.from_points("s", np.zeros((2, 3, 2)), 0.1, [1.0],
+                                      anchor=(0, 0))
+
+    def test_anchor_is_required(self):
+        with pytest.raises(TypeError, match="anchor"):
+            PredictionSet("s", self.modes())
+        with pytest.raises(TypeError, match="anchor"):
+            PredictionSet.from_points("s", np.zeros((2, 3, 2)), 0.1)
+
+    @pytest.mark.parametrize("anchor", [
+        (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1.0, 2.0, 3.0),
+        (1.0,), [[1.0, 2.0]], 5.0, None,
+    ], ids=["nan", "inf", "minus_inf", "triple", "single", "nested", "scalar",
+            "none"])
+    def test_bad_anchor_rejected(self, anchor):
+        with pytest.raises(ValueError, match="anchor"):
+            PredictionSet("s", self.modes(), anchor=anchor)
+        with pytest.raises(ValueError, match="anchor"):
+            PredictionSet.from_points("s", np.zeros((2, 3, 2)), 0.1,
+                                      anchor=anchor)
 
 
 class TestStepVectors:
-    def test_no_anchor(self):
-        t = one_mode([(0, 0), (1, 0), (2, 0)])
+    def test_track_steps_from_its_first_point(self):
+        t = make_track([(0, 0), (1, 0), (2, 0)])
         assert step_vectors(t)[0].tolist() == [[1, 0], [1, 0]]
 
     def test_with_anchor(self):
@@ -112,25 +142,25 @@ class TestStepVectors:
     def test_prefix_sum_reconstructs(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(15, 2))
-        t = one_mode(pts)
+        t = make_track(pts)
         rebuilt = pts[0] + np.vstack([[0, 0], np.cumsum(step_vectors(t)[0], axis=0)])
         assert np.allclose(rebuilt, pts)
 
 
 class TestSpeedProfile:
     def test_constant(self):
-        t = set_from_speeds([10.0] * 5, anchor=(-1.0, 0.0))
+        t = set_from_speeds([10.0] * 5)
         assert np.allclose(speed_profile(t), 10.0)
 
     def test_stationary(self):
-        t = one_mode([(1, 1)] * 4)
+        t = make_track([(1, 1)] * 4)
         assert np.allclose(speed_profile(t), 0.0)
 
     def test_scaling_linearity(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(10, 2))
-        s1 = speed_profile(one_mode(pts))
-        s2 = speed_profile(one_mode(2 * pts))
+        s1 = speed_profile(make_track(pts))
+        s2 = speed_profile(make_track(2 * pts))
         assert np.allclose(s2, 2 * s1)
 
 
@@ -143,10 +173,6 @@ class TestAccelProfile:
         assert accel_profile(set_from_speeds([10.0, 10.1]))[0, 0] == pytest.approx(1.0)
         assert accel_profile(set_from_speeds([10.0, 9.7]))[0, 0] == pytest.approx(-3.0)
 
-    def test_too_short(self):
-        with pytest.raises(TooShortError):
-            accel_profile(one_mode([(0, 0), (1, 0)]))
-
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(4)
         pts = np.cumsum(rng.normal(size=(12, 2)), axis=0)
@@ -154,8 +180,8 @@ class TestAccelProfile:
         rot = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
-        a1 = accel_profile(one_mode(pts))
-        a2 = accel_profile(one_mode(pts @ rot.T + [5, -3]))
+        a1 = accel_profile(make_track(pts))
+        a2 = accel_profile(make_track(pts @ rot.T + [5, -3]))
         assert np.allclose(a1, a2)
 
 
@@ -202,9 +228,10 @@ class TestKinematicClip:
         assert kinematic_clip(t, KinematicConfig())[0] == t.points.shape[1]
 
     def test_cut_before_first_violation(self):
-        # accel samples: 0, 30, 0 -> violation at the 2nd sample
+        # accel samples: 0, 30, 0 -> violation at the 2nd sample, so the
+        # anchor's step and the next one are kept
         t = set_from_speeds([10.0, 10.0, 13.0, 13.0])
-        assert kinematic_clip(t, KinematicConfig())[0] == 3
+        assert kinematic_clip(t, KinematicConfig())[0] == 2
 
     def test_all_violating_keeps_two_points(self):
         t = set_from_speeds([1.0, 5.0, 1.0, 5.0, 1.0])
@@ -218,7 +245,7 @@ class TestKinematicClip:
             t = set_from_speeds(speeds)
             (n1,) = kinematic_clip(t, cfg)
             assert 2 <= n1 <= t.points.shape[1]
-            (n2,) = kinematic_clip(one_mode(t.points[0, :n1]), cfg)
+            (n2,) = kinematic_clip(one_mode(t.points[0, :n1], t.anchor), cfg)
             assert n2 == n1
 
     def test_window1_pass_implies_full_length(self):
@@ -236,6 +263,39 @@ class TestKinematicClip:
         # first accel sample (anchor step -> first step) already violates
         t = one_mode([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0)], anchor=(0.0, 0.0))
         assert kinematic_clip(t, KinematicConfig())[0] == 2
+
+
+@st.composite
+def tracks(draw):
+    """A track of 3 to 30 points, and its sampling interval."""
+    n = draw(st.integers(3, 30))
+    track = draw(arrays(float, (n, 2), elements=st.floats(-1e3, 1e3)))
+    return track, draw(st.sampled_from((0.1, 0.5, 1.0)))
+
+
+class TestTrackContinuation:
+    """The set anchored at a track's first point, predicting the rest, has
+    the kinematics of the whole track: the anchor adds no step and loses
+    none, so a set with no anchor would compute nothing new."""
+
+    @given(tracks(), st.integers(1, 5))
+    def test_matches_reference_on_full_track(self, case, window):
+        track, dt = case
+        pred = make_track(track, dt)
+        cfg = KinematicConfig(window=window)
+        steps = np.diff(track, axis=0)
+        speeds = np.linalg.norm(steps, axis=1) / dt
+        accels = np.diff(speeds) / dt
+        assert step_vectors(pred)[0].tolist() == steps.tolist()
+        assert speed_profile(pred)[0].tolist() == speeds.tolist()
+        assert accel_profile(pred)[0].tolist() == accels.tolist()
+        assert reference_accels(track[1:], dt, track[0]).tolist() == accels.tolist()
+        w = min(window, len(accels))
+        a_init, a_final = accels[:w].mean(), accels[-w:].mean()
+        ok = (cfg.a_min <= a_init <= cfg.a_max) and (cfg.a_min <= a_final <= cfg.a_max)
+        got = [v[0] for v in kinematic_window_check(pred, cfg)]
+        assert got == [ok, a_init, a_final]
+        assert reference_window_check(track[1:], dt, cfg, track[0]) == (ok, a_init, a_final)
 
 
 class TestDisplacementVector:
