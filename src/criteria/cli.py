@@ -120,8 +120,13 @@ def _min_fde_table(args, records) -> dict[str, list[float]]:
         return io.load_min_fde(args.minfde)
     by_rec = {r.id: r for r in records}
     table: dict[str, list[float]] = {r.id: [] for r in records}
+    paths = {}
     for path in args.predictions:
-        _, preds = io.load_predictions(path)
+        model, preds = io.load_predictions(path)
+        if model in paths:
+            raise DataConsistencyError(
+                f"model {model!r} appears in both {paths[model]} and {path}")
+        paths[model] = path
         try:
             check_predictions(records, preds)
         except CriteriaError as e:
@@ -151,9 +156,14 @@ def cmd_tag(args) -> int:
     cfg = io.load_config(args.config)
     records, road = _load_scenarios_and_map(args)
     table = _min_fde_table(args, records)
-    tags, counts = scenario.tag_all(
-        records, {road.map_id: road}, table, cfg.scenario
-    )
+    try:
+        tags, counts = scenario.tag_all(
+            records, {road.map_id: road}, table, cfg.scenario
+        )
+    except DataConsistencyError as e:  # a --minfde table that does not fit
+        if args.minfde:
+            e.file = args.minfde
+        raise
     inputs = {"scenarios": io.sha256_file(args.scenarios),
               "maps": io.sha256_file(args.maps)}
     if args.minfde:

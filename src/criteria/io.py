@@ -118,8 +118,8 @@ def _pairs(value: list, path: str) -> np.ndarray:
 
 # a JSON list of at least ``min_len`` items of the kind ``item``
 _List = namedtuple("_List", "item min_len", defaults=[0])
-# a key that may be absent, or null too if ``null``; either reads as ``None``
-_Optional = namedtuple("_Optional", "kind null", defaults=[True])
+# a key that may be absent or null; either reads as ``None``
+_Optional = namedtuple("_Optional", "kind")
 # a list of at least ``min_len`` [x, y] pairs, or with ``min_len`` 0 a single
 # pair, read as a block of one; the walk reads it as its index in ``arrays()``
 _Block = namedtuple("_Block", "min_len")
@@ -185,8 +185,8 @@ class _Walk:
                         out[k] = self.value(kind, v, f"{path}.{k}")
             elif type(kind) is _Optional:
                 v = doc.get(key)
-                out[key] = (None if v is None and (kind.null or key not in doc)
-                            else self.value(kind.kind, v, f"{path}.{key}"))
+                out[key] = None if v is None else self.value(
+                    kind.kind, v, f"{path}.{key}")
             elif key in doc:
                 out[key] = self.value(kind, doc[key], f"{path}.{key}")
             else:
@@ -226,7 +226,6 @@ def _number(test=None, message: str = ""):
 
 _finite = _number()
 _positive = _number(lambda x: x > 0, "expected a positive number")
-_non_negative = _number(lambda x: x >= 0, "expected a finite non-negative number")
 
 
 def _turn(value, path: str) -> Turn:
@@ -579,7 +578,6 @@ _PREDICTIONS = {
         "scenario_id": str,
         "anchor": _Block(0),
         "modes": _modes,
-        "probabilities": _Optional(_List(_non_negative)),
     }),
 }
 
@@ -594,11 +592,6 @@ def predictions_to_dict(model: str, dt: float,
                 "scenario_id": p.scenario_id,
                 "anchor": p.anchor.tolist(),
                 "modes": p.points.tolist(),
-                **(
-                    {"probabilities": list(p.probabilities)}
-                    if p.probabilities is not None
-                    else {}
-                ),
             }
             for p in preds
         ],
@@ -610,19 +603,12 @@ def predictions_from_dict(
 ) -> tuple[str, dict[str, PredictionSet]]:
     doc, arrays = _Walk().read(_PREDICTIONS, doc, path)
     out: dict[str, PredictionSet] = {}
-    for i, p in enumerate(doc["predictions"]):
-        sid, probabilities, k = p["scenario_id"], p["probabilities"], len(p["modes"])
+    for p in doc["predictions"]:
+        sid = p["scenario_id"]
         if sid in out:
             raise DataConsistencyError(f"duplicate prediction for {sid!r}")
-        pp = f"{path}.predictions[{i}].probabilities"
-        if probabilities is not None and len(probabilities) != k:
-            raise SchemaError(pp, f"expected a list of {k} numbers, one per mode")
-        if probabilities is not None and abs(sum(probabilities) - 1.0) > 1e-6:
-            raise SchemaError(pp, "probabilities must sum to 1 within 1e-6")
         out[sid] = PredictionSet.from_points(
-            sid, p["modes"], doc["dt"], probabilities=probabilities,
-            anchor=arrays[p["anchor"]][0],
-        )
+            sid, p["modes"], doc["dt"], anchor=arrays[p["anchor"]][0])
     return doc["model"], out
 
 
@@ -688,18 +674,18 @@ def load_tags(path) -> dict[str, ScenarioTag]:
 _PASSES = ("boundary_pass", "alignment_pass", "kinematic_pass")
 _METRICS = {
     "model": str,
-    "config": _Optional(RunConfig.from_dict),
+    "config": RunConfig.from_dict,
     "per_scenario": {...: {
         "triad": {key: _List(bool) for key in _PASSES},
         ...: _finite,
     }},
-    "tags": _Optional({...: _TAG}, null=False),
+    "tags": {...: _TAG},
 }
 
 
 def metrics_to_dict(run: EvaluationRun, inputs: dict[str, str],
-                    tags: dict[str, ScenarioTag] | None = None) -> dict:
-    doc = {
+                    tags: dict[str, ScenarioTag]) -> dict:
+    return {
         "model": run.model_name,
         "config": run.config.to_dict(),
         "inputs": inputs,
@@ -711,15 +697,13 @@ def metrics_to_dict(run: EvaluationRun, inputs: dict[str, str],
             }
             for sid, result in run.per_scenario.items()
         },
+        "tags": _tags_block(tags, run.per_scenario),
     }
-    if tags is not None:
-        doc["tags"] = _tags_block(tags, run.per_scenario)
-    return doc
 
 
 def metrics_from_dict(doc: dict, path: str = "$"):
-    """Rehydrate an EvaluationRun (and embedded tags, if present); its
-    ``config`` is the file's run configuration, the defaults if it has none."""
+    """Rehydrate an EvaluationRun and its embedded tags; its ``config`` is
+    the file's run configuration."""
     doc, _ = _Walk().read(_METRICS, doc, path)
     out = {}
     for sid, values in doc["per_scenario"].items():
@@ -735,9 +719,9 @@ def metrics_from_dict(doc: dict, path: str = "$"):
     run = EvaluationRun(
         model_name=doc["model"],
         per_scenario=dict(sorted(out.items())),
-        config=doc["config"] or RunConfig(),
+        config=doc["config"],
     )
-    return run, _tags(doc["tags"] or {}, path)
+    return run, _tags(doc["tags"], path)
 
 
 def load_metrics(path):

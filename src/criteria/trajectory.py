@@ -9,7 +9,6 @@ predicted step has a defined velocity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,11 +49,9 @@ class PredictionSet:
     scenario_id: str
     points: np.ndarray = field(repr=False, compare=False)
     dt: float = field(compare=False)
-    probabilities: list[float] | None = None
     anchor: np.ndarray  # last observed position, a finite (2,) pair
 
-    def __init__(self, scenario_id: str, modes: list[Trajectory],
-                 probabilities: list[float] | None = None, *, anchor):
+    def __init__(self, scenario_id: str, modes: list[Trajectory], *, anchor):
         if not modes:
             raise ValueError("prediction set needs at least one mode")
         dt = modes[0].dt
@@ -64,13 +61,11 @@ class PredictionSet:
                 raise ShapeError(
                     f"mode {k} of {scenario_id!r} has mismatched length/dt"
                 )
-        self._set(scenario_id, np.stack([m.points for m in modes]), dt,
-                  probabilities, anchor)
+        self._set(scenario_id, np.stack([m.points for m in modes]), dt, anchor)
         self.__dict__["modes"] = modes
 
     @classmethod
     def from_points(cls, scenario_id: str, points, dt: float,
-                    probabilities: list[float] | None = None,
                     *, anchor) -> "PredictionSet":
         """The set of the modes ``points[k]`` of a finite ``(K, T, 2)``
         block, K >= 1 and T >= 2, sampled every ``dt``; no ``Trajectory`` is
@@ -85,23 +80,16 @@ class PredictionSet:
         if not dt > 0:
             raise ValueError("dt must be positive")
         pred = cls.__new__(cls)
-        pred._set(scenario_id, points, dt, probabilities, anchor)
+        pred._set(scenario_id, points, dt, anchor)
         return pred
 
-    def _set(self, scenario_id, points, dt, probabilities, anchor) -> None:
+    def _set(self, scenario_id, points, dt, anchor) -> None:
         points.flags.writeable = False
-        if probabilities is not None:
-            if len(probabilities) != len(points):
-                raise ShapeError("probabilities length != number of modes")
-            if not all(math.isfinite(p) and p >= 0 for p in probabilities):
-                raise ValueError("probabilities must be finite and non-negative")
-            if abs(sum(probabilities) - 1.0) > 1e-6:
-                raise ValueError("probabilities must sum to 1")
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (2,) or not np.isfinite(anchor).all():
             raise ValueError(f"anchor must be a finite (2,) pair, got {anchor!r}")
         self.__dict__.update(scenario_id=scenario_id, points=points, dt=dt,
-                             probabilities=probabilities, anchor=anchor)
+                             anchor=anchor)
 
     @cached_property
     def modes(self) -> list[Trajectory]:

@@ -356,12 +356,12 @@ def make_traj(points, dt=0.1):
     return Trajectory(np.asarray(points, float), dt)
 
 
-def make_pred(mode_points, dt=0.1, scenario_id="s", anchor=None, probs=None):
+def make_pred(mode_points, dt=0.1, scenario_id="s", anchor=None):
     """The set of the modes ``mode_points``, anchored at ``anchor`` or, by
     default, at the first point of the first mode."""
     modes = [make_traj(p, dt) for p in mode_points]
     return PredictionSet(
-        scenario_id=scenario_id, modes=modes, probabilities=probs,
+        scenario_id=scenario_id, modes=modes,
         anchor=modes[0].points[0] if anchor is None else anchor,
     )
 

@@ -69,7 +69,6 @@ class TestEvaluateModel:
         preds[RECORDS[0].id] = PredictionSet(
             scenario_id=bad.scenario_id,
             modes=[Trajectory(m.points[:10], m.dt) for m in bad.modes],
-            probabilities=bad.probabilities,
             anchor=bad.anchor,
         )
         with pytest.raises(ShapeError, match=RECORDS[0].id):

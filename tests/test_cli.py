@@ -143,6 +143,26 @@ class TestTag:
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
+    def test_repeated_model_is_data_error(self, fixtures, tmp_path, capsys):
+        """A model given twice would count twice in each scenario's mean
+        minFDE."""
+        noisy = fixtures / "predictions_noisy.json"
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(noisy.read_bytes())
+        out = tmp_path / "tags.json"
+        capsys.readouterr()
+        assert main([
+            "tag",
+            "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"),
+            "--predictions", str(fixtures / "predictions_const_vel.json"),
+            str(noisy), str(copy),
+            "--out", str(out),
+        ]) == EXIT_DATA
+        assert (f"data error: model 'noisy' appears in both {noisy} and {copy}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_no_score_source_is_usage_error(self, fixtures, tmp_path, capsys):
         out = tmp_path / "tags.json"
         assert main([
@@ -243,37 +263,33 @@ class TestEval:
             "--out", str(tmp_path / "m.json"),
         ])
 
-    @pytest.mark.parametrize("probs, path", [
-        ([math.nan] * 6, "$.predictions[0].probabilities[0]"),
-        ([0.2, math.nan, 0.2, 0.2, 0.2, 0.2], "$.predictions[0].probabilities[1]"),
-        ([math.inf, 0.0, 0.0, 0.0, 0.0, 0.0], "$.predictions[0].probabilities[0]"),
-        ([0.5, -0.25, 0.25, 0.25, 0.125, 0.125],
-         "$.predictions[0].probabilities[1]"),
-        ([0.5, "0.1", 0.1, 0.1, 0.1, 0.1], "$.predictions[0].probabilities[1]"),
-        ([0.5, 0.1, 0.1, 0.1, 0.1, True], "$.predictions[0].probabilities[5]"),
-        ([0.5] * 6, "$.predictions[0].probabilities"),
-        ([0.5, 0.5], "$.predictions[0].probabilities"),
-        ("uniform", "$.predictions[0].probabilities"),
+    @pytest.mark.parametrize("probs", [
+        [math.nan] * 6,
+        [0.2, math.nan, 0.2, 0.2, 0.2, 0.2],
+        [math.inf, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.5, -0.25, 0.25, 0.25, 0.125, 0.125],
+        [0.5, "0.1", 0.1, 0.1, 0.1, 0.1],
+        [0.5, 0.1, 0.1, 0.1, 0.1, True],
+        [0.5] * 6,
+        [0.5, 0.5],
+        "uniform",
+        [0.5, 0.1, 0.1, 0.1, 0.1, 0.1],
     ], ids=["nan", "one_nan", "inf", "negative", "string", "bool", "bad_sum",
-            "short", "not_a_list"])
-    def test_bad_probabilities_are_schema_errors(
-        self, fixtures, tmp_path, capsys, probs, path
-    ):
+            "short", "not_a_list", "valid"])
+    def test_probabilities_are_ignored(self, fixtures, tmp_path, probs):
+        """No metric weights a mode by its probability, so a prediction's
+        ``probabilities`` key is not read, whatever it holds."""
         doc = json.loads((fixtures / "predictions_noisy.json").read_text())
         assert len(doc["predictions"][0]["modes"]) == 6
-        doc["predictions"][0]["probabilities"] = probs
-        bad = tmp_path / "bad_preds.json"
-        bad.write_text(json.dumps(doc))  # json writes the bare tokens NaN, Infinity
-        assert self._eval(fixtures, tmp_path, predictions=bad) == EXIT_SCHEMA
-        assert f"schema error: {path}: " in capsys.readouterr().err
-
-    def test_valid_probabilities_accepted(self, fixtures, tmp_path):
-        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
         for pred in doc["predictions"]:
-            pred["probabilities"] = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]
-        good = tmp_path / "preds.json"
-        good.write_text(json.dumps(doc))
-        assert self._eval(fixtures, tmp_path, predictions=good) == EXIT_OK
+            pred["probabilities"] = probs
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps(doc))  # json writes the bare tokens NaN, Infinity
+        assert self._eval(fixtures, tmp_path / "plain") == EXIT_OK
+        assert self._eval(fixtures, tmp_path, predictions=preds) == EXIT_OK
+        plain, got = (json.loads((d / "m.json").read_text())
+                      for d in (tmp_path / "plain", tmp_path))
+        assert got["per_scenario"] == plain["per_scenario"]
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 10**400, 0, -0.1],
                              ids=["nan", "inf", "-inf", "1e400", "zero", "negative"])
@@ -465,7 +481,8 @@ class TestReport:
     def test_metrics_without_scenarios_is_data_error(self, fixtures, tmp_path):
         tags = json.loads((fixtures / "tags.json").read_text())["tags"]
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"model": "x", "per_scenario": {}, "tags": tags}))
+        path.write_text(json.dumps({"model": "x", "config": {}, "per_scenario": {},
+                                    "tags": tags}))
         assert main([
             "report", "--metrics", str(path), "--out", str(tmp_path / "r"),
         ]) == EXIT_DATA
@@ -482,7 +499,7 @@ class TestReport:
         ]) == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["per_scenario"]
-        del doc["tags"]
+        doc["tags"] = {}  # a missing key is a schema error at $.tags
         path = tmp_path / "naked.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -689,11 +706,26 @@ NAMED_FAULTS = {
     "metrics": ("report", "--metrics", None,
                 lambda d: next(iter(d["per_scenario"].values())).pop("AAE"),
                 "schema error: $.per_scenario."),
+    "metrics without config": ("report", "--metrics", None,
+                               lambda d: d.pop("config"),
+                               "schema error: $.config: missing required field "),
+    "metrics with null config": ("report", "--metrics", None,
+                                 lambda d: d.__setitem__("config", None),
+                                 "schema error: $.config: expected an object "),
+    "metrics without tags": ("report", "--metrics", None,
+                             lambda d: d.pop("tags"),
+                             "schema error: $.tags: missing required field "),
     "config": ("eval", "--config", None, lambda d: d.__setitem__("dao", [1, 2]),
                "schema error: $.dao: "),
     "minfde": ("tag", "--minfde", None,
                lambda d: next(iter(d["min_fde"].values())).clear(),
                "schema error: $.min_fde."),
+    "ragged minfde": ("tag", "--minfde", None,
+                      lambda d: next(iter(d["min_fde"].values())).pop(),
+                      "data error: scenario "),
+    "minfde missing a scenario": ("tag", "--minfde", None,
+                                  lambda d: d["min_fde"].pop(min(d["min_fde"])),
+                                  "data error: scenarios missing minFDE values: "),
 }
 
 

@@ -1,7 +1,8 @@
 """Malformed input documents end in exit 0, 2 or 3, never in a traceback.
 
-A tiny synth run gives valid map, scenarios, predictions (with per-mode
-probabilities), tags, metrics, run configuration and minFDE table documents.
+A tiny synth run gives valid map, scenarios, predictions (with a per-mode
+``probabilities`` key, which no stage reads), tags, metrics, run
+configuration and minFDE table documents.
 Each example changes one of them at one JSON path (deletes the key or list
 item, or sets it to null, a bool, a string, NaN, a nested list or an empty
 list) and runs every CLI stage that reads it. The run configuration is also

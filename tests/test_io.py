@@ -341,7 +341,7 @@ class TestMetricsIO:
             "noisy", RECORDS, {ROAD.map_id: ROAD},
             {p.scenario_id: p for p in PREDS}, io.RunConfig(),
         )
-        doc = json.loads(json.dumps(io.metrics_to_dict(run, {})))
+        doc = json.loads(json.dumps(io.metrics_to_dict(run, {}, {})))
         sid = RECORDS[0].id
         edit(doc["per_scenario"][sid])
         with pytest.raises(SchemaError) as e:

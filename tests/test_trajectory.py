@@ -62,30 +62,13 @@ class TestPredictionSet:
         with pytest.raises(ShapeError, match="mode 4"):
             PredictionSet("s", [*self.modes(), odd], anchor=(0, 0))
 
-    @pytest.mark.parametrize("probs", [
-        [math.nan] * 4,
-        [0.25, 0.25, 0.25, math.nan],
-        [math.inf, 0.0, 0.0, 0.0],
-        [0.5, 0.5, 0.5, -0.5],
-        [0.5] * 4,
-    ], ids=["all_nan", "one_nan", "inf", "negative", "bad_sum"])
-    def test_bad_probabilities_rejected(self, probs):
-        with pytest.raises(ValueError):
-            PredictionSet("s", self.modes(), probabilities=probs, anchor=(0, 0))
-
-    def test_probabilities_length_checked(self):
-        with pytest.raises(ShapeError):
-            PredictionSet("s", self.modes(), probabilities=[0.5, 0.5],
-                          anchor=(0, 0))
-
     def test_from_points_matches_modes(self):
         modes = self.modes()
-        want = PredictionSet("s", modes, probabilities=[0.25] * 4, anchor=(0, 1))
+        want = PredictionSet("s", modes, anchor=(0, 1))
         points = np.stack([m.points for m in modes])
-        pred = PredictionSet.from_points("s", points, 0.1, [0.25] * 4,
-                                         anchor=(0, 1))
+        pred = PredictionSet.from_points("s", points, 0.1, anchor=(0, 1))
         assert pred.points.tobytes() == want.points.tobytes()
-        assert (pred.k, pred.dt, pred.probabilities) == (4, 0.1, [0.25] * 4)
+        assert (pred.k, pred.dt) == (4, 0.1)
         assert pred.anchor.tolist() == [0.0, 1.0]
         assert not pred.points.flags.writeable and points.flags.writeable
         # the modes are built on first use, as read-only views of the stack
@@ -105,11 +88,6 @@ class TestPredictionSet:
     def test_from_points_rejects_what_modes_would(self, points, dt):
         with pytest.raises(ValueError):
             PredictionSet.from_points("s", points, dt, anchor=(0, 0))
-
-    def test_from_points_checks_probabilities(self):
-        with pytest.raises(ShapeError):
-            PredictionSet.from_points("s", np.zeros((2, 3, 2)), 0.1, [1.0],
-                                      anchor=(0, 0))
 
     def test_anchor_is_required(self):
         with pytest.raises(TypeError, match="anchor"):
