@@ -148,14 +148,10 @@ def check_predictions(records: Sequence[ScenarioRecord],
             )
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
 def _group_means(groups: Iterable[tuple]) -> dict:
     """Group key -> metric -> mean over the group's results."""
     return {
-        key: {name: _mean([r.values[name] for r in results])
+        key: {name: metrics.mean([r.values[name] for r in results])
               for name in METRIC_NAMES}
         for key, results in groups
     }
@@ -191,19 +187,16 @@ def aggregate(
         raise DataConsistencyError("weights are 0 for every difficulty present")
     # not sorted: the weighted sums add difficulties in first-seen order
     per_difficulty = _group_means(by_difficulty.items())
-    overall: dict[str, float] = {}
-    for name in METRIC_NAMES:
-        num = 0.0
-        den = 0.0
-        for d, means in per_difficulty.items():
-            w = weights.of(d) / top
-            num += w * means[name]
-            den += w
-        overall[name] = num / den
+    w = {d: weights.of(d) / top for d in per_difficulty}
+    overall = {
+        name: metrics.total(w[d] * per_difficulty[d][name] for d in w)
+        / metrics.total(w.values())
+        for name in METRIC_NAMES
+    }
 
     all_triads = [r.triad for r in run.per_scenario.values()]
     att_ablation = {
-        test: _mean([t.test_rates()[test] for t in all_triads])
+        test: metrics.mean([t.test_rates()[test] for t in all_triads])
         for test in TEST_NAMES
     }
     return MetricReport(

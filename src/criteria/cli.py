@@ -109,9 +109,7 @@ def cmd_synth(args) -> int:
             for i, rec in enumerate(records)
         ]
         name = kind.value.lower()
-        io.save_predictions(
-            out / f"predictions_{name}.json", name, spec.dt, preds
-        )
+        io.save_predictions(out / f"predictions_{name}.json", name, synth.DT, preds)
     return EXIT_OK
 
 

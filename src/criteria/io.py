@@ -259,6 +259,8 @@ def _load_json(path) -> Any:
         raise SchemaError("$", f"not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from e
 
 
 def _load(path, from_dict):
@@ -506,8 +508,8 @@ def map_to_dict(road: RoadMap) -> dict:
     }
 
 
-def map_from_dict(doc: dict, path: str = "$") -> RoadMap:
-    doc, arrays = _Walk().read(_MAP, doc, path)
+def map_from_dict(doc: dict) -> RoadMap:
+    doc, arrays = _Walk().read(_MAP, doc, "$")
     lanes = [
         LaneSegment(**{**lane, "centerline": arrays[lane["centerline"]],
                        "polygon": arrays[lane["polygon"]],
@@ -547,8 +549,8 @@ def scenarios_to_dict(records: list[ScenarioRecord]) -> dict:
     }
 
 
-def scenarios_from_dict(doc: dict, path: str = "$") -> list[ScenarioRecord]:
-    doc, arrays = _Walk().read(_SCENARIOS, doc, path)
+def scenarios_from_dict(doc: dict) -> list[ScenarioRecord]:
+    doc, arrays = _Walk().read(_SCENARIOS, doc, "$")
     out: dict[str, ScenarioRecord] = {}
     for r in doc["scenarios"]:
         if r["id"] in out:
@@ -598,10 +600,8 @@ def predictions_to_dict(model: str, dt: float,
     }
 
 
-def predictions_from_dict(
-    doc: dict, path: str = "$"
-) -> tuple[str, dict[str, PredictionSet]]:
-    doc, arrays = _Walk().read(_PREDICTIONS, doc, path)
+def predictions_from_dict(doc: dict) -> tuple[str, dict[str, PredictionSet]]:
+    doc, arrays = _Walk().read(_PREDICTIONS, doc, "$")
     out: dict[str, PredictionSet] = {}
     for p in doc["predictions"]:
         sid = p["scenario_id"]
@@ -637,7 +637,7 @@ def _tags_block(tags: dict[str, ScenarioTag], only=None) -> dict:
     }
 
 
-def _tags(doc: dict, path: str) -> dict[str, ScenarioTag]:
+def _tags(doc: dict) -> dict[str, ScenarioTag]:
     """The ``ScenarioTag`` of each walked ``_TAG`` entry of ``doc``."""
     out = {}
     for sid, t in doc.items():
@@ -646,7 +646,7 @@ def _tags(doc: dict, path: str) -> dict[str, ScenarioTag]:
                                    Difficulty(t["difficulty"]),
                                    LengthClass(t["length"]))
         except ValueError as e:
-            raise SchemaError(f"{path}.tags.{sid}", str(e)) from e
+            raise SchemaError(f"$.tags.{sid}", str(e)) from e
     return out
 
 
@@ -660,9 +660,9 @@ def tags_to_dict(tags: dict[str, ScenarioTag], counts: dict[str, int],
     }
 
 
-def tags_from_dict(doc: dict, path: str = "$") -> dict[str, ScenarioTag]:
-    doc, _ = _Walk().read(_TAGS, doc, path)
-    return _tags(doc["tags"], path)
+def tags_from_dict(doc: dict) -> dict[str, ScenarioTag]:
+    doc, _ = _Walk().read(_TAGS, doc, "$")
+    return _tags(doc["tags"])
 
 
 def load_tags(path) -> dict[str, ScenarioTag]:
@@ -701,13 +701,13 @@ def metrics_to_dict(run: EvaluationRun, inputs: dict[str, str],
     }
 
 
-def metrics_from_dict(doc: dict, path: str = "$"):
+def metrics_from_dict(doc: dict):
     """Rehydrate an EvaluationRun and its embedded tags; its ``config`` is
     the file's run configuration."""
-    doc, _ = _Walk().read(_METRICS, doc, path)
+    doc, _ = _Walk().read(_METRICS, doc, "$")
     out = {}
     for sid, values in doc["per_scenario"].items():
-        sp = f"{path}.per_scenario.{sid}"
+        sp = f"$.per_scenario.{sid}"
         triad = values.pop("triad")
         passes = [tuple(triad[key]) for key in _PASSES]
         if not passes[0] or any(len(p) != len(passes[0]) for p in passes):
@@ -721,7 +721,7 @@ def metrics_from_dict(doc: dict, path: str = "$"):
         per_scenario=dict(sorted(out.items())),
         config=doc["config"],
     )
-    return run, _tags(doc["tags"], path)
+    return run, _tags(doc["tags"])
 
 
 def load_metrics(path):

@@ -5,8 +5,8 @@ Every metric reads the prediction set's ``(K, T, 2)`` mode stack and computes
 all K modes, or all K(K-1)/2 unordered pairs in ``itertools.combinations``
 order (``np.triu_indices``), as array operations. Each reduction runs over
 the same values in the same order as a per-mode or per-pair loop would, and
-the means over modes and pairs are sequential Python sums in that order, so
-identical inputs give bit-identical outputs.
+the means over modes and pairs are ``mean``, a left-to-right sum in that
+order, so identical inputs give bit-identical outputs on every Python.
 
 The kinematic, DAO and triad kernels take the whole ``PredictionSet`` and
 answer per mode; the anchor that kinematics start from and the DAO ROI is
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +38,17 @@ from .trajectory import (
 )
 
 RF_EPS = 1e-6  # minFDE clamp for the ratio metric
+
+
+def total(values) -> float:
+    """The floats ``values`` added one by one, left to right, from ``0.0``,
+    as ``sum`` adds them before Python 3.12. From 3.12 on, ``sum`` is
+    compensated, which can change a mean's last bit and so the output bytes."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def mean(values) -> float:
+    return total(values) / len(values)
 
 
 class StationaryPolicy(Enum):
@@ -169,7 +181,7 @@ def rf(pred: PredictionSet, gt: Trajectory) -> float:
     """Average FDE over minimum FDE; saturates at avg/RF_EPS when the best
     mode hits the ground-truth endpoint exactly."""
     fdes = _fdes(pred, gt).tolist()
-    return max(1.0, (sum(fdes) / len(fdes)) / max(min(fdes), RF_EPS))
+    return max(1.0, mean(fdes) / max(min(fdes), RF_EPS))
 
 
 # -- baseline diversity ------------------------------------------------------
@@ -258,9 +270,8 @@ def aae(pred: PredictionSet, unit: AngleUnit = AngleUnit.DEG) -> float:
     if len(vectors) < 2:
         return 0.0
     i, j = _pairs(len(vectors))
-    angles = geom.angles_between(vectors[i], vectors[j]).tolist()
-    mean = sum(angles) / len(angles)
-    return math.degrees(mean) if unit == AngleUnit.DEG else mean
+    angle = mean(geom.angles_between(vectors[i], vectors[j]).tolist())
+    return math.degrees(angle) if unit == AngleUnit.DEG else angle
 
 
 def amv(
@@ -286,8 +297,7 @@ def amv(
         pair_values[sel] = (
             diffs.sum(axis=1) if reduction is Reduction.SUM else diffs.mean(axis=1)
         )
-    values = pair_values.tolist()
-    return sum(values) / len(values)
+    return mean(pair_values.tolist())
 
 
 # -- triad tests -----------------------------------------------------------

@@ -3,6 +3,8 @@ diversity/admissibility balance chart (CSV + standalone SVG)."""
 
 from __future__ import annotations
 
+import csv
+from io import StringIO
 from typing import Mapping, Sequence
 
 from .bench import METRIC_NAMES, MetricReport, rank
@@ -38,30 +40,44 @@ def render_markdown(title: str,
     lines.append("|---" * (len(METRIC_NAMES) + 1) + "|")
     for model, cells in _table_rows(per_model):
         rendered = [f"{v:.4f} ({r})" for v, r in cells]
-        lines.append(f"| {model} | " + " | ".join(rendered) + " |")
+        name = model.replace("|", "\\|")  # a bare bar would split the cell
+        lines.append(f"| {name} | " + " | ".join(rendered) + " |")
     lines.append("")
     return "\n".join(lines)
+
+
+def _csv(rows) -> str:
+    """``rows`` as CSV, quoting a field that holds a comma or a quote."""
+    out = StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def render_csv(per_model: Mapping[str, Mapping[str, float]]) -> str:
     header = ["model"]
     for name in METRIC_NAMES:
         header += [name, f"{name}_rank"]
-    lines = [",".join(header)]
+    rows = [header]
     for model, cells in _table_rows(per_model):
         row = [model]
         for v, r in cells:
             row += [f"{v:.6f}", str(r)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _csv(rows)
 
 
 def render_balance_csv(rows: Sequence[tuple[str, float, float, float]],
                        diversity_metric: str) -> str:
-    lines = [f"model,{diversity_metric},ATT,minFDE"]
-    for model, div, att_v, fde in rows:
-        lines.append(f"{model},{div:.6f},{att_v:.6f},{fde:.6f}")
-    return "\n".join(lines) + "\n"
+    return _csv([("model", diversity_metric, "ATT", "minFDE")] + [
+        (model, f"{div:.6f}", f"{att_v:.6f}", f"{fde:.6f}")
+        for model, div, att_v, fde in rows
+    ])
+
+
+def _xml_text(text: str) -> str:
+    """``text`` escaped as ``xml.sax.saxutils.escape`` does, without that
+    module's imports (``urllib.request``, ``ssl``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_balance_svg(rows: Sequence[tuple[str, float, float, float]],
@@ -100,7 +116,7 @@ def render_balance_svg(rows: Sequence[tuple[str, float, float, float]],
         )
         parts.append(
             f'<text x="{cx:.2f}" y="{cy - radius - 4:.2f}" '
-            f'text-anchor="middle" font-size="12">{model}</text>'
+            f'text-anchor="middle" font-size="12">{_xml_text(model)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -17,6 +17,7 @@ import numpy as np
 from . import geom
 from .errors import DataConsistencyError, SettingError
 from .map_model import RoadMap, is_turn_lane
+from .metrics import mean, total
 from .trajectory import Trajectory
 
 
@@ -61,7 +62,7 @@ class ScenarioConfig:
             raise SettingError("turn_radius must be positive", "turn_radius")
         if self.beta <= 0:
             raise SettingError("beta must be positive", "beta")
-        if any(a <= 0 for a in self.alpha) or abs(sum(self.alpha) - 1.0) > 1e-9:
+        if any(a <= 0 for a in self.alpha) or abs(total(self.alpha) - 1.0) > 1e-9:
             raise SettingError("alpha must be positive and sum to 1", "alpha")
 
 
@@ -105,9 +106,7 @@ def difficulty_scores(
         raise DataConsistencyError(
             f"scenario {offender!r}: ragged per-model minFDE table"
         )
-    return {
-        sid: sum(values) / len(values) for sid, values in min_fde_by_model.items()
-    }
+    return {sid: mean(values) for sid, values in min_fde_by_model.items()}
 
 
 def partition_difficulty(

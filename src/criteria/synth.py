@@ -21,6 +21,10 @@ from .trajectory import PredictionSet, Trajectory
 ROAD_HALF = 200.0  # roads span [-ROAD_HALF, ROAD_HALF]
 DILATION = 0.3  # drivable margin around lane surfaces
 SPEED_RANGE = (5.0, 15.0)
+LANE_WIDTH = 3.7
+DT = 0.1  # seconds per step
+OBS_STEPS = 20  # observed points per scenario
+PRED_STEPS = 30  # future points per scenario
 
 
 class MapKind(Enum):
@@ -33,18 +37,12 @@ class MapKind(Enum):
 class SynthSpec:
     kind: MapKind = MapKind.STRAIGHT
     lanes_per_direction: int = 2
-    lane_width: float = 3.7
     seed: int = 0
     n_scenarios: int = 10
-    dt: float = 0.1
-    obs_steps: int = 20
-    pred_steps: int = 30
 
     def __post_init__(self):
         if self.lanes_per_direction < 1 or self.n_scenarios < 1:
             raise ValueError("counts must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 # -- geometry helpers --------------------------------------------------------
@@ -99,7 +97,7 @@ def _lane(lane_id, centerline, width, turn=Turn.NONE, is_intersection=False,
 
 def gen_map(spec: SynthSpec) -> RoadMap:
     n = spec.lanes_per_direction
-    w = spec.lane_width
+    w = LANE_WIDTH
     box = n * w + 5.0  # intersection half-extent along the main road
     lanes: list[LaneSegment] = []
 
@@ -214,8 +212,8 @@ def gen_scenarios(road: RoadMap, spec: SynthSpec) -> list[ScenarioRecord]:
             # keep the whole observation on the (straight) spawn lane so a
             # constant-velocity continuation stays on-road
             first_len = geom.arc_length(road.lanes[lane_id].centerline)
-            behind = (spec.obs_steps - 1) * spec.dt * speed
-            ahead = spec.pred_steps * spec.dt * speed
+            behind = (OBS_STEPS - 1) * DT * speed
+            ahead = PRED_STEPS * DT * speed
             s0_max = min(first_len, total - ahead) - 1.0
             if behind <= s0_max:
                 break
@@ -224,18 +222,16 @@ def gen_scenarios(road: RoadMap, spec: SynthSpec) -> list[ScenarioRecord]:
         # bias toward the lane end so prediction horizons reach intersections
         s0_min = max(behind, s0_max - 0.5 * ahead)
         s0 = float(rng.uniform(s0_min, s0_max))
-        offsets = s0 + speed * spec.dt * np.arange(
-            -(spec.obs_steps - 1), spec.pred_steps + 1
-        )
+        offsets = s0 + speed * DT * np.arange(-(OBS_STEPS - 1), PRED_STEPS + 1)
         pts = _points_at(route, offsets)
         records.append(
             ScenarioRecord(
                 id=f"s{idx:04d}",
                 map_id=road.map_id,
                 agent_id=f"a{idx:04d}",
-                dt=spec.dt,
-                past=Trajectory(pts[: spec.obs_steps], spec.dt),
-                future=Trajectory(pts[spec.obs_steps :], spec.dt),
+                dt=DT,
+                past=Trajectory(pts[:OBS_STEPS], DT),
+                future=Trajectory(pts[OBS_STEPS:], DT),
             )
         )
     return records

@@ -226,9 +226,19 @@ def reference_fdes(pred, gt) -> list[float]:
     return [float(np.linalg.norm(m.points[-1] - gt.points[-1])) for m in pred.modes]
 
 
+def reference_mean(values) -> float:
+    """The mean of ``values`` summed one by one from ``0.0``: the order the
+    metrics sum in on every Python, where the builtin ``sum`` of floats is
+    compensated from 3.12 on."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc / len(values)
+
+
 def reference_rf(pred, gt) -> float:
     fdes = reference_fdes(pred, gt)
-    return max(1.0, (sum(fdes) / len(fdes)) / max(min(fdes), 1e-6))
+    return max(1.0, reference_mean(fdes) / max(min(fdes), 1e-6))
 
 
 def reference_min_asd(pred) -> float:
@@ -251,7 +261,7 @@ def reference_aae(pred) -> float:
     if len(vectors) < 2:
         return 0.0
     angles = [reference_angle_between(a, b) for a, b in combinations(vectors, 2)]
-    return math.degrees(sum(angles) / len(angles))
+    return math.degrees(reference_mean(angles))
 
 
 def reference_amv(pred, kin, mean: bool = False) -> float:
@@ -265,7 +275,7 @@ def reference_amv(pred, kin, mean: bool = False) -> float:
         n = min(len(a), len(b))
         diffs = np.abs(a[:n] - b[:n])
         values.append(float(diffs.mean() if mean else diffs.sum()))
-    return sum(values) / len(values)
+    return reference_mean(values)
 
 
 def reference_rasterize_occupancy(points, roi, cell) -> set[tuple[int, int]]:

@@ -747,15 +747,12 @@ class TestErrorsNameTheirFile:
         ]) == EXIT_OK
         return json.loads(metrics.read_text())
 
-    @pytest.mark.parametrize("kind", list(NAMED_FAULTS))
-    def test_load_error_names_its_file(self, fixtures, tmp_path, capsys, kind):
-        stage, flag, source, edit, start = NAMED_FAULTS[kind]
-        doc = (json.loads((fixtures / source).read_text()) if source
-               else self._doc(fixtures, tmp_path, flag))
-        edit(doc)
+    def _run_with(self, fixtures, tmp_path, stage, flag, text):
+        """Run ``stage`` with ``text`` as the file given to ``flag`` and the
+        fixtures as its other inputs; the exit code, stderr and the file."""
         bad = tmp_path / "bad" / "input.json"
         bad.parent.mkdir()
-        bad.write_text(json.dumps(doc))
+        bad.write_text(text)
         files = {"--scenarios": fixtures / "scenarios.json",
                  "--maps": fixtures / "map.json"}
         if flag != "--minfde":
@@ -763,12 +760,37 @@ class TestErrorsNameTheirFile:
         if stage == "eval":
             files["--tags"] = fixtures / "tags.json"
         files = {"--metrics": bad} if stage == "report" else {**files, flag: bad}
+        return main([stage, *(a for k, v in files.items() for a in (k, str(v))),
+                     "--out", str(tmp_path / "out")]), bad
+
+    @pytest.mark.parametrize("kind", list(NAMED_FAULTS))
+    def test_load_error_names_its_file(self, fixtures, tmp_path, capsys, kind):
+        stage, flag, source, edit, start = NAMED_FAULTS[kind]
+        doc = (json.loads((fixtures / source).read_text()) if source
+               else self._doc(fixtures, tmp_path, flag))
+        edit(doc)
         capsys.readouterr()
-        assert main([stage, *(a for k, v in files.items() for a in (k, str(v))),
-                     "--out", str(tmp_path / "out")]) == (
-            EXIT_DATA if start.startswith("data") else EXIT_SCHEMA)
+        code, bad = self._run_with(fixtures, tmp_path, stage, flag, json.dumps(doc))
+        assert code == (EXIT_DATA if start.startswith("data") else EXIT_SCHEMA)
         err = capsys.readouterr().err
         assert err.startswith(start), err
+        assert err.rstrip().endswith(f"(in {bad})"), err
+
+    @pytest.mark.parametrize("stage, flag", [
+        ("tag", "--scenarios"), ("tag", "--maps"), ("eval", "--predictions"),
+        ("eval", "--tags"), ("report", "--metrics"), ("eval", "--config"),
+        ("tag", "--minfde"),
+    ])
+    def test_deeply_nested_json_is_schema_error(self, fixtures, tmp_path, capsys,
+                                                stage, flag):
+        """Nesting too deep for the JSON decoder is a schema error at the
+        document, not a ``RecursionError``."""
+        capsys.readouterr()
+        code, bad = self._run_with(fixtures, tmp_path, stage, flag,
+                                   "[" * 100_000 + "]" * 100_000)
+        assert code == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: $: invalid JSON: nested too deeply"), err
         assert err.rstrip().endswith(f"(in {bad})"), err
 
     def _unfit_predictions(self, fixtures, tmp_path, edit):

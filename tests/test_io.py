@@ -236,7 +236,7 @@ class TestScenarioIO:
 class TestPredictionIO:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "pred.json"
-        io.save_predictions(path, "noisy", SPEC.dt, PREDS)
+        io.save_predictions(path, "noisy", synth.DT, PREDS)
         model, loaded = io.load_predictions(path)
         assert model == "noisy"
         assert sorted(loaded) == sorted(p.scenario_id for p in PREDS)
@@ -247,7 +247,7 @@ class TestPredictionIO:
                 assert np.allclose(m1.points, m2.points)
 
     def test_ragged_modes_names_prediction(self, tmp_path):
-        doc = io.predictions_to_dict("m", SPEC.dt, PREDS)
+        doc = io.predictions_to_dict("m", synth.DT, PREDS)
         doc["predictions"][1]["modes"][2] = doc["predictions"][1]["modes"][2][:5]
         path = tmp_path / "ragged.json"
         path.write_text(json.dumps(doc))
@@ -256,7 +256,7 @@ class TestPredictionIO:
         assert "predictions[1].modes" in str(e.value)
 
     def test_duplicate_scenario_rejected(self, tmp_path):
-        doc = io.predictions_to_dict("m", SPEC.dt, PREDS)
+        doc = io.predictions_to_dict("m", synth.DT, PREDS)
         doc["predictions"].append(doc["predictions"][0])
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(doc))
@@ -264,7 +264,7 @@ class TestPredictionIO:
             io.load_predictions(path)
 
     def test_empty_modes_rejected(self, tmp_path):
-        doc = io.predictions_to_dict("m", SPEC.dt, PREDS)
+        doc = io.predictions_to_dict("m", synth.DT, PREDS)
         doc["predictions"][0]["modes"] = []
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(doc))
@@ -545,7 +545,7 @@ PAIR_PLACES = {
 }
 DOCS = {
     "scenarios": (lambda: io.scenarios_to_dict(RECORDS), io.scenarios_from_dict),
-    "predictions": (lambda: io.predictions_to_dict("m", SPEC.dt, PREDS),
+    "predictions": (lambda: io.predictions_to_dict("m", synth.DT, PREDS),
                     io.predictions_from_dict),
     "map": (lambda: io.map_to_dict(ROAD), io.map_from_dict),
 }
@@ -586,7 +586,7 @@ class TestCoordinateBlocks:
 
     @given(st.lists(BLOCKS, min_size=1, max_size=4))
     def test_modes_block_matches_the_per_mode_walk(self, modes):
-        doc = io.predictions_to_dict("m", SPEC.dt, PREDS[:1])
+        doc = io.predictions_to_dict("m", synth.DT, PREDS[:1])
         doc["predictions"][0]["modes"] = modes
         want = outcome(reference_modes, modes, "$.predictions[0].modes")
         if want[0] == "error":

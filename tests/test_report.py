@@ -1,6 +1,7 @@
 import csv
 import io as stdio
 import xml.etree.ElementTree as ET
+import xml.sax.saxutils
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +14,7 @@ from criteria.bench import (
     WeightConfig,
     aggregate,
 )
+from criteria import report
 from criteria.metrics import TriadResult
 from criteria.report import (
     BLOCKS,
@@ -29,6 +31,8 @@ from criteria.scenario import (
     ScenarioTag,
     Structure,
 )
+
+from conftest import reference_mean
 
 
 def result(offset=0.0):
@@ -102,7 +106,7 @@ class TestPerBlock:
             ]
             if members:
                 want[block] = {
-                    name: sum(r.values[name] for r in members) / len(members)
+                    name: reference_mean([r.values[name] for r in members])
                     for name in METRIC_NAMES
                 }
         assert aggregate(run, tags).per_block == want
@@ -183,3 +187,41 @@ class TestBalanceRendering:
     def test_svg_empty_rows(self):
         root = ET.fromstring(render_balance_svg([], "AMV"))
         assert not [el for el in root.iter() if el.tag.endswith("circle")]
+
+
+class TestModelNamesAreEscaped:
+    """A model name is data: markup, commas, quotes and bars in it stay
+    inside its own field of every rendered file."""
+
+    NAMES = ["a<b & c", "x,y", 'q"|r']
+    ROWS = [(name, 1.0 + i, 0.9, 1.2) for i, name in enumerate(NAMES)]
+
+    @given(st.text())
+    def test_svg_text_is_escaped_as_saxutils_escapes_it(self, text):
+        assert report._xml_text(text) == xml.sax.saxutils.escape(text)
+
+    def test_svg_parses_and_labels_each_model(self):
+        root = ET.fromstring(render_balance_svg(self.ROWS, "AAE"))
+        labels = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert labels == ["AAE", "ATT", *self.NAMES]
+
+    def test_balance_csv_has_four_fields_per_row(self):
+        text = render_balance_csv(self.ROWS, "AAE")
+        rows = list(csv.reader(stdio.StringIO(text)))
+        assert [len(row) for row in rows] == [4] * (len(self.NAMES) + 1)
+        assert [row[0] for row in rows[1:]] == self.NAMES
+
+    def test_table_csv_has_one_field_per_column(self):
+        runs = [run_and_tags(name, offset=i) for i, name in enumerate(self.NAMES)]
+        text = render_csv(collect_block_tables(reports(*runs))["OVERALL"])
+        rows = list(csv.reader(stdio.StringIO(text)))
+        assert [len(row) for row in rows] == [1 + 2 * len(METRIC_NAMES)] * len(rows)
+        assert sorted(row[0] for row in rows[1:]) == sorted(self.NAMES)
+
+    def test_markdown_bar_is_escaped(self):
+        run, tags = run_and_tags("a|b")
+        tables = collect_block_tables(reports((run, tags)))
+        md = render_markdown("OVERALL", tables["OVERALL"])
+        row = next(line for line in md.splitlines() if line.startswith("| a"))
+        assert row.startswith("| a\\|b | ")
+        assert len(row.replace("\\|", "").split("|")) == len(METRIC_NAMES) + 3

@@ -62,8 +62,8 @@ class TestGenScenarios:
         assert len(recs1) == 5
         for r1, r2 in zip(recs1, recs2):
             assert r1.id == r2.id
-            assert len(r1.past) == sp.obs_steps
-            assert len(r1.future) == sp.pred_steps
+            assert len(r1.past) == synth.OBS_STEPS
+            assert len(r1.future) == synth.PRED_STEPS
             assert np.array_equal(r1.past.points, r2.past.points)
             assert np.array_equal(r1.future.points, r2.future.points)
 
@@ -105,7 +105,7 @@ class TestToyPredict:
             assert pred.anchor is not None
             assert np.allclose(pred.anchor, rec.past.points[-1])
             for mode in pred.modes:
-                assert len(mode) == sp.pred_steps
+                assert len(mode) == synth.PRED_STEPS
 
     @pytest.mark.parametrize(
         "kind", list(synth.MapKind)
