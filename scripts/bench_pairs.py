@@ -9,7 +9,9 @@ For each workload in the change's ``BENCHMARK.json`` the script runs
 first alternates from one pair to the next. It reads each run's last JSON line and its ``# env`` and
 ``# sha256`` lines, and writes one JSON document: for every ``end_to_end``
 metric of ``BENCHMARK.json``, both sides' medians and quartiles, how many
-pairs the change won, and every run's value; for every workload, whether
+pairs the change won, every run's value, and the verdict (``summarize``):
+whether the change stayed within the metric's ``bound`` and whether it
+shows a gain; for every workload, whether
 all runs of both sides printed the same output digests; and the ``nproc``,
 Python and numpy versions the runs reported.
 
@@ -74,7 +76,13 @@ def spread(values: list[float]) -> dict:
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """One workload's summary of its ``(parent, change)`` parsed runs: each
     end-to-end metric's medians, quartiles and change wins, and whether
-    every run printed the same output digests."""
+    every run printed the same output digests.
+
+    Each metric also gets its verdict: ``within_bound`` when the change's
+    median is worse than the parent's by no more than the relative
+    ``bound``, and ``gain`` when the change won at least 9 of every 10
+    pairs and its median is better by more than the distance between the
+    parent's quartiles."""
     digests = [run["digests"] for pair in pairs for run in pair]
     out = {
         "pairs": len(pairs),
@@ -87,12 +95,16 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
                           for side in zip(*pairs))
         lower = spec["better"] == "lower"
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        p, c = spread(parent), spread(change)
+        worse = (c["median"] - p["median"]) * (1 if lower else -1)
         out["metrics"][name] = {
             "unit": spec["unit"],
             "better": spec["better"],
-            "parent": spread(parent),
-            "change": spread(change),
+            "parent": p,
+            "change": c,
             "change_wins": wins,
+            "within_bound": worse <= spec["bound"] * abs(p["median"]),
+            "gain": 10 * wins >= 9 * len(pairs) and -worse > p["q3"] - p["q1"],
             "parent_values": parent,
             "change_values": change,
         }

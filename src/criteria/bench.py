@@ -41,6 +41,7 @@ class WeightConfig:
     w_easy: float = 1.0
 
     def __post_init__(self):
+        SettingError.check_finite(self)
         names = ("w_hard", "w_middle", "w_easy")
         for name in names:
             if getattr(self, name) < 0:

@@ -288,8 +288,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileExistsError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as e:
+    except OSError as e:  # a directory, a loop, too long a name, denied
         print(f"unusable path: {e}", file=sys.stderr)
         return EXIT_USAGE
     except CriteriaError as e:

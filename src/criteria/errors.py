@@ -3,6 +3,9 @@
 Exit-code mapping for the CLI lives in :mod:`criteria.cli`.
 """
 
+import math
+from dataclasses import fields
+
 
 class CriteriaError(Exception):
     """Base class for all toolkit errors; ``file``, once a loader sets it,
@@ -34,6 +37,16 @@ class SettingError(ValueError):
     def __init__(self, message: str, *keys: str):
         self.keys = keys
         super().__init__(message)
+
+    @classmethod
+    def check_finite(cls, config) -> None:
+        """Raise one naming the first float setting of the config dataclass
+        ``config``, or float in a tuple setting, that is NaN or infinite."""
+        for f in fields(config):
+            value = getattr(config, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise cls(f"{f.name} must be finite", f.name)
 
 
 class DataConsistencyError(CriteriaError):

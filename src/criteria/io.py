@@ -53,59 +53,29 @@ def _finite_number(c) -> bool:
         return False
 
 
-def _number_array(value, tail_shape: tuple) -> np.ndarray | None:
-    """``value`` as a float array of shape ``(n, *tail_shape)`` when it is a
-    nested list of JSON numbers of that shape, each within ``COORD_LIMIT``
-    of 0, else ``None``; a ``None`` in ``tail_shape`` matches any length.
+def _number_array(pairs: list) -> np.ndarray | None:
+    """``pairs`` as an ``(n, 2)`` float array when it is a list of pairs of
+    JSON numbers, each within ``COORD_LIMIT`` of 0, else ``None``.
 
-    One ``np.array`` call reads the whole block. Strings, nulls and objects
-    come back as another dtype, ragged or deeper lists as another shape or a
-    ``ValueError``, and integers beyond int64 as an object array. Bools do
-    not: ``np.array([True, 1.5])`` is float and ``np.array([[1, True]])``
-    int, so the leaves whose value is 0 or 1 are looked up in ``value``.
+    Strings, nulls and objects make another dtype, ragged or deeper lists
+    another shape or a ``ValueError``, and integers beyond int64 an object
+    array. Bools do not: ``np.array([[True, 1.5]])`` is float and
+    ``np.array([[1, True]])`` int, so the leaves equal to 0 or 1 are looked
+    up in ``pairs``.
     """
     try:
-        arr = np.array(value)
+        arr = np.array(pairs)
     except (ValueError, TypeError, OverflowError):
         return None
-    if arr.dtype.kind not in "fi" or arr.ndim != len(tail_shape) + 1:
-        return None
-    if any(n is not None and n != got for n, got in zip(tail_shape, arr.shape[1:])):
+    if arr.dtype.kind not in "fi" or arr.ndim != 2 or arr.shape[1] != 2:
         return None
     arr = arr.astype(float, copy=False)
     if not (np.abs(arr) <= COORD_LIMIT).all():  # NaN fails too
         return None
-    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        leaf = value
-        for i in index:
-            leaf = leaf[i]
-        if isinstance(leaf, bool):
+    for i, j in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        if isinstance(pairs[i][j], bool):
             return None
     return arr
-
-
-def _pairs(value: list, path: str) -> np.ndarray:
-    """The block ``value`` checked pair by pair: a ``SchemaError`` naming the
-    first bad pair, or the block as an ``(n, 2)`` float array if every pair
-    is fine (``np.array`` gives an object array for an integer beyond
-    int64, which converts to a finite float all the same). A coordinate
-    beyond ``COORD_LIMIT`` is refused, so that the metrics' squared
-    distances stay finite."""
-    for i, pt in enumerate(value):
-        if (
-            not isinstance(pt, list)
-            or len(pt) != 2
-            or not all(_finite_number(c) for c in pt)
-        ):
-            raise SchemaError(
-                f"{path}[{i}]", "expected an [x, y] pair of finite numbers"
-            )
-        if not all(abs(c) <= COORD_LIMIT for c in pt):
-            raise SchemaError(
-                f"{path}[{i}]", f"expected an [x, y] pair within {COORD_LIMIT:g} m "
-                "of the origin"
-            )
-    return np.asarray(value, dtype=float)
 
 
 # -- schema tables -------------------------------------------------------------
@@ -121,8 +91,11 @@ _List = namedtuple("_List", "item min_len", defaults=[0])
 # a key that may be absent or null; either reads as ``None``
 _Optional = namedtuple("_Optional", "kind")
 # a list of at least ``min_len`` [x, y] pairs, or with ``min_len`` 0 a single
-# pair, read as a block of one; the walk reads it as its index in ``arrays()``
+# pair; the walk reads it as its index in the arrays it returns
 _Block = namedtuple("_Block", "min_len")
+# a non-empty list of modes, blocks of at least ``min_len`` pairs all of one
+# length, read as the index of their ``(K, T, 2)`` array
+_Modes = namedtuple("_Modes", "min_len")
 
 
 class _Walk:
@@ -130,22 +103,27 @@ class _Walk:
 
     The walk checks values in document order and only collects the
     coordinate blocks; after it, one ``_number_array`` call reads all their
-    pairs. Before any fault is raised, the blocks met so far are read, so a
-    bad pair ahead of the fault is named instead: the first fault in
-    document order is named, with no second walk.
+    pairs, and each block and modes value is cut from that array. Before any
+    fault is raised, the blocks met so far are read, so a bad pair ahead of
+    the fault is named instead: the first fault in document order is named,
+    with no second walk.
     """
 
     def __init__(self):
-        self.blocks: list[tuple[list, str]] = []
+        self.blocks: list[tuple[list, str]] = []  # each block's pairs, path
+        self.size = 0  # the pairs collected so far
+        self.cuts: list[tuple[int, int, tuple]] = []  # each value's pairs, shape
 
     def read(self, table, doc, path: str) -> tuple[Any, list[np.ndarray]]:
-        """``doc`` as read with ``table``, and the array of each block."""
+        """``doc`` as read with ``table``, and the array of each block and
+        modes value."""
         try:
             out = self.value(table, doc, path)
         except SchemaError:
-            self.arrays()  # a bad pair met before the fault comes first
+            self.points()  # a bad pair met before the fault comes first
             raise
-        return out, self.arrays()
+        pts = self.points()
+        return out, [pts[a:b].reshape(shape) for a, b, shape in self.cuts]
 
     def value(self, kind, value, path: str):
         if type(kind) is dict:
@@ -163,11 +141,17 @@ class _Walk:
             return [self.value(kind.item, item, f"{path}[{i}]")
                     for i, item in enumerate(value)]
         if type(kind) is _Block:
-            if not isinstance(value, list) or len(value) < kind.min_len:
-                raise SchemaError(path, f"expected a list of >= {kind.min_len} "
-                                  "[x, y] pairs" if kind.min_len else "expected list")
-            self.blocks.append((value if kind.min_len else [value], path))
-            return len(self.blocks) - 1
+            start = self.block(value, path, kind.min_len)
+            return self.cut(start, (-1, 2) if kind.min_len else (2,))
+        if type(kind) is _Modes:
+            if not isinstance(value, list) or not value:
+                raise SchemaError(path, "expected at least one mode")
+            start = self.size
+            for k, mode in enumerate(value):
+                self.block(mode, f"{path}[{k}]", kind.min_len)
+            if len({len(mode) for mode in value}) > 1:
+                raise SchemaError(path, "ragged modes array")
+            return self.cut(start, (len(value), -1, 2))
         if isinstance(kind, type):
             if not isinstance(value, kind):
                 raise SchemaError(path, f"expected {kind.__name__}")
@@ -193,23 +177,41 @@ class _Walk:
                 raise SchemaError(f"{path}.{key}", "missing required field")
         return out
 
-    def arrays(self) -> list[np.ndarray]:
-        """Every block's ``(n, 2)`` array: one ``_number_array`` call over
-        all their pairs, or, if it rejects them, a pair-by-pair read of each
-        block, which names the first bad pair."""
-        pts = _number_array([pt for block, _ in self.blocks for pt in block], (2,))
-        if pts is None:
-            return [_pairs(block, path) for block, path in self.blocks]
-        ends = np.cumsum([len(block) for block, _ in self.blocks]).tolist()
-        return [pts[a:b] for a, b in zip([0, *ends], ends)]
+    def block(self, value, path: str, min_len: int) -> int:
+        """Collect the ``_Block(min_len)`` value; its first pair's index."""
+        if not isinstance(value, list) or len(value) < min_len:
+            raise SchemaError(path, f"expected a list of >= {min_len} "
+                              "[x, y] pairs" if min_len else "expected list")
+        pairs = value if min_len else [value]
+        self.blocks.append((pairs, path))
+        self.size += len(pairs)
+        return self.size - len(pairs)
 
+    def cut(self, start: int, shape: tuple) -> int:
+        """The index of the pairs collected since ``start``, as ``shape``."""
+        self.cuts.append((start, self.size, shape))
+        return len(self.cuts) - 1
 
-def _coords(value, path: str, min_len: int) -> np.ndarray:
-    """A list of at least ``min_len`` ``[x, y]`` pairs of finite numbers as
-    an ``(n, 2)`` float array, read as a walk over that one block."""
-    walk = _Walk()
-    walk.value(_Block(min_len), value, path)
-    return walk.arrays()[0]
+    def points(self) -> np.ndarray:
+        """Every collected pair, in one ``(n, 2)`` array: one
+        ``_number_array`` call, or, if it rejects them, a pair-by-pair check
+        of each block, which names the first bad pair. A coordinate beyond
+        ``COORD_LIMIT`` is refused, so that the metrics' squared distances
+        stay finite; an integer beyond int64 converts all the same."""
+        pairs = [pt for block, _ in self.blocks for pt in block]
+        pts = _number_array(pairs)
+        if pts is not None:
+            return pts
+        for block, path in self.blocks:
+            for i, pt in enumerate(block):
+                if (not isinstance(pt, list) or len(pt) != 2
+                        or not all(_finite_number(c) for c in pt)):
+                    raise SchemaError(f"{path}[{i}]",
+                                      "expected an [x, y] pair of finite numbers")
+                if not all(abs(c) <= COORD_LIMIT for c in pt):
+                    raise SchemaError(f"{path}[{i}]", "expected an [x, y] pair "
+                                      f"within {COORD_LIMIT:g} m of the origin")
+        return np.array(pairs, dtype=float).reshape(-1, 2)
 
 
 def _number(test=None, message: str = ""):
@@ -228,25 +230,15 @@ _finite = _number()
 _positive = _number(lambda x: x > 0, "expected a positive number")
 
 
-def _turn(value, path: str) -> Turn:
-    try:
-        return Turn(value)
-    except ValueError:
-        raise SchemaError(path, f"unknown turn kind {value!r}") from None
-
-
-def _modes(value, path: str) -> np.ndarray:
-    """A prediction's modes as one ``(K, T, 2)`` array call, read mode by
-    mode only when that call rejects them, to name the first bad pair."""
-    if not isinstance(value, list) or not value:
-        raise SchemaError(path, "expected at least one mode")
-    points = _number_array(value, (None, 2))
-    if points is not None and points.shape[1] >= 2:
-        return points
-    modes = [_coords(mode, f"{path}[{k}]", 2) for k, mode in enumerate(value)]
-    if len({len(mode) for mode in modes}) > 1:
-        raise SchemaError(path, "ragged modes array")
-    return np.stack(modes)
+def _enum(cls: type[Enum], name: str):
+    """The kind of a value of the enum ``cls``, read as its member; any
+    other value is an unknown ``name``."""
+    def read(value, path: str) -> Enum:
+        try:
+            return cls(value)
+        except ValueError:
+            raise SchemaError(path, f"unknown {name} {value!r}") from None
+    return read
 
 
 def _load_json(path) -> Any:
@@ -485,7 +477,7 @@ def load_config(path=None) -> RunConfig:
 # -- map files -------------------------------------------------------------
 
 _LANE = {
-    "turn": _turn,
+    "turn": _enum(Turn, "turn kind"),
     "id": str,
     "centerline": _Block(2),
     "polygon": _Block(3),
@@ -579,7 +571,7 @@ _PREDICTIONS = {
     "predictions": _List({
         "scenario_id": str,
         "anchor": _Block(0),
-        "modes": _modes,
+        "modes": _Modes(2),
     }),
 }
 
@@ -608,7 +600,7 @@ def predictions_from_dict(doc: dict) -> tuple[str, dict[str, PredictionSet]]:
         if sid in out:
             raise DataConsistencyError(f"duplicate prediction for {sid!r}")
         out[sid] = PredictionSet.from_points(
-            sid, p["modes"], doc["dt"], anchor=arrays[p["anchor"]][0])
+            sid, arrays[p["modes"]], doc["dt"], anchor=arrays[p["anchor"]])
     return doc["model"], out
 
 
@@ -623,7 +615,9 @@ def save_predictions(path, model: str, dt: float,
 
 # -- tags files ------------------------------------------------------------
 
-_TAG = {"structure": str, "difficulty": str, "length": str}
+_TAG = {"structure": _enum(Structure, "structure"),
+        "difficulty": _enum(Difficulty, "difficulty"),
+        "length": _enum(LengthClass, "length class")}
 _TAGS = {"tags": {...: _TAG}}
 
 
@@ -635,19 +629,6 @@ def _tags_block(tags: dict[str, ScenarioTag], only=None) -> dict:
         for sid, t in sorted(tags.items())
         if only is None or sid in only
     }
-
-
-def _tags(doc: dict) -> dict[str, ScenarioTag]:
-    """The ``ScenarioTag`` of each walked ``_TAG`` entry of ``doc``."""
-    out = {}
-    for sid, t in doc.items():
-        try:
-            out[sid] = ScenarioTag(Structure(t["structure"]),
-                                   Difficulty(t["difficulty"]),
-                                   LengthClass(t["length"]))
-        except ValueError as e:
-            raise SchemaError(f"$.tags.{sid}", str(e)) from e
-    return out
 
 
 def tags_to_dict(tags: dict[str, ScenarioTag], counts: dict[str, int],
@@ -662,7 +643,7 @@ def tags_to_dict(tags: dict[str, ScenarioTag], counts: dict[str, int],
 
 def tags_from_dict(doc: dict) -> dict[str, ScenarioTag]:
     doc, _ = _Walk().read(_TAGS, doc, "$")
-    return _tags(doc["tags"])
+    return {sid: ScenarioTag(**t) for sid, t in doc["tags"].items()}
 
 
 def load_tags(path) -> dict[str, ScenarioTag]:
@@ -721,7 +702,7 @@ def metrics_from_dict(doc: dict):
         per_scenario=dict(sorted(out.items())),
         config=doc["config"],
     )
-    return run, _tags(doc["tags"])
+    return run, {sid: ScenarioTag(**t) for sid, t in doc["tags"].items()}
 
 
 def load_metrics(path):

@@ -78,6 +78,7 @@ class AlignmentConfig:
     stationary_policy: StationaryPolicy = StationaryPolicy.PASS
 
     def __post_init__(self):
+        SettingError.check_finite(self)
         if not 0.0 < self.threshold_lac < 1.0:
             raise SettingError("threshold_lac must be in (0, 1)", "threshold_lac")
         if self.tail_steps < 2:
@@ -103,6 +104,7 @@ class DaoConfig:
     scale: float = 1e4
 
     def __post_init__(self):
+        SettingError.check_finite(self)
         if self.cell <= 0:
             raise SettingError("cell must be positive", "cell")
         if self.roi_side <= 0:

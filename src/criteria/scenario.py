@@ -58,6 +58,7 @@ class ScenarioConfig:
     beta: float = 28.8
 
     def __post_init__(self):
+        SettingError.check_finite(self)
         if self.turn_radius <= 0:
             raise SettingError("turn_radius must be positive", "turn_radius")
         if self.beta <= 0:

@@ -109,6 +109,7 @@ class KinematicConfig:
     window: int = 3
 
     def __post_init__(self):
+        SettingError.check_finite(self)
         if self.a_min >= self.a_max:
             raise SettingError("a_min must be < a_max", "a_min", "a_max")
         if self.window < 1:

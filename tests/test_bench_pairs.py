@@ -58,6 +58,7 @@ def test_summary_of_canned_pairs():
     assert setup["change"] == pytest.approx({"median": 0.08, "q1": 0.0675,
                                              "q3": 0.0925})
     assert setup["change_wins"] == 3  # lower is better: all but pair 2
+    assert setup["within_bound"] and not setup["gain"]  # 3 of 4 wins
     assert setup["parent_values"] == [0.08, 0.09, 0.07, 0.10]
     rate = got["metrics"]["eval_scen_per_s"]
     assert rate["better"] == "higher"
@@ -65,6 +66,43 @@ def test_summary_of_canned_pairs():
     # equal values are no win for either side
     assert got["metrics"]["eval_s"]["change_wins"] == 0
     assert set(got["metrics"]) == {m["name"] for m in END_TO_END}
+
+
+def summary_of(metric: str, parent: list[float], change: list[float]) -> dict:
+    """The summary of ``metric`` over canned pairs of these values."""
+    def run(value):
+        vals = {**values(0.08, 190.0), metric: value}
+        return parse_run(output(vals))
+    pairs = [(run(p), run(c)) for p, c in zip(parent, change)]
+    return summarize(pairs, END_TO_END)["metrics"][metric]
+
+
+PARENT = [0.10 + 0.01 * i for i in range(10)]  # quartiles 0.1225 and 0.1675
+
+
+@pytest.mark.parametrize("change, within, gain", [
+    ([s - 0.05 for s in PARENT[:9]] + [0.20], True, True),
+    ([s - 0.05 for s in PARENT[:8]] + [0.20, 0.21], True, False),
+    ([s - 0.04 for s in PARENT], True, False),
+    ([s * 1.24 for s in PARENT], True, False),
+    ([s * 1.26 for s in PARENT], False, False),
+], ids=["nine_wins", "eight_wins", "inside_quartiles", "worse_in_bound",
+        "worse_past_bound"])
+def test_verdict_of_a_lower_is_better_metric(change, within, gain):
+    """``setup_s`` has a bound of 0.25: a gain needs 9 of 10 wins and a
+    median 0.045 s lower, and a median more than 25% higher is out of
+    bound."""
+    got = summary_of("setup_s", PARENT, change)
+    assert (got["within_bound"], got["gain"]) == (within, gain)
+
+
+@pytest.mark.parametrize("scale, within, gain", [
+    (0.76, True, False), (0.74, False, False), (1.5, True, True),
+])
+def test_verdict_of_a_higher_is_better_metric(scale, within, gain):
+    parent = [190.0 + i for i in range(10)]
+    got = summary_of("eval_scen_per_s", parent, [r * scale for r in parent])
+    assert (got["within_bound"], got["gain"]) == (within, gain)
 
 
 def test_different_digests_are_reported():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from xml.dom import minidom
 
 import pytest
 
@@ -63,6 +64,40 @@ class TestSynth:
         assert main(["synth", option, value, "--out", str(out)]) == EXIT_USAGE
         assert f"argument {option}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lanes", ["1", "3"])
+    @pytest.mark.parametrize("kind", ["STRAIGHT", "T_INTERSECTION", "CROSSROADS"])
+    def test_lanes_run_end_to_end(self, tmp_path, kind, lanes):
+        """Every stage runs on a map of one or three lanes per direction,
+        and every file it writes loads."""
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", "--kind", kind, "--lanes", lanes, "--n", "6",
+                     "--out", str(data)]) == EXIT_OK
+        inputs = ["--scenarios", str(data / "scenarios.json"),
+                  "--maps", str(data / "map.json")]
+        preds = sorted(data.glob("predictions_*.json"))
+        assert main(["tag", *inputs, "--predictions", *map(str, preds),
+                     "--out", str(data / "tags.json")]) == EXIT_OK
+        for path in preds:
+            assert main(["eval", *inputs, "--predictions", str(path),
+                         "--tags", str(data / "tags.json"),
+                         "--out", str(out / path.name)]) == EXIT_OK
+        assert main(["report", "--metrics", *map(str, sorted(out.iterdir())),
+                     "--out", str(out / "report"), "--balance", "aae"]) == EXIT_OK
+        assert len(io.load_map(data / "map.json").lanes) > 0
+        assert len(io.load_scenarios(data / "scenarios.json")) == 6
+        assert len(io.load_tags(data / "tags.json")) == 6
+        for path in preds:
+            assert len(io.load_predictions(path)[1]) == 6
+            run, tags = io.load_metrics(out / path.name)
+            assert len(run.per_scenario) == len(tags) == 6
+        for path in (out / "report").iterdir():
+            if path.suffix == ".json":
+                json.loads(path.read_text())
+            elif path.suffix == ".svg":
+                minidom.parse(str(path))
+            else:
+                assert path.read_text()
 
 
 class TestTag:
@@ -983,6 +1018,27 @@ class TestUnreadableInput:
                      "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("unusable path:") and str(out) in err
+
+    def test_too_long_input_names_its_path(self, fixtures, tmp_path, capsys):
+        scenarios = tmp_path / ("s" * 5000)
+        assert self._tag(fixtures, tmp_path, scenarios=scenarios) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("unusable path:") and str(scenarios) in err
+
+    def test_too_long_out_names_its_path(self, fixtures, tmp_path, capsys):
+        out = tmp_path / ("t" * 5000)
+        assert self._tag(fixtures, tmp_path, out=out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("unusable path:") and str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_loop_names_its_path(self, fixtures, tmp_path, capsys):
+        scenarios, other = tmp_path / "scenarios.json", tmp_path / "other.json"
+        scenarios.symlink_to(other)
+        other.symlink_to(scenarios)
+        assert self._tag(fixtures, tmp_path, scenarios=scenarios) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("unusable path:") and str(scenarios) in err
 
     def test_permission_error_names_its_path(self, fixtures, tmp_path, capsys,
                                              monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from enum import Enum
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from criteria.errors import (
     DataConsistencyError,
     InvalidMapError,
     SchemaError,
+    SettingError,
 )
 from criteria.geom import COORD_LIMIT
 from criteria.metrics import MAX_DAO_CELLS_PER_SIDE, Reduction, StationaryPolicy
@@ -39,6 +42,28 @@ BAD_PAIRS = [
     [1, True], [False, 2.5], [0, False], [True, False],
     [2e150, 0.0], [0.0, -(10**151)], [1e200, 1e200],
 ]
+
+
+# each config dataclass of a run configuration with each of its float
+# settings and their defaults; a tuple of floats is one setting
+FLOAT_SETTINGS = [
+    (type(section), f.name, getattr(section, f.name))
+    for section in (getattr(io.RunConfig(), s.name) for s in fields(io.RunConfig))
+    if not isinstance(section, Enum)
+    for f in fields(section)
+    if isinstance(getattr(section, f.name), (float, tuple))
+]
+
+
+@pytest.mark.parametrize("cls, name, default", FLOAT_SETTINGS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in FLOAT_SETTINGS])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_setting_is_refused(cls, name, default, bad):
+    """A library caller gets the check that the JSON reader makes."""
+    value = (bad, *default[1:]) if isinstance(default, tuple) else bad
+    with pytest.raises(SettingError, match=f"^{name} must be finite$") as e:
+        cls(**{name: value})
+    assert e.value.keys == (name,)
 
 
 class TestRunConfig:
@@ -178,6 +203,15 @@ class TestMapIO:
         assert e.value.path == where
 
 
+    @pytest.mark.parametrize("turn", ["UP", "left", None, 1])
+    def test_unknown_turn_names_its_path(self, turn):
+        doc = io.map_to_dict(ROAD)
+        doc["lanes"][1]["turn"] = turn
+        with pytest.raises(SchemaError) as e:
+            io.map_from_dict(doc)
+        assert str(e.value) == f"$.lanes[1].turn: unknown turn kind {turn!r}"
+
+
 class TestScenarioIO:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "scen.json"
@@ -294,8 +328,10 @@ class TestTagsIO:
             "tags": {"s0": {"structure": "DIAGONAL", "difficulty": "HARD",
                             "length": "LONG"}},
         }))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as e:
             io.load_tags(path)
+        assert str(e.value).startswith(
+            "$.tags.s0.structure: unknown structure 'DIAGONAL' (in ")
 
 
 class TestMetricsIO:
@@ -458,7 +494,7 @@ class TestWriteJson:
 
 def reference_coords(value, path: str, min_len: int) -> np.ndarray:
     """The per-pair walk that read every coordinate block before the array
-    parse; ``io._coords`` must decide, read and name errors as it does."""
+    parse; ``coords`` must decide, read and name errors as it does."""
     if not isinstance(value, list) or len(value) < min_len:
         raise SchemaError(path, f"expected a list of >= {min_len} [x, y] pairs")
     for i, pt in enumerate(value):
@@ -484,6 +520,12 @@ def reference_modes(modes: list, path: str) -> np.ndarray:
     if len({len(p) for p in pts}) > 1:
         raise SchemaError(path, "ragged modes array")
     return np.stack(pts)
+
+
+def coords(value, path: str, min_len: int) -> np.ndarray:
+    """A list of at least ``min_len`` pairs, read as a walk over that one
+    block."""
+    return io._Walk().read(io._Block(min_len), value, path)[1][0]
 
 
 def outcome(f, *args):
@@ -543,7 +585,21 @@ PAIR_PLACES = {
     "lane polygon": ("map", ("lanes", 0, "polygon", 2), "$.lanes[0].polygon[2]"),
     "drivable ring": ("map", ("drivable_area", 0, 1), "$.drivable_area[0][1]"),
 }
+TAGS = {f"s{i}": ScenarioTag(Structure.TURN, Difficulty.HARD, LengthClass.LONG)
+        for i in range(3)}
+
+
+def _metrics_doc() -> dict:
+    """A metrics document of the scenarios ``s0``, ``s1`` and ``s2``."""
+    run = evaluate_model("noisy", RECORDS, {ROAD.map_id: ROAD},
+                         {p.scenario_id: p for p in PREDS}, io.RunConfig())
+    run.per_scenario = dict(zip(TAGS, run.per_scenario.values()))
+    return io.metrics_to_dict(run, {}, TAGS)
+
+
 DOCS = {
+    "tags": (lambda: io.tags_to_dict(TAGS, {}, io.RunConfig(), {}), io.tags_from_dict),
+    "metrics": (_metrics_doc, io.metrics_from_dict),
     "scenarios": (lambda: io.scenarios_to_dict(RECORDS), io.scenarios_from_dict),
     "predictions": (lambda: io.predictions_to_dict("m", synth.DT, PREDS),
                     io.predictions_from_dict),
@@ -572,15 +628,14 @@ class TestCoordinateBlocks:
         """``np.array`` makes an object array of them, so the array parse
         rejects the block; each still converts to a finite float."""
         block = [[2**64, 1], [-(2**63) - 1, 0.5]]
-        assert io._number_array(block, (2,)) is None
-        assert io._coords(block, "$", 2).tolist() == [[2.0**64, 1.0],
-                                                      [-(2.0**63), 0.5]]
+        assert io._number_array(block) is None
+        assert coords(block, "$", 2).tolist() == [[2.0**64, 1.0], [-(2.0**63), 0.5]]
 
     @given(BLOCKS, st.integers(1, 3))
     def test_coords_match_the_per_pair_walk(self, block, min_len):
         want = outcome(reference_coords, block, "$.b", min_len)
-        assert outcome(io._coords, block, "$.b", min_len) == want
-        arr = io._number_array(block, (2,))
+        assert outcome(coords, block, "$.b", min_len) == want
+        arr = io._number_array(block)
         if arr is not None:  # it may reject a good block, never take a bad one
             assert outcome(lambda: arr) == outcome(reference_coords, block, "$.b", 0)
 
@@ -597,6 +652,17 @@ class TestCoordinateBlocks:
             _, preds = io.predictions_from_dict(doc)
             assert outcome(lambda: preds["s0000"].points) == want
 
+    def test_a_predictions_file_is_one_array_call(self, tmp_path):
+        path = tmp_path / "predictions.json"
+        io.save_predictions(path, "m", synth.DT, PREDS)
+        with mock.patch.object(io, "_number_array", wraps=io._number_array) as call:
+            _, preds = io.load_predictions(path)
+        assert call.call_count == 1
+        for p in PREDS:
+            got = preds[p.scenario_id]
+            assert got.points.tobytes() == p.points.tobytes()
+            assert got.anchor.tobytes() == p.anchor.tobytes()
+
     @given(st.sampled_from(list(PAIR_PLACES)), PAIRS)
     def test_one_array_call_matches_the_block_walk(self, place, pair):
         """A document loads the same, or fails with the same error, whether
@@ -607,12 +673,7 @@ class TestCoordinateBlocks:
         doc = make()
         _put(doc, keys, pair)
         got = _load_outcome(load, doc)
-        number_array = io._number_array
-
-        def reject_blocks(value, tail_shape):  # a prediction's modes still pass
-            return None if tail_shape == (2,) else number_array(value, tail_shape)
-
-        with mock.patch.object(io, "_number_array", reject_blocks):
+        with mock.patch.object(io, "_number_array", lambda pairs: None):
             assert _load_outcome(load, doc) == got
 
 
@@ -689,6 +750,13 @@ FAULT_ORDERS = {
         "predictions", [(("predictions", 0, "anchor"), DROP),
                         (("predictions", 0, "modes", 0, 0), BAD)],
         "$.predictions[0].anchor"),
+    "tags: bad value, then missing field": (
+        "tags", [(("tags", "s0", "structure"), "BAD"), (("tags", "s1", "length"), DROP)],
+        "$.tags.s0.structure"),
+    "metrics: bad tag value, then missing field": (
+        "metrics", [(("tags", "s0", "structure"), "BAD"),
+                    (("tags", "s1", "length"), DROP)],
+        "$.tags.s0.structure"),
 }
 
 
