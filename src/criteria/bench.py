@@ -9,7 +9,7 @@ from . import metrics
 from .errors import DataConsistencyError, SettingError, ShapeError
 from .map_model import RoadMap
 from .metrics import TriadResult
-from .scenario import Difficulty, ScenarioRecord, ScenarioTag
+from .scenario import Difficulty, ScenarioRecord, ScenarioTag, check_maps
 from .trajectory import PredictionSet
 
 if TYPE_CHECKING:  # io imports this module
@@ -109,12 +109,7 @@ def evaluate_model(
     config: RunConfig,
 ) -> EvaluationRun:
     check_predictions(records, predictions)
-    for rec in records:
-        if rec.map_id not in maps:
-            raise DataConsistencyError(
-                f"scenario {rec.id!r}: unknown map {rec.map_id!r}"
-            )
-
+    check_maps(records, maps)
     per_scenario = {
         rec.id: evaluate_scenario(rec, maps[rec.map_id], predictions[rec.id], config)
         for rec in sorted(records, key=lambda r: r.id)
@@ -149,6 +144,13 @@ def check_predictions(records: Sequence[ScenarioRecord],
             )
 
 
+def check_tags(ids: Iterable[str], tags: Mapping[str, ScenarioTag]) -> None:
+    """Refuse scenario ids that have no tag, naming them all, sorted."""
+    missing = sorted(sid for sid in ids if sid not in tags)
+    if missing:
+        raise DataConsistencyError(f"tags missing for scenarios: {missing}")
+
+
 def _group_means(groups: Iterable[tuple]) -> dict:
     """Group key -> metric -> mean over the group's results."""
     return {
@@ -168,9 +170,7 @@ def aggregate(
     if not run.per_scenario:
         raise DataConsistencyError(
             f"model {run.model_name!r}: no scenarios to aggregate")
-    missing = sorted(sid for sid in run.per_scenario if sid not in tags)
-    if missing:
-        raise DataConsistencyError(f"tags missing for scenarios: {missing}")
+    check_tags(run.per_scenario, tags)
 
     by_category: dict[str, list[ScenarioResult]] = {}
     by_block: dict[str, list[ScenarioResult]] = {}

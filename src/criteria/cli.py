@@ -7,12 +7,14 @@ validation, 3 data consistency, 4 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
 
 from . import io, metrics, report as report_mod, scenario, synth
-from .bench import aggregate, balance_data, check_predictions, evaluate_model
+from .bench import aggregate, balance_data, check_predictions, check_tags
+from .bench import evaluate_model
 from .errors import (
     CriteriaError,
     DataConsistencyError,
@@ -113,6 +115,27 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _in_file(path):
+    """Name ``path`` as the file of a ``CriteriaError`` raised in the block
+    that names no file yet; with ``path`` None, name none."""
+    try:
+        yield
+    except CriteriaError as e:
+        if e.file is None:
+            e.file = path
+        raise
+
+
+def _claim(paths: dict, model: str, path) -> None:
+    """Record ``path`` as the file of ``model`` in ``paths``; a model given
+    twice is a data error naming both files."""
+    if model in paths:
+        raise DataConsistencyError(
+            f"model {model!r} appears in both {paths[model]} and {path}")
+    paths[model] = path
+
+
 def _min_fde_table(args, records) -> dict[str, list[float]]:
     if args.minfde:
         return io.load_min_fde(args.minfde)
@@ -121,15 +144,9 @@ def _min_fde_table(args, records) -> dict[str, list[float]]:
     paths = {}
     for path in args.predictions:
         model, preds = io.load_predictions(path)
-        if model in paths:
-            raise DataConsistencyError(
-                f"model {model!r} appears in both {paths[model]} and {path}")
-        paths[model] = path
-        try:
+        _claim(paths, model, path)
+        with _in_file(path):
             check_predictions(records, preds)
-        except CriteriaError as e:
-            e.file = path
-            raise
         for sid in table:
             table[sid].append(metrics.min_fde(preds[sid], by_rec[sid].future))
     return table
@@ -140,13 +157,8 @@ def _load_scenarios_and_map(args):
     names another map is a data error in the scenarios file."""
     records = io.load_scenarios(args.scenarios)
     road = io.load_map(args.maps)
-    for rec in records:
-        if rec.map_id != road.map_id:
-            err = DataConsistencyError(
-                f"scenario {rec.id!r}: unknown map {rec.map_id!r}; "
-                f"{args.maps} holds map {road.map_id!r}")
-            err.file = args.scenarios
-            raise err
+    with _in_file(args.scenarios):
+        scenario.check_maps(records, {road.map_id: road})
     return records, road
 
 
@@ -154,14 +166,10 @@ def cmd_tag(args) -> int:
     cfg = io.load_config(args.config)
     records, road = _load_scenarios_and_map(args)
     table = _min_fde_table(args, records)
-    try:
+    with _in_file(args.minfde):  # a --minfde table that does not fit
         tags, counts = scenario.tag_all(
             records, {road.map_id: road}, table, cfg.scenario
         )
-    except DataConsistencyError as e:  # a --minfde table that does not fit
-        if args.minfde:
-            e.file = args.minfde
-        raise
     inputs = {"scenarios": io.sha256_file(args.scenarios),
               "maps": io.sha256_file(args.maps)}
     if args.minfde:
@@ -178,14 +186,10 @@ def cmd_eval(args) -> int:
     records, road = _load_scenarios_and_map(args)
     model, preds = io.load_predictions(args.predictions)
     tags = io.load_tags(args.tags)
-    missing = sorted(r.id for r in records if r.id not in tags)
-    if missing:
-        raise DataConsistencyError(f"tags missing for scenarios: {missing}")
-    try:
+    with _in_file(args.tags):
+        check_tags((r.id for r in records), tags)
+    with _in_file(args.predictions):  # a prediction that does not fit its scenario
         run = evaluate_model(model, records, {road.map_id: road}, preds, cfg)
-    except CriteriaError as e:  # a prediction that does not fit its scenario
-        e.file = args.predictions
-        raise
     inputs = {
         "scenarios": io.sha256_file(args.scenarios),
         "maps": io.sha256_file(args.maps),
@@ -203,18 +207,13 @@ def cmd_report(args) -> int:
     paths = {}
     for path in args.metrics:
         run, tags = io.load_metrics(path)
-        if run.model_name in paths:
-            raise DataConsistencyError(
-                f"model {run.model_name!r} appears in both "
-                f"{paths[run.model_name]} and {path}"
-            )
-        paths[run.model_name] = path
-        if not run.per_scenario:
-            raise DataConsistencyError(f"{path}: metrics file carries no scenarios")
-        if not tags:
-            raise DataConsistencyError(
-                f"{path}: metrics file carries no scenario tags"
-            )
+        _claim(paths, run.model_name, path)
+        with _in_file(path):
+            if not run.per_scenario:
+                raise DataConsistencyError("metrics file carries no scenarios")
+            if not tags:
+                raise DataConsistencyError("metrics file carries no scenario tags")
+            check_tags(run.per_scenario, tags)
         if runs and run.config != runs[0][0].config:
             raise DataConsistencyError(
                 f"{args.metrics[0]} and {path} were evaluated under "
@@ -258,6 +257,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"synth": cmd_synth, "tag": cmd_tag, "eval": cmd_eval,
+             "report": cmd_report}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -267,15 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "tag":
-            return cmd_tag(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "report":
-            return cmd_report(args)
-        return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

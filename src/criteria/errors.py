@@ -8,8 +8,8 @@ from dataclasses import fields
 
 
 class CriteriaError(Exception):
-    """Base class for all toolkit errors; ``file``, once a loader sets it,
-    names the input file the error was found in, after the message."""
+    """Base class for all toolkit errors; ``file``, once a loader or the CLI
+    sets it, names the input file the error was found in, after the message."""
 
     file = None
 

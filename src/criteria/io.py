@@ -658,6 +658,7 @@ _METRICS = {
     "config": RunConfig.from_dict,
     "per_scenario": {...: {
         "triad": {key: _List(bool) for key in _PASSES},
+        **dict.fromkeys(METRIC_NAMES, _finite),
         ...: _finite,
     }},
     "tags": {...: _TAG},
@@ -688,14 +689,11 @@ def metrics_from_dict(doc: dict):
     doc, _ = _Walk().read(_METRICS, doc, "$")
     out = {}
     for sid, values in doc["per_scenario"].items():
-        sp = f"$.per_scenario.{sid}"
         triad = values.pop("triad")
         passes = [tuple(triad[key]) for key in _PASSES]
         if not passes[0] or any(len(p) != len(passes[0]) for p in passes):
-            raise SchemaError(f"{sp}.triad", "expected one flag per mode in every list")
-        for name in METRIC_NAMES:
-            if name not in values:
-                raise SchemaError(f"{sp}.{name}", "missing required field")
+            raise SchemaError(f"$.per_scenario.{sid}.triad",
+                              "expected one flag per mode in every list")
         out[sid] = ScenarioResult(values=values, triad=TriadResult(*passes))
     run = EvaluationRun(
         model_name=doc["model"],

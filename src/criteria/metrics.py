@@ -334,7 +334,8 @@ def test_alignment(pred: PredictionSet, road: RoadMap, cfg: AlignmentConfig):
     n_tail = cfg.tail_steps
     if pts.shape[1] < n_tail:
         raise ShapeError(
-            f"alignment test needs >= {n_tail} points, got {pts.shape[1]}"
+            f"scenario {pred.scenario_id!r}: alignment.tail_steps is {n_tail} "
+            f"but the horizon has {pts.shape[1]} points"
         )
     tails = pts[:, -n_tail:]  # (K, n_tail, 2)
     chords = tails[:, -1] - tails[:, 0]

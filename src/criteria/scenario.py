@@ -77,16 +77,22 @@ class ScenarioTag:
         return f"{self.structure.value}/{self.difficulty.value}/{self.length.value}"
 
 
+def check_maps(records: Sequence[ScenarioRecord], maps: Mapping[str, RoadMap]) -> None:
+    """Refuse the first record whose map is not in ``maps``."""
+    for rec in records:
+        if rec.map_id not in maps:
+            raise DataConsistencyError(
+                f"scenario {rec.id!r}: unknown map {rec.map_id!r}; "
+                f"the maps are {sorted(maps)}"
+            )
+
+
 def tag_structure(
     rec: ScenarioRecord, road: RoadMap, cfg: ScenarioConfig
 ) -> Structure:
     """TURN iff any turn lane lies within the radius of any ground-truth
     point (past and future)."""
-    if road.map_id != rec.map_id:
-        raise DataConsistencyError(
-            f"scenario {rec.id!r} references map {rec.map_id!r}, "
-            f"got {road.map_id!r}"
-        )
+    check_maps([rec], {road.map_id: road})
     points = np.vstack([rec.past.points, rec.future.points])
     near = road.lanes_within_radius(points, cfg.turn_radius)
     turn = [is_turn_lane(road.lanes[lane_id]) for lane_id in road.lane_ids]
@@ -155,11 +161,7 @@ def tag_all(
     other ids are ignored."""
     if not records:
         return {}, {}
-    for rec in records:
-        if rec.map_id not in maps:
-            raise DataConsistencyError(
-                f"scenario {rec.id!r}: unknown map {rec.map_id!r}"
-            )
+    check_maps(records, maps)
     missing = [r.id for r in records if r.id not in min_fde_by_model]
     if missing:
         raise DataConsistencyError(f"scenarios missing minFDE values: {missing}")

@@ -29,7 +29,7 @@ class Trajectory:
         pts = geom.as_points(self.points)
         if len(pts) < 2:
             raise ValueError("trajectory needs >= 2 points")
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN too
             raise ValueError("dt must be positive")
         object.__setattr__(self, "points", pts)
 

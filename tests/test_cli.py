@@ -3,11 +3,15 @@ import math
 import re
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
-from criteria import cli, io
+from criteria import cli, geom, io
+from criteria.errors import CriteriaError
+from criteria.scenario import Structure
 from criteria.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_USAGE,
@@ -57,6 +61,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("option, value", [
         ("--n", "0"), ("--lanes", "0"), ("--modes", "1"), ("--seed", "-1"),
+        ("--n", "abc"),
     ])
     def test_bad_count_is_usage_error(self, tmp_path, capsys, option, value):
         """Rejected before anything is written, with the option named."""
@@ -391,6 +396,72 @@ class TestEval:
             "--tags", str(empty_tags),
             "--out", str(tmp_path / "m.json"),
         ]) == EXIT_DATA
+
+    def test_alignment_tail_beyond_the_horizon_names_scenario_and_setting(
+            self, fixtures, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alignment": {"tail_steps": 40}}))
+        preds = fixtures / "predictions_noisy.json"
+        first = min(io.load_scenarios(fixtures / "scenarios.json"),
+                    key=lambda r: r.id)
+        assert len(first.future) < 40
+        capsys.readouterr()
+        assert main([
+            "eval", "--scenarios", str(fixtures / "scenarios.json"),
+            "--maps", str(fixtures / "map.json"), "--predictions", str(preds),
+            "--tags", str(fixtures / "tags.json"), "--config", str(config),
+            "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: scenario {first.id!r}: alignment.tail_steps is 40 "
+            f"but the horizon has {len(first.future)} points (in {preds})\n")
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestMapWithoutLanesOrDrivableArea:
+    @pytest.mark.parametrize("part", ["lanes", "drivable_area"])
+    def test_pipeline_runs(self, tmp_path, part):
+        """With no lanes every scenario is CRUISING and every moving mode
+        fails alignment; with no drivable area every mode fails the boundary
+        test and covers no cell. Either way no mode is admissible."""
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", "--kind", "CROSSROADS", "--n", "3",
+                     "--out", str(data)]) == EXIT_OK
+        doc = json.loads((data / "map.json").read_text())
+        doc[part] = []
+        (data / "map.json").write_text(json.dumps(doc))
+        inputs = ["--scenarios", str(data / "scenarios.json"),
+                  "--maps", str(data / "map.json")]
+        preds = sorted(data.glob("predictions_*.json"))
+        assert main(["tag", *inputs, "--predictions", *map(str, preds),
+                     "--out", str(data / "tags.json")]) == EXIT_OK
+        for path in preds:
+            assert main(["eval", *inputs, "--predictions", str(path),
+                         "--tags", str(data / "tags.json"),
+                         "--out", str(out / path.name)]) == EXIT_OK
+        assert main(["report", "--metrics", *(str(out / p.name) for p in preds),
+                     "--out", str(out / "report")]) == EXIT_OK
+
+        tags = io.load_tags(data / "tags.json")
+        align = io.RunConfig().alignment
+        moving_modes = 0
+        for path in preds:
+            run, _ = io.load_metrics(out / path.name)
+            sets = io.load_predictions(path)[1]
+            assert len(run.per_scenario) == 3
+            for sid, result in run.per_scenario.items():
+                assert result.values["ATT"] == 0.0
+                if part == "drivable_area":
+                    assert result.values["DAC"] == result.values["DAO"] == 0.0
+                    continue
+                assert tags[sid].structure is Structure.CRUISING
+                tails = sets[sid].points[:, -align.tail_steps:]
+                chords = tails[:, -1] - tails[:, 0]
+                moving = (~np.isnan(geom.headings(chords))
+                          & (geom.lengths(chords) >= align.stationary_eps))
+                assert not np.array(result.triad.alignment_pass)[moving].any()
+                moving_modes += int(moving.sum())
+        assert part == "drivable_area" or moving_modes > 0
 
 
 class TestConfig:
@@ -750,6 +821,18 @@ NAMED_FAULTS = {
     "metrics without tags": ("report", "--metrics", None,
                              lambda d: d.pop("tags"),
                              "schema error: $.tags: missing required field "),
+    "metrics with no scenarios": ("report", "--metrics", None,
+                                  lambda d: d["per_scenario"].clear(),
+                                  "data error: metrics file carries no scenarios "),
+    "metrics with no tags": ("report", "--metrics", None,
+                             lambda d: d["tags"].clear(),
+                             "data error: metrics file carries no scenario tags "),
+    "metrics tags missing a scenario": ("report", "--metrics", None,
+                                        lambda d: d["tags"].pop(max(d["tags"])),
+                                        "data error: tags missing for scenarios: "),
+    "tags missing a scenario": ("eval", "--tags", "tags.json",
+                                lambda d: d["tags"].pop(max(d["tags"])),
+                                "data error: tags missing for scenarios: "),
     "config": ("eval", "--config", None, lambda d: d.__setitem__("dao", [1, 2]),
                "schema error: $.dao: "),
     "minfde": ("tag", "--minfde", None,
@@ -810,6 +893,7 @@ class TestErrorsNameTheirFile:
         err = capsys.readouterr().err
         assert err.startswith(start), err
         assert err.rstrip().endswith(f"(in {bad})"), err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage, flag", [
         ("tag", "--scenarios"), ("tag", "--maps"), ("eval", "--predictions"),
@@ -879,7 +963,7 @@ class TestErrorsNameTheirFile:
     def test_unknown_map_names_the_scenarios_file(self, fixtures, tmp_path,
                                                   capsys, stage):
         """A scenario naming another map than ``--maps`` holds is an error in
-        the scenarios file; the message names the map file and its id."""
+        the scenarios file; the message lists the maps there are."""
         doc = json.loads((fixtures / "scenarios.json").read_text())
         doc["scenarios"][0]["map_id"] = "elsewhere"
         bad = tmp_path / "scenarios.json"
@@ -895,8 +979,8 @@ class TestErrorsNameTheirFile:
         ]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: scenario "), err
-        assert "unknown map 'elsewhere'" in err, err
-        assert f"{fixtures / 'map.json'} holds map {road.map_id!r}" in err, err
+        assert (f"unknown map 'elsewhere'; the maps are [{road.map_id!r}]"
+                in err), err
         assert err.rstrip().endswith(f"(in {bad})"), err
         assert not (tmp_path / "out.json").exists()
 
@@ -904,6 +988,15 @@ class TestErrorsNameTheirFile:
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_other_toolkit_error_is_internal(self, tmp_path, capsys, monkeypatch):
+        """A toolkit error of no input-fault kind is a broken invariant."""
+        def fail(args):
+            raise CriteriaError("invariant broken")
+        monkeypatch.setitem(cli._COMMANDS, "synth", fail)
+        assert main(["synth", "--out", str(tmp_path / "out")]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: invariant broken\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_flag(self):
         assert main(["synth"]) == EXIT_USAGE

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from criteria import geom
-from criteria.errors import InvalidMapError
+from criteria.errors import DegenerateHeadingError, InvalidMapError
 
 from conftest import (
     assert_cover_matches,
@@ -212,6 +212,10 @@ class TestArcLength:
         )
         assert geom.arc_length(pts) == pytest.approx(want, rel=1e-12)
 
+    def test_one_point_rejected(self):
+        with pytest.raises(ValueError, match="polyline needs >= 2 points"):
+            geom.arc_length([(1.0, 2.0)])
+
     def test_additive_over_concatenation(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(10, 2))
@@ -256,6 +260,14 @@ class TestAngleBetween:
     )
     def test_basics(self, v1, v2, want):
         assert geom.angles_between(v1, v2)[0] == pytest.approx(want)
+
+    @pytest.mark.parametrize("v1, v2", [
+        ([(1, 0), (0, 0)], [(0, 1), (0, 1)]),
+        ([(1, 0)], [(geom.DEGENERATE_EPS, 0)]),
+    ], ids=["zero_first", "short_second"])
+    def test_degenerate_vector_rejected(self, v1, v2):
+        with pytest.raises(DegenerateHeadingError):
+            geom.angles_between(v1, v2)
 
     @settings(max_examples=50)
     @given(
@@ -480,3 +492,13 @@ class TestRasterizeOccupancy:
     def test_grid_beyond_int64_keys_rejected(self):
         with pytest.raises(ValueError):
             geom.rasterize_occupancy([(0.5, 0.5)], (0.0, 0.0, 100.0, 100.0), 1e-9)
+
+    @pytest.mark.parametrize("roi, cell, error", [
+        (ROI, 0.0, "cell must be positive"),
+        (ROI, -1.0, "cell must be positive"),
+        ((0.0, 0.0, 0.0, 10.0), 1.0, "empty roi"),
+        ((0.0, 10.0, 10.0, 5.0), 1.0, "empty roi"),
+    ], ids=["zero_cell", "negative_cell", "flat_roi", "inverted_roi"])
+    def test_bad_grid_rejected(self, roi, cell, error):
+        with pytest.raises(ValueError, match=error):
+            geom.rasterize_occupancy([(0.5, 0.5)], roi, cell)

@@ -757,6 +757,10 @@ FAULT_ORDERS = {
         "metrics", [(("tags", "s0", "structure"), "BAD"),
                     (("tags", "s1", "length"), DROP)],
         "$.tags.s0.structure"),
+    "metrics: missing metric, then bad metric value": (
+        "metrics", [(("per_scenario", "s0", "minADE"), DROP),
+                    (("per_scenario", "s1", "RF"), "x")],
+        "$.per_scenario.s0.minADE"),
 }
 
 

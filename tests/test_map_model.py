@@ -107,6 +107,16 @@ class TestPrefilterMatchesReference:
         want = reference_grid_mask(xs, ys, road.drivable)
         assert_cover_matches(road.contains_grid(xs, ys), want)
 
+    @pytest.mark.parametrize("xs, ys, error", [
+        ([0.0, math.nan], [0.0, 1.0], "NaN or inf"),
+        ([0.0, 1.0], [0.0, math.inf], "NaN or inf"),
+        ([1.0, 0.0], [0.0, 1.0], "ascending"),
+        ([0.0, 1.0], [2.0, 1.0, 3.0], "ascending"),
+    ], ids=["nan_x", "inf_y", "descending_x", "descending_y"])
+    def test_bad_grid_rejected(self, straight_road, xs, ys, error):
+        with pytest.raises(ValueError, match=error):
+            straight_road.contains_grid(xs, ys)
+
     @given(kind=st.sampled_from(synth.MapKind), data=st.data())
     def test_lanes_containing(self, kind, data):
         road = synth_road(kind)

@@ -66,8 +66,15 @@ class TestTagStructure:
 
     def test_wrong_map_rejected(self, straight_road, t_road):
         rec = record(straight_road)
-        with pytest.raises(DataConsistencyError):
+        with pytest.raises(DataConsistencyError, match="unknown map"):
             tag_structure(rec, t_road, CFG)
+
+
+def test_record_with_mismatched_dt_rejected(straight_road):
+    base = record(straight_road)
+    with pytest.raises(ValueError, match="past/future dt mismatch"):
+        ScenarioRecord(id=base.id, map_id=base.map_id, agent_id=base.agent_id,
+                       dt=0.2, past=base.past, future=base.future)
 
 
 @functools.cache
@@ -147,6 +154,10 @@ class TestPartitionDifficulty:
             "c": Difficulty.MIDDLE,
             "d": Difficulty.EASY,
         }
+
+    def test_no_scores_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            partition_difficulty({}, CFG.alpha)
 
     def test_sizes_invariant(self):
         rng = np.random.default_rng(2)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from criteria import geom, metrics, synth
 from criteria.map_model import Turn, is_turn_lane
 from criteria.metrics import AlignmentConfig
-from criteria.trajectory import KinematicConfig
+from criteria.trajectory import KinematicConfig, Trajectory
 
 
 def spec(kind=synth.MapKind.STRAIGHT, seed=0, **kwargs):
@@ -13,6 +15,13 @@ def spec(kind=synth.MapKind.STRAIGHT, seed=0, **kwargs):
 
 def triad_for(rec, road, pred):
     return metrics.att(pred, road, AlignmentConfig(), KinematicConfig())
+
+
+@pytest.mark.parametrize("counts", [{"n_scenarios": 0}, {"lanes_per_direction": 0}],
+                         ids=["no_scenarios", "no_lanes"])
+def test_spec_counts_below_one_rejected(counts):
+    with pytest.raises(ValueError, match="counts must be >= 1"):
+        synth.SynthSpec(**counts)
 
 
 class TestGenMap:
@@ -169,6 +178,16 @@ class TestToyPredict:
             fan_aae.append(metrics.aae(fan))
             noisy_aae.append(metrics.aae(noisy))
         assert np.mean(fan_aae) > np.mean(noisy_aae)
+
+    def test_lane_fan_needs_an_anchor_on_a_lane(self):
+        sp = spec(n_scenarios=1)
+        road = synth.gen_map(sp)
+        rec = synth.gen_scenarios(road, sp)[0]
+        off = dataclasses.replace(
+            rec, past=Trajectory(rec.past.points + 1000.0, rec.dt),
+            future=Trajectory(rec.future.points + 1000.0, rec.dt))
+        with pytest.raises(ValueError, match="anchor is off every lane"):
+            synth.toy_predict(synth.PredictorKind.LANE_FAN, off, road, 6, 0)
 
     def test_too_few_modes_rejected(self):
         sp = spec(n_scenarios=1)

@@ -88,6 +88,8 @@ class TestPredictionSet:
     def test_from_points_rejects_what_modes_would(self, points, dt):
         with pytest.raises(ValueError):
             PredictionSet.from_points("s", points, dt, anchor=(0, 0))
+        with pytest.raises(ValueError):
+            PredictionSet("s", [Trajectory(p, dt) for p in points], anchor=(0, 0))
 
     def test_anchor_is_required(self):
         with pytest.raises(TypeError, match="anchor"):
