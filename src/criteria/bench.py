@@ -30,6 +30,9 @@ METRIC_DIRECTIONS = {
 }
 METRIC_NAMES = tuple(METRIC_DIRECTIONS)
 TEST_NAMES = ("boundary", "alignment", "kinematic")
+# evaluate_model scores the triads of at most this many prediction points
+# in one call, so its memory stays bounded however many scenarios share a map
+TRIAD_BATCH_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,10 @@ class MetricReport:
 
 
 def evaluate_scenario(
-    rec: ScenarioRecord, road: RoadMap, pred: PredictionSet, config: RunConfig
+    rec: ScenarioRecord, road: RoadMap, pred: PredictionSet, triad: TriadResult,
+    config: RunConfig,
 ) -> ScenarioResult:
-    triad = metrics.att(pred, road, config.alignment, config.kinematic)
+    """The metrics of one scenario, given its set's triad from ``metrics.att``."""
     values = {
         "minADE": metrics.min_ade(pred, rec.future),
         "minFDE": metrics.min_fde(pred, rec.future),
@@ -108,13 +112,28 @@ def evaluate_model(
     predictions: Mapping[str, PredictionSet],
     config: RunConfig,
 ) -> EvaluationRun:
+    """Every scenario's metrics, in id order. Taken by map and id, in batches
+    on one map of at most ``TRIAD_BATCH_POINTS`` prediction points (or one
+    larger set), the scenarios of a batch get their triads from one call."""
     check_predictions(records, predictions)
     check_maps(records, maps)
-    per_scenario = {
-        rec.id: evaluate_scenario(rec, maps[rec.map_id], predictions[rec.id], config)
-        for rec in sorted(records, key=lambda r: r.id)
-    }
-    return EvaluationRun(model_name=model_name, per_scenario=per_scenario,
+    batches, points = [], 0
+    for rec in sorted(records, key=lambda r: (r.map_id, r.id)):
+        n = predictions[rec.id].points.size // 2
+        if (not batches or batches[-1][0].map_id != rec.map_id
+                or points + n > TRIAD_BATCH_POINTS):
+            batches.append([])
+            points = 0
+        batches[-1].append(rec)
+        points += n
+    results = {}
+    for batch in batches:
+        road, preds = maps[batch[0].map_id], [predictions[r.id] for r in batch]
+        triads = metrics.att(preds, road, config.alignment, config.kinematic)
+        for rec, pred, triad in zip(batch, preds, triads):
+            results[rec.id] = evaluate_scenario(rec, road, pred, triad, config)
+    return EvaluationRun(model_name=model_name,
+                         per_scenario={sid: results[sid] for sid in sorted(results)},
                          config=config)
 
 

@@ -18,6 +18,7 @@ from .bench import evaluate_model
 from .errors import (
     CriteriaError,
     DataConsistencyError,
+    HorizonError,
     InvalidMapError,
     SchemaError,
     ShapeError,
@@ -116,12 +117,12 @@ def cmd_synth(args) -> int:
 
 
 @contextlib.contextmanager
-def _in_file(path):
-    """Name ``path`` as the file of a ``CriteriaError`` raised in the block
-    that names no file yet; with ``path`` None, name none."""
+def _in_file(path, kind=CriteriaError):
+    """Name ``path`` as the file of a ``kind`` of ``CriteriaError`` raised in
+    the block that names no file yet; with ``path`` None, name none."""
     try:
         yield
-    except CriteriaError as e:
+    except kind as e:
         if e.file is None:
             e.file = path
         raise
@@ -188,7 +189,10 @@ def cmd_eval(args) -> int:
     tags = io.load_tags(args.tags)
     with _in_file(args.tags):
         check_tags((r.id for r in records), tags)
-    with _in_file(args.predictions):  # a prediction that does not fit its scenario
+    # a misfit prediction; a tail longer than a horizon is the config's if it set one
+    tail_set = cfg.alignment.tail_steps != metrics.AlignmentConfig.tail_steps
+    with _in_file(args.predictions), _in_file(args.config if tail_set else None,
+                                              HorizonError):
         run = evaluate_model(model, records, {road.map_id: road}, preds, cfg)
     inputs = {
         "scenarios": io.sha256_file(args.scenarios),

@@ -57,6 +57,10 @@ class ShapeError(CriteriaError):
     """Arrays that must agree in shape (mode/ground-truth point counts) do not."""
 
 
+class HorizonError(ShapeError):
+    """A prediction horizon is shorter than a setting needs."""
+
+
 class InvalidMapError(CriteriaError):
     """Map geometry is degenerate or violates load-time invariants."""
 

@@ -223,26 +223,27 @@ class RingTable:
         hi = np.maximum.reduceat(self.edges[6:8], starts, axis=1) + BOX_PAD
         self.boxes = np.vstack([lo, hi])
 
-    def contains(self, pts: np.ndarray, eps: float = BOUNDARY_EPS) -> np.ndarray:
+    def contains(self, pts: np.ndarray, eps: float = BOUNDARY_EPS,
+                 union: bool = False) -> np.ndarray:
         """The ``(N, R)`` mask of validated ``(N, 2)`` points that lie in
         ring ``r`` by the even-odd rule (an edge counts for the points with
         ``ey0 <= y < ey1`` to the left of its crossing) or within ``eps`` of
-        its boundary, when ``eps > 0``.
+        its boundary, when ``eps > 0``; with ``union``, its ``any(axis=1)``.
 
         Sorted by ``y``, the points an edge straddles are one slice, so
         every crossing is computed once, and each ``(point, ring)`` key that
-        occurs flips its parity once per crossing. A point outside a ring is
-        tested only against the edges whose box, padded by ``eps + BOX_PAD``,
-        holds it, with ``distance_to_ring``'s arithmetic for each pair: a
-        farther edge is farther than ``eps`` from it. Both passes take the
-        edges in runs of about ``PAIR_BLOCK`` (point, edge) pairs, so memory
-        stays bounded however many pairs there are; a wide band pairs nearly
-        every point with every edge.
+        occurs flips its parity once per crossing. A point outside a ring
+        (with ``union``, outside every ring, against all edges as one ring's)
+        is tested only against the edges whose box, padded by ``eps +
+        BOX_PAD``, holds it, with ``distance_to_ring``'s arithmetic for each
+        pair: a farther edge is farther than ``eps`` from it. Both passes take
+        the edges in runs of about ``PAIR_BLOCK`` (point, edge) pairs, so
+        memory stays bounded however many pairs there are.
         """
         n, r = len(pts), self.n_rings
         mask = np.zeros((n, r), dtype=bool)
         if not n or not r:
-            return mask
+            return mask.any(axis=1) if union else mask
         flat = mask.reshape(-1)  # until unsorted, rows follow ``order``
         order = pts[:, 1].argsort()
         sp = pts[order]
@@ -253,20 +254,47 @@ class RingTable:
             x_cross = x1.take(e) + (y - y1.take(e)) * dx.take(e) / dy.take(e)
             hit = xs.take(k) < x_cross
             np.bitwise_xor.at(flat, (k * r + self.ring_of.take(e))[hit], True)
-        if eps <= 0:
-            return _unsort(mask, order)
+        out, ring_of = mask, self.ring_of
+        if union:
+            out = mask.any(axis=1)
+            rest = np.flatnonzero(~out)
+            sp, r, ring_of = sp[rest], 1, np.zeros_like(ring_of)
+            xs, ys, flat = sp[:, 0], sp[:, 1], np.zeros(len(rest), dtype=bool)
         pad = eps + BOX_PAD
         lo, hi = ys.searchsorted(ey0 - pad), ys.searchsorted(ey1 + pad, "right")
-        for edge, k in _pair_blocks(lo, hi):
+        for edge, k in _pair_blocks(lo, hi) if eps > 0 else ():
             x = xs.take(k)
-            key = k * r + self.ring_of.take(edge)
+            key = k * r + ring_of.take(edge)
             near_box = (x >= ex0.take(edge) - pad) & (x <= ex1.take(edge) + pad)
             todo = np.flatnonzero(near_box & ~flat.take(key))
             if not len(todo):
                 continue
             edge, key, p = edge.take(todo), key.take(todo), sp[k.take(todo)]
-            flat[key[_pair_distances(p, self.edges[:4, edge]) <= eps]] = True
-        return _unsort(mask, order)
+            flat[key[_pair_feet(p, self.edges[:4, edge])[1] <= eps]] = True
+        if union:
+            out[rest] = flat
+        unsorted = np.empty_like(out)  # rows back in the order of ``pts``
+        unsorted[order] = out
+        return unsorted
+
+    def holds(self, pts: np.ndarray, rings: np.ndarray, eps: float) -> np.ndarray:
+        """``contains(pts, eps)[i, rings[i]]`` for every point ``i`` and
+        ``eps > 0``, from the pairs of each point and its own ring's edges
+        only; the band pass runs only on the points outside it by parity."""
+        lo, hi = self.ring_of.searchsorted(rings), self.ring_of.searchsorted(rings, "right")
+        point, edge = _ranges(lo, hi)
+        y = pts[:, 1].take(point)
+        ey0, ey1 = self.edges[5].take(edge), self.edges[7].take(edge)
+        s = np.flatnonzero((ey0 <= y) & (y < ey1))  # the pairs that straddle
+        point, edge, y = point[s], edge[s], y[s]
+        x1, y1, dx, dy = self.edges[:4, edge]
+        crosses = point[pts[point, 0] < x1 + (y - y1) * dx / dy]
+        inside = np.bincount(crosses, minlength=len(pts)) % 2 == 1
+        out = np.flatnonzero(~inside)
+        point, edge = _ranges(lo[out], hi[out])
+        near = _pair_feet(pts[out[point]], self.edges[:4, edge])[1] <= eps
+        inside[out[point[near]]] = True
+        return inside
 
     def grid(self, xs: np.ndarray, ys: np.ndarray) -> GridCover:
         """The grid points ``(xs[i], ys[j])`` in the union of the rings as a
@@ -335,19 +363,19 @@ class RingTable:
         out = ~_in_runs(keys, depth, cell)
         edge, cell = edge[out], cell[out]
         p = np.column_stack([xs[ci[out]], ys[cj[out]]])
-        near = _pair_distances(p, edges[:4, edge]) <= BOUNDARY_EPS
+        near = _pair_feet(p, edges[:4, edge])[1] <= BOUNDARY_EPS
         return GridCover(nx, keys, depth, np.unique(cell[near]))
 
 
-def _pair_distances(p: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The distance from each of the ``(M, 2)`` points ``p`` to its own edge,
-    given by the ``(4, M)`` rows ``x1, y1, dx, dy``: ``distance_to_ring``'s
-    arithmetic, one (point, edge) pair per row."""
+def _pair_feet(p: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter in [0, 1] of each of the ``(M, 2)`` points' foot on its
+    own segment, of the ``(4, M)`` rows ``x1, y1, dx, dy``, and its distance
+    to it: ``distance_to_ring``'s arithmetic, one (point, segment) per row."""
     a, ab = edges[0:2].T, edges[2:4].T
     denom = np.einsum("ij,ij->i", ab, ab)
     t = np.einsum("ij,ij->i", p - a, ab) / np.where(denom > 0, denom, 1.0)
-    foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
-    return np.linalg.norm(p - foot, axis=-1)
+    t = np.clip(t, 0.0, 1.0)
+    return t, norms(p - (a + t[:, None] * ab))
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,13 +399,6 @@ def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
         if e1 > e0:
             owner, k = _ranges(lo[e0:e1], hi[e0:e1])
             yield owner + e0, k
-
-
-def _unsort(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``rows`` listed in the order ``order``, put back in the original one."""
-    out = np.empty_like(rows)
-    out[order] = rows
-    return out
 
 
 def points_in_polygon(points, ring, eps: float = BOUNDARY_EPS) -> np.ndarray:
@@ -418,6 +439,13 @@ def lengths(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+def norms(v: np.ndarray) -> np.ndarray:
+    """Lengths of the 2-vectors along the last axis of ``v``: ``sqrt(x*x +
+    y*y)``, bit for bit ``np.linalg.norm(v, axis=-1)`` without its overhead."""
+    x, y = v[..., 0], v[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 def angles_between(v1, v2) -> np.ndarray:
     """Unsigned angles in [0, pi] between the rows of two ``(N, 2)`` vector
     arrays via the clamped dot product (no wrap-around).
@@ -436,13 +464,12 @@ def angles_between(v1, v2) -> np.ndarray:
 
 
 class Polyline:
-    """A validated polyline with its segments laid out once, for repeated
-    nearest-point queries: its ``points``, and for each segment its start
-    ``a``, vector ``ab``, squared length ``denom``, length ``seg_len`` and
-    tangent heading ``tangents``. A segment's tangent is its ``headings``
-    value; a segment with none (no longer than ``DEGENERATE_EPS``) takes the
-    tangent of the polyline's first segment that has one. Built only by
-    ``many``."""
+    """A validated polyline with its segments laid out once, for
+    ``nearest_segments`` queries: its ``points``, and for each segment its
+    start ``a``, vector ``ab``, length ``seg_len`` and tangent heading
+    ``tangents``. A segment's tangent is its ``headings`` value; a segment
+    with none (no longer than ``DEGENERATE_EPS``) takes the tangent of the
+    polyline's first segment that has one. Built only by ``many``."""
 
     @classmethod
     def many(cls, polylines) -> list["Polyline"]:
@@ -479,38 +506,37 @@ class Polyline:
             for p, lo, hi in zip(arrays, seg_starts.tolist(), seg_ends.tolist()):
                 line = cls.__new__(cls)
                 line.points, line.a, line.ab = p, a[lo:hi], ab[lo:hi]
-                line.denom, line.seg_len = denom[lo:hi], seg_len[lo:hi]
+                line.seg_len = seg_len[lo:hi]
                 line.tangents = tangents[lo:hi]
                 lines.append(line)
         if fault is not None:
             raise fault
         return lines
 
-    def nearest(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For each of the ``(N, 2)`` points: the index of the segment holding
-        its closest point, the foot's parameter along that segment, and the
-        foot. When feet tie (within 1e-12) the later segment wins, so a foot
-        on a shared vertex belongs to the following segment."""
-        pts = np.asarray(points, float).reshape(-1, 2)
-        ap = pts[:, None, :] - self.a  # (N, S, 2)
-        ok = self.denom > 0
-        t = np.einsum("nsj,sj->ns", ap, self.ab) / np.where(ok, self.denom, 1.0)
-        t = np.where(ok, np.clip(t, 0.0, 1.0), 0.0)
-        foot = self.a + t[:, :, None] * self.ab
-        d = np.linalg.norm(pts[:, None, :] - foot, axis=2)
-        ties = d <= d.min(axis=1, keepdims=True) + 1e-12
-        i = ties.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
-        rows = np.arange(len(pts))
-        return i, t[rows, i], foot[rows, i]
+
+def nearest_segments(points, lo, hi, segs) -> tuple[np.ndarray, np.ndarray]:
+    """For each of the ``(M, 2)`` points ``points[m]``, the segment nearest
+    to it among ``lo[m] <= s < hi[m]`` (``hi[m] > lo[m]``) of ``segs``, a
+    ``(4, S)`` table of rows ``x1, y1, dx, dy``, and its foot's parameter
+    there, from one ``_pair_feet`` pass. When feet tie (within 1e-12) the
+    later segment wins: a foot on a shared vertex is the following one's."""
+    pts = np.asarray(points, float).reshape(-1, 2)
+    point, seg = _ranges(lo, hi)
+    t, d = _pair_feet(pts[point], segs[:, seg])
+    first = np.cumsum(hi - lo) - (hi - lo)  # each point's first pair
+    tie = d <= np.minimum.reduceat(d, first)[point] + 1e-12
+    # segments ascend within a point's run: its last tie has the largest index
+    best = np.maximum.reduceat(np.where(tie, seg, -1), first)
+    return best, t[first + best - lo]
 
 
 def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float]:
     """Closest point on a polyline: ``(foot, arc_offset)``."""
     line = Polyline.many([polyline])[0]
-    idx, t, foot = line.nearest(p)
-    i = int(idx[0])
-    offset = float(line.seg_len[:i].sum() + t[0] * line.seg_len[i])
-    return foot[0].copy(), offset
+    (i,), (t,) = nearest_segments(p, np.zeros(1, int), np.array([len(line.a)]),
+                                  np.vstack([line.a.T, line.ab.T]))
+    offset = float(line.seg_len[:i].sum() + t * line.seg_len[i])
+    return line.a[i] + t * line.ab[i], offset
 
 
 class GridIndex:

@@ -54,9 +54,9 @@ class RoadMap:
     """Immutable lane map, checked and laid out once when built: one
     ``geom.Polyline.many`` call lays out every centerline and refuses one
     with no direction, one ``geom.normalize_rings`` call turns every lane
-    polygon and drivable ring counter-clockwise, and the drivable rings and
-    lane polygons are held as two ``geom.RingTable``s for batched point
-    queries."""
+    polygon and drivable ring counter-clockwise, the drivable rings and lane
+    polygons are two ``geom.RingTable``s for batched point queries, and all
+    centerline segments one table, in ``lane_ids`` order."""
 
     def __init__(
         self,
@@ -77,19 +77,24 @@ class RoadMap:
             raise InvalidMapError(f"{where}: {e}") from e
         self.drivable = rings[len(lanes):]
         self.lanes = {}
-        self._centerlines = {}
+        line_of = {}
         for lane, line, polygon in zip(lanes, lines, rings):
             if lane.id in self.lanes:
                 raise InvalidMapError(f"duplicate lane id {lane.id!r}")
             if line.points is not lane.centerline or polygon is not lane.polygon:
                 lane = dataclasses.replace(lane, centerline=line.points, polygon=polygon)
             self.lanes[lane.id] = lane
-            self._centerlines[lane.id] = line
+            line_of[lane.id] = line
         self._drivable = geom.RingTable(self.drivable)
-        # lane ids in sorted order; the lane table's rings and the lane
-        # masks' columns follow it
+        # lane ids in sorted order; the lane table's rings, the lane masks'
+        # columns and the centerline segment runs seg_lo[c]:seg_hi[c] follow it
         self.lane_ids = tuple(sorted(self.lanes))
         self._lanes = geom.RingTable([self.lanes[i].polygon for i in self.lane_ids])
+        ordered = [line_of[i] for i in self.lane_ids]
+        a, self._seg_lo = _stack([line.a for line in ordered])
+        self._segs = np.vstack([a.T, _stack([line.ab for line in ordered])[0].T])
+        self._seg_hi = self._seg_lo + np.array([len(line.a) for line in ordered], int)
+        self._tangents = np.concatenate([np.empty(0), *(line.tangents for line in ordered)])
         self._validate()
 
     def _validate(self) -> None:
@@ -102,13 +107,13 @@ class RoadMap:
                     )
         if not lanes:
             return
-        # every centerline point against its own lane, with the tolerance as
-        # the boundary band: a point outside that band strays too far
+        # every centerline point against its own lane's edges, with the
+        # tolerance as the boundary band: a point outside it strays too far
         col = {lane_id: c for c, lane_id in enumerate(self.lane_ids)}
         points, starts = _stack([lane.centerline for lane in lanes])
         own = np.repeat([col[lane.id] for lane in lanes],
                         [len(lane.centerline) for lane in lanes])
-        near = self._lanes.contains(points, CENTERLINE_TOL)[np.arange(len(points)), own]
+        near = self._lanes.holds(points, own, CENTERLINE_TOL)
         stray = np.flatnonzero(~np.logical_and.reduceat(near, starts))
         if len(stray):
             lane = lanes[stray[0]]
@@ -144,18 +149,19 @@ class RoadMap:
         return self._lanes.contains(geom.as_points(points),
                                     max(float(r), geom.BOUNDARY_EPS))
 
-    def lane_heading_at(self, lane_id: str, points) -> np.ndarray:
-        """Tangent heading of the lane's centerline at the point nearest to
-        each of ``(N, 2)`` points, as an ``(N,)`` array. Every centerline has
-        a direction (the map refuses one that has none), so every heading is
-        defined."""
-        line = self._centerlines[lane_id]
-        seg, _, _ = line.nearest(points)
-        return line.tangents[seg]
+    def lane_heading_at(self, cols, points) -> np.ndarray:
+        """Tangent heading of the centerline of lane ``lane_ids[cols[m]]``,
+        and of its segments only, at its point nearest to each of the ``(M,
+        2)`` points, as an ``(M,)`` array. Every centerline has a direction
+        (the map refuses one that has none), so every heading is defined."""
+        seg, _ = geom.nearest_segments(points, self._seg_lo[cols], self._seg_hi[cols],
+                                       self._segs)
+        return self._tangents[seg]
 
     def contains_many(self, points) -> np.ndarray:
-        """Vectorized drivable-area membership for a batch of points."""
-        return self._drivable.contains(geom.as_points(points)).any(axis=1)
+        """Drivable-area membership of ``(N, 2)`` points: in the union of
+        the drivable rings, boundary band included."""
+        return self._drivable.contains(geom.as_points(points), union=True)
 
     def contains_grid(self, xs, ys) -> geom.GridCover:
         """Drivable-area membership of the grid points ``(xs[i], ys[j])`` as

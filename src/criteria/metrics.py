@@ -8,9 +8,10 @@ the same values in the same order as a per-mode or per-pair loop would, and
 the means over modes and pairs are ``mean``, a left-to-right sum in that
 order, so identical inputs give bit-identical outputs on every Python.
 
-The kinematic, DAO and triad kernels take the whole ``PredictionSet`` and
-answer per mode; the anchor that kinematics start from and the DAO ROI is
-centered on is the set's own ``anchor``.
+The kinematic and DAO kernels take the whole ``PredictionSet`` and answer
+per mode; the anchor that kinematics start from and the DAO ROI is centered
+on is the set's own ``anchor``. The triad's map tests take a list of sets on
+one map and answer for all of them from one query of each kind.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import geom
-from .errors import DataConsistencyError, SettingError, ShapeError
+from .errors import DataConsistencyError, HorizonError, SettingError, ShapeError
 from .map_model import RoadMap
 from .trajectory import (
     KinematicConfig,
@@ -171,7 +172,7 @@ def _fdes(pred: PredictionSet, gt: Trajectory) -> np.ndarray:
 
 def min_ade(pred: PredictionSet, gt: Trajectory) -> float:
     _check_shapes(pred, gt)
-    ades = np.linalg.norm(pred.points - gt.points, axis=2).mean(axis=1)
+    ades = geom.norms(pred.points - gt.points).mean(axis=1)
     return float(ades.min())
 
 
@@ -202,7 +203,7 @@ def min_asd(pred: PredictionSet) -> float:
     require_modes(pred)
     i, j = _pairs(pred.k)
     pts = pred.points
-    return float(np.linalg.norm(pts[i] - pts[j], axis=2).mean(axis=1).min())
+    return float(geom.norms(pts[i] - pts[j]).mean(axis=1).min())
 
 
 def min_fsd(pred: PredictionSet) -> float:
@@ -215,17 +216,22 @@ def min_fsd(pred: PredictionSet) -> float:
 # -- map admissibility --------------------------------------------------------
 
 
-def test_boundary(pred: PredictionSet, road: RoadMap) -> np.ndarray:
-    """Per mode, True iff every point of the mode lies in the drivable area;
-    from one drivable-area query."""
-    pts = pred.points
-    inside = road.contains_many(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    return inside.all(axis=1)
+def _per_set(values: np.ndarray, preds: list[PredictionSet]) -> list[np.ndarray]:
+    """Per-mode ``values`` of the modes of ``preds`` in order, one array per set."""
+    return np.split(values, np.cumsum([p.k for p in preds])[:-1].tolist())
+
+
+def test_boundary(preds: list[PredictionSet], road: RoadMap) -> list[np.ndarray]:
+    """Per mode of each set of the non-empty list ``preds`` on ``road``, True
+    iff all its points lie in the drivable area; from one query of them all."""
+    inside = road.contains_many(np.concatenate([p.points.reshape(-1, 2) for p in preds]))
+    sizes = np.repeat([p.points.shape[1] for p in preds], [p.k for p in preds])
+    return _per_set(np.logical_and.reduceat(inside, np.cumsum(sizes) - sizes), preds)
 
 
 def dac(pred: PredictionSet, road: RoadMap) -> float:
     """Fraction of modes entirely inside the drivable area."""
-    passed = test_boundary(pred, road)
+    passed = test_boundary([pred], road)[0]
     return int(passed.sum()) / len(passed)
 
 
@@ -288,7 +294,7 @@ def amv(
     groups of equal prefix length, so each reduction keeps its length.
     """
     require_modes(pred)
-    mags = np.linalg.norm(step_vectors(pred), axis=2)  # (K, steps)
+    mags = geom.norms(step_vectors(pred))  # (K, steps)
     steps = kinematic_clip(pred, kin)  # points per mode, one step each
     i, j = _pairs(pred.k)
     lengths = np.minimum(steps[i], steps[j])
@@ -318,26 +324,25 @@ def _unit(headings) -> np.ndarray:
     return np.array([(math.cos(h), math.sin(h)) for h in headings]).reshape(-1, 2)
 
 
-def test_alignment(pred: PredictionSet, road: RoadMap, cfg: AlignmentConfig):
-    """Lane-alignment over each mode's tail; the per-mode arrays
-    ``(passed, confidence)``.
+def test_alignment(preds: list[PredictionSet], road: RoadMap,
+                   cfg: AlignmentConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each set of the non-empty list ``preds`` on ``road``, the
+    per-mode arrays ``(passed, confidence)`` of lane alignment over the tail.
 
     A mode's heading is the chord over the last ``tail_steps`` points;
     confidence is maximized over (tail point, containing lane) pairs and
     compared strictly against the threshold. A tail is moving when its chord
     has a heading (``geom.headings``) and is at least ``stationary_eps``
-    long; any other tail falls back to the configured policy. The tail points
-    of all modes go through one lane query, and each lane's centerline
-    headings through one lookup.
+    long; any other tail falls back to the configured policy. Every horizon
+    is checked against ``tail_steps`` first; then the moving tails of all
+    sets go through one lane query, and its hits through one heading lookup.
     """
-    pts = pred.points
     n_tail = cfg.tail_steps
-    if pts.shape[1] < n_tail:
-        raise ShapeError(
-            f"scenario {pred.scenario_id!r}: alignment.tail_steps is {n_tail} "
-            f"but the horizon has {pts.shape[1]} points"
-        )
-    tails = pts[:, -n_tail:]  # (K, n_tail, 2)
+    short = [p for p in preds if p.points.shape[1] < n_tail]
+    if short:
+        raise HorizonError(f"scenario {short[0].scenario_id!r}: alignment.tail_steps is "
+                           f"{n_tail} but the horizon has {short[0].points.shape[1]} points")
+    tails = np.concatenate([p.points[:, -n_tail:] for p in preds])  # (modes, n_tail, 2)
     chords = tails[:, -1] - tails[:, 0]
     heads = geom.headings(chords)
     moving = np.flatnonzero(
@@ -348,21 +353,15 @@ def test_alignment(pred: PredictionSet, road: RoadMap, cfg: AlignmentConfig):
     if len(moving):
         hvec = _unit(heads[moving].tolist())
         probe = tails[moving].reshape(-1, 2)
-        mode_of = np.repeat(np.arange(len(moving)), n_tail)
         point, lane = np.nonzero(road.lanes_containing(probe))
-        lane_heading = np.empty(len(point))
-        for col in np.unique(lane):
-            sel = np.flatnonzero(lane == col)
-            lane_heading[sel] = road.lane_heading_at(
-                road.lane_ids[col], probe[point[sel]]
-            )
-        hit_mode = mode_of[point]
+        lane_heading = road.lane_heading_at(lane, probe[point])
+        hit_mode = point // n_tail
         delta = geom.angles_between(hvec[hit_mode], _unit(lane_heading.tolist()))
         best = np.zeros(len(moving))
         np.maximum.at(best, hit_mode, alignment_confidence(delta))
         conf[moving] = best
         passed[moving] = best > cfg.threshold_lac
-    return passed, conf
+    return list(zip(_per_set(passed, preds), _per_set(conf, preds)))
 
 
 def test_kinematic(pred: PredictionSet, kin: KinematicConfig) -> np.ndarray:
@@ -371,15 +370,16 @@ def test_kinematic(pred: PredictionSet, kin: KinematicConfig) -> np.ndarray:
 
 
 def att(
-    pred: PredictionSet,
+    preds: list[PredictionSet],
     road: RoadMap,
     align_cfg: AlignmentConfig,
     kin_cfg: KinematicConfig,
-) -> TriadResult:
-    """Per-mode triad of boundary, alignment, and kinematic tests."""
-    boundary = test_boundary(pred, road)
-    alignment, _ = test_alignment(pred, road, align_cfg)
-    kinematic = test_kinematic(pred, kin_cfg)
-    return TriadResult(
-        tuple(boundary.tolist()), tuple(alignment.tolist()), tuple(kinematic.tolist())
-    )
+) -> list[TriadResult]:
+    """Per set of the non-empty list ``preds`` on ``road``, the per-mode
+    triad of boundary, alignment, and kinematic tests; each map test runs
+    once over all the sets."""
+    alignment = test_alignment(preds, road, align_cfg)
+    boundary = test_boundary(preds, road)
+    return [TriadResult(tuple(b.tolist()), tuple(a.tolist()),
+                        tuple(test_kinematic(pred, kin_cfg).tolist()))
+            for pred, b, (a, _) in zip(preds, boundary, alignment)]

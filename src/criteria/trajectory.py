@@ -125,7 +125,7 @@ def step_vectors(pred: PredictionSet) -> np.ndarray:
 
 
 def speed_profile(pred: PredictionSet) -> np.ndarray:
-    return np.linalg.norm(step_vectors(pred), axis=-1) / pred.dt
+    return geom.norms(step_vectors(pred)) / pred.dt
 
 
 def accel_profile(pred: PredictionSet) -> np.ndarray:

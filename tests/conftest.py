@@ -118,8 +118,8 @@ def reference_polyline(polyline) -> dict[str, np.ndarray]:
     ab = pts[1:] - pts[:-1]
     denom = np.einsum("ij,ij->i", ab, ab)
     tangents = np.array([reference_tangent(ab, i) for i in range(len(ab))])
-    return dict(points=pts, a=pts[:-1], ab=ab, denom=denom,
-                seg_len=np.sqrt(denom), tangents=tangents)
+    return dict(points=pts, a=pts[:-1], ab=ab, seg_len=np.sqrt(denom),
+                tangents=tangents)
 
 
 def reference_normalize_ring(ring) -> np.ndarray:

@@ -119,7 +119,7 @@ def test_criterion_5_triad_conjunction():
             steps[:, 1] *= 0.3
             modes.append(anchor + np.cumsum(steps, axis=0))
         pred = make_pred(modes, anchor=tuple(anchor))
-        triad = metrics.att(pred, road, align_cfg, KinematicConfig())
+        triad = metrics.att([pred], road, align_cfg, KinematicConfig())[0]
         rates = triad.test_rates()
         if triad.att_rate > min(rates.values()) + 1e-12:
             violations += 1

@@ -120,7 +120,9 @@ class TestEvaluateScenario:
                     anchor=pred.anchor,
                 )
                 for p in (pred, pred_off):
-                    got = evaluate_scenario(rec, road, p, RunConfig())
+                    cfg = RunConfig()
+                    triad = metrics.att([p], road, cfg.alignment, cfg.kinematic)[0]
+                    got = evaluate_scenario(rec, road, p, triad, cfg)
                     assert got.values["DAC"] == metrics.dac(p, road)
                     dacs.add(got.values["DAC"])
         assert len(dacs) > 1

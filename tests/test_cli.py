@@ -414,7 +414,32 @@ class TestEval:
         ]) == EXIT_DATA
         assert capsys.readouterr().err == (
             f"data error: scenario {first.id!r}: alignment.tail_steps is 40 "
-            f"but the horizon has {len(first.future)} points (in {preds})\n")
+            f"but the horizon has {len(first.future)} points (in {config})\n")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_horizon_under_the_default_tail_names_the_predictions(
+            self, fixtures, tmp_path, capsys):
+        """Under the default ``tail_steps`` a horizon of 2 points is the
+        inputs' fault, so the error names the predictions file."""
+        scenarios = json.loads((fixtures / "scenarios.json").read_text())
+        for rec in scenarios["scenarios"]:
+            rec["future"] = rec["future"][:2]
+        doc = json.loads((fixtures / "predictions_noisy.json").read_text())
+        for pred in doc["predictions"]:
+            pred["modes"] = [mode[:2] for mode in pred["modes"]]
+        (tmp_path / "s.json").write_text(json.dumps(scenarios))
+        preds = tmp_path / "p.json"
+        preds.write_text(json.dumps(doc))
+        first = min(r["id"] for r in scenarios["scenarios"])
+        capsys.readouterr()
+        assert main([
+            "eval", "--scenarios", str(tmp_path / "s.json"),
+            "--maps", str(fixtures / "map.json"), "--predictions", str(preds),
+            "--tags", str(fixtures / "tags.json"), "--out", str(tmp_path / "m.json"),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: scenario {first!r}: alignment.tail_steps is 3 "
+            f"but the horizon has 2 points (in {preds})\n")
         assert not (tmp_path / "m.json").exists()
 
 

@@ -226,6 +226,24 @@ class TestArcLength:
         )
 
 
+# 2-vector components from zero through subnormals to the coordinate limit
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e150, -1e150]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e150, 1e150),
+)
+
+
+class TestNorms:
+    @given(st.lists(st.tuples(_COMPONENTS, _COMPONENTS), min_size=1, max_size=24))
+    def test_equals_linalg_norm_bit_for_bit(self, rows):
+        v = np.array(rows, float)
+        for shape in ((len(rows), 2), (1, len(rows), 2), (2,) if len(rows) == 1 else (-1, 1, 2)):
+            w = v.reshape(shape)
+            assert geom.norms(w).tobytes() == np.linalg.norm(w, axis=-1).tobytes()
+
+
 def heading(v) -> float:
     return float(geom.headings(np.array([v], float))[0])
 
@@ -302,8 +320,9 @@ class TestNearestOnPolyline:
         assert foot == pytest.approx([5, 0])
         assert offset == pytest.approx(5)
         line = geom.Polyline.many([pl])[0]
-        seg, _, _ = line.nearest((5, 0))
-        assert line.tangents[seg[0]] == pytest.approx(math.pi / 2)  # the next segment's
+        (seg,), _ = geom.nearest_segments((5, 0), np.array([0]), np.array([2]),
+                                          np.vstack([line.a.T, line.ab.T]))
+        assert line.tangents[seg] == pytest.approx(math.pi / 2)  # the next segment's
 
     def test_dense_sampling_oracle(self):
         rng = np.random.default_rng(17)
@@ -379,7 +398,7 @@ def _per_item(make):
 def _polyline_fields(lines):
     return [line[key] if isinstance(line, dict) else getattr(line, key)
             for line in lines
-            for key in ("points", "a", "ab", "denom", "seg_len", "tangents")]
+            for key in ("points", "a", "ab", "seg_len", "tangents")]
 
 
 class TestBatchedConstructors:

@@ -170,7 +170,7 @@ class TestBoundary:
     @given(mode_sets())
     def test_matches_reference(self, case):
         road, pred, _ = case
-        got = metrics.test_boundary(pred, road)
+        got = metrics.test_boundary([pred], road)[0]
         want = [reference_test_boundary(m.points, road) for m in pred.modes]
         assert got.tolist() == want
         assert metrics.dac(pred, road) == sum(want) / len(want)
@@ -183,7 +183,7 @@ class TestAlignment:
     def test_matches_reference(self, kind, data):
         road, pred, _ = data.draw(mode_sets(kinds=(kind,)))
         cfg = AlignmentConfig()
-        passed, conf = metrics.test_alignment(pred, road, cfg)
+        passed, conf = metrics.test_alignment([pred], road, cfg)[0]
         for k, m in enumerate(pred.modes):
             want_ok, want_conf = reference_test_alignment(m.points, road, cfg)
             assert passed[k] == want_ok
@@ -193,10 +193,10 @@ class TestAlignment:
     def test_lane_heading_at_centerline_vertices(self, kind):
         # a vertex is the foot on both of its segments: the later one wins
         road = road_of(kind)
-        for lane_id, lane in road.lanes.items():
-            want = [reference_polyline_heading(p, lane.centerline)
-                    for p in lane.centerline]
-            assert road.lane_heading_at(lane_id, lane.centerline).tolist() == want
+        for col, lane_id in enumerate(road.lane_ids):
+            line = road.lanes[lane_id].centerline
+            want = [reference_polyline_heading(p, line) for p in line]
+            assert road.lane_heading_at([col] * len(line), line).tolist() == want
 
     @pytest.mark.parametrize("kind", list(synth.MapKind))
     @settings(max_examples=40)
@@ -216,8 +216,8 @@ class TestAlignment:
             if len(pts):
                 line = road.lanes[lane_id].centerline
                 want = [reference_polyline_heading(p, line) for p in pts]
-                assert road.lane_heading_at(lane_id, pts).tolist() == want
-                assert road.lane_heading_at(lane_id, pts[0]).tolist() == want[:1]
+                assert road.lane_heading_at([col] * len(pts), pts).tolist() == want
+                assert road.lane_heading_at([col], pts[0]).tolist() == want[:1]
 
 
 class TestDao:

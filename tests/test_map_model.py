@@ -330,13 +330,24 @@ class TestLanesWithinRadius:
             assert not (contained & ~t_road.lanes_within_radius(pts, r)).any()
 
 
+def _col(road, lane_id) -> int:
+    """The column of ``lane_id`` in the road's lane masks and heading queries."""
+    return road.lane_ids.index(lane_id)
+
+
+def _tangents_of(road, lane_id) -> np.ndarray:
+    """The tangents of the lane's centerline segments in the road's table."""
+    c = _col(road, lane_id)
+    return road._tangents[road._seg_lo[c]:road._seg_hi[c]]
+
+
 class TestLaneHeading:
     def test_eastbound(self, straight_road):
-        got = straight_road.lane_heading_at("E0", (10.0, -1.85))
+        got = straight_road.lane_heading_at([_col(straight_road, "E0")], (10.0, -1.85))
         assert got.tolist() == pytest.approx([0.0])
 
     def test_westbound(self, straight_road):
-        got = straight_road.lane_heading_at("W0", (10.0, 1.85))
+        got = straight_road.lane_heading_at([_col(straight_road, "W0")], (10.0, 1.85))
         assert got.tolist() == pytest.approx([np.pi])
 
     def test_chord_heading_on_curved_lane(self, t_road):
@@ -345,7 +356,7 @@ class TestLaneHeading:
         i = len(cl) // 2
         mid = (cl[i] + cl[i + 1]) / 2
         want = reference_heading(cl[i + 1] - cl[i])
-        assert t_road.lane_heading_at(lane.id, mid).tolist() == pytest.approx([want])
+        assert t_road.lane_heading_at([_col(t_road, lane.id)], mid).tolist() == pytest.approx([want])
 
     @pytest.mark.parametrize("centerline", [
         [[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 0.0], [10.0, 5.0]],
@@ -367,7 +378,7 @@ class TestLaneHeading:
                 RoadMap(map_id="m", lanes=[lane], drivable=[box])
         else:
             road = RoadMap(map_id="m", lanes=[lane], drivable=[box])
-            np.testing.assert_array_equal(road._centerlines["L"].tangents, want)
+            np.testing.assert_array_equal(_tangents_of(road, "L"), want)
 
     def test_tangents_of_many_lanes_stay_per_lane(self):
         """One pass lays out every lane's headings; a lane's segments with
@@ -384,7 +395,7 @@ class TestLaneHeading:
                  for i, c in enumerate(centerlines)]
         road = RoadMap(map_id="m", lanes=lanes, drivable=[box])
         for lane, centerline in zip(lanes, centerlines):
-            np.testing.assert_array_equal(road._centerlines[lane.id].tangents,
+            np.testing.assert_array_equal(_tangents_of(road, lane.id),
                                           reference_polyline(centerline)["tangents"])
 
     def test_no_usable_direction_raises(self):
@@ -540,6 +551,17 @@ class TestInvariants:
         assert str(e.value) == (
             f"lane 'stray': centerline strays {strays} m outside its polygon"
         )
+
+    def test_centerline_inside_a_neighbour_still_strays(self):
+        """Each centerline is held to its own lane: 0.6 m outside its polygon
+        strays, though the point lies well inside the next lane."""
+        a = dataclasses.replace(simple_lane("A"),
+                                centerline=np.array([[0.0, 0.0], [100.0, 2.45]]))
+        b = simple_lane("B", y=3.7)
+        assert b.polygon[:, 1].min() < 2.45 < b.polygon[:, 1].max()
+        with pytest.raises(InvalidMapError) as e:
+            RoadMap(map_id="bad", lanes=[b, a], drivable=[a.polygon, b.polygon])
+        assert str(e.value) == "lane 'A': centerline strays 0.60 m outside its polygon"
 
     def test_centerline_within_tolerance_accepted(self):
         # the end point lies 0.45 m outside the polygon, under CENTERLINE_TOL

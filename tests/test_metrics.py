@@ -143,7 +143,7 @@ class TestBoundaryAndDac:
         ]
         pred = make_pred(modes)
         per_mode = [
-            metrics.test_boundary(make_pred([m.points]), t_road)[0] for m in pred.modes
+            metrics.test_boundary([make_pred([m.points])], t_road)[0][0] for m in pred.modes
         ]
         assert metrics.dac(pred, t_road) == pytest.approx(
             sum(per_mode) / len(per_mode)
@@ -299,13 +299,13 @@ class TestAlignment:
     def test_aligned_passes(self):
         road = single_lane_map(x1=100.0)
         mode = make_pred([straight_mode((0, 0), (1.0, 0.0), 30)])
-        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
+        (ok,), (conf,) = metrics.test_alignment([mode], road, AlignmentConfig())[0]
         assert ok and conf == pytest.approx(1.0)
 
     def test_head_on_fails(self):
         road = single_lane_map(x1=100.0)
         mode = make_pred([straight_mode((60, 0), (-1.0, 0.0), 30)])
-        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
+        (ok,), (conf,) = metrics.test_alignment([mode], road, AlignmentConfig())[0]
         assert not ok and conf == pytest.approx(0.0)
 
     def test_45_degrees_passes(self):
@@ -313,21 +313,21 @@ class TestAlignment:
         road = single_lane_map(x1=100.0, width=60.0)
         s = 1.0 / math.sqrt(2)
         mode = make_pred([straight_mode((10, -10), (s, s), 20)])
-        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
+        (ok,), (conf,) = metrics.test_alignment([mode], road, AlignmentConfig())[0]
         assert ok and conf == pytest.approx(0.75)
 
     def test_off_lane_tail_fails(self):
         road = single_lane_map(x1=100.0)
         mode = make_pred([straight_mode((0, 50.0), (1.0, 0.0), 30)])
-        (ok,), (conf,) = metrics.test_alignment(mode, road, AlignmentConfig())
+        (ok,), (conf,) = metrics.test_alignment([mode], road, AlignmentConfig())[0]
         assert not ok and conf == 0.0
 
     def test_stationary_policy(self):
         road = single_lane_map(x1=100.0)
         mode = make_pred([[(5.0, 0.0)] * 30])
-        assert metrics.test_alignment(mode, road, AlignmentConfig())[0][0]
+        assert metrics.test_alignment([mode], road, AlignmentConfig())[0][0][0]
         cfg = AlignmentConfig(stationary_policy=StationaryPolicy.FAIL)
-        assert not metrics.test_alignment(mode, road, cfg)[0][0]
+        assert not metrics.test_alignment([mode], road, cfg)[0][0][0]
 
 
 class TestAtt:
@@ -338,7 +338,7 @@ class TestAtt:
             straight_mode((0, 0), (1.0, dy), 30) for dy in (0.0, 0.004, -0.004)
         ]
         pred = make_pred(modes, anchor=(0.0, 0.0))
-        res = metrics.att(pred, road, AlignmentConfig(), KinematicConfig())
+        res = metrics.att([pred], road, AlignmentConfig(), KinematicConfig())[0]
         assert res.att_rate == 1.0
         assert all(v == 1.0 for v in res.test_rates().values())
 
@@ -347,7 +347,7 @@ class TestAtt:
         bad = straight_mode((0, 50.0), (1.0, 0.0), 30)
         pred = make_pred([straight_mode((0, 0), (1, 0), 30)] * 5 + [bad],
                          anchor=(0.0, 0.0))
-        res = metrics.att(pred, road, AlignmentConfig(), KinematicConfig())
+        res = metrics.att([pred], road, AlignmentConfig(), KinematicConfig())[0]
         assert res.att_rate == pytest.approx(5 / 6)
 
     def test_conjunction_bound(self, t_road):
@@ -359,7 +359,7 @@ class TestAtt:
                 for _ in range(4)
             ]
             pred = make_pred(modes, anchor=(0.0, 0.0))
-            res = metrics.att(pred, t_road, AlignmentConfig(), kin)
+            res = metrics.att([pred], t_road, AlignmentConfig(), kin)[0]
             assert res.att_rate <= min(res.test_rates().values()) + 1e-12
             assert res.att_rate <= metrics.dac(pred, t_road) + 1e-12
             for k in range(4):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from criteria import io, synth
+from criteria import io, metrics, synth
 from criteria.bench import evaluate_scenario
 from criteria.trajectory import PredictionSet
 
@@ -42,8 +42,10 @@ def test_permuted_modes_keep_every_metric(kind, predictor, k):
             perm = perm[::-1]
         permuted = PredictionSet.from_points(
             rec.id, pred.points[perm], pred.dt, anchor=pred.anchor)
-        want = evaluate_scenario(rec, road, pred, cfg)
-        got = evaluate_scenario(rec, road, permuted, cfg)
+        want, got = (
+            evaluate_scenario(rec, road, p, metrics.att([p], road, cfg.alignment,
+                                                       cfg.kinematic)[0], cfg)
+            for p in (pred, permuted))
         for name in PASSES:
             flags = getattr(want.triad, name)
             assert getattr(got.triad, name) == tuple(flags[j] for j in perm), name

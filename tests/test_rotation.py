@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from criteria import io, synth
-from criteria.bench import evaluate_scenario
+from criteria.bench import evaluate_model
 from criteria.metrics import min_fde
 from criteria.scenario import ScenarioRecord, tag_all
 from criteria.trajectory import PredictionSet, Trajectory
@@ -82,11 +82,11 @@ def _scores(road, records, preds):
     table = {rec.id: [min_fde(sets[i], rec.future) for sets in preds.values()]
              for i, rec in enumerate(records)}
     tags, _ = tag_all(records, {road.map_id: road}, table, CFG.scenario)
-    results = {
-        (p.value, rec.id): evaluate_scenario(rec, road, sets[i], CFG)
-        for p, sets in preds.items()
-        for i, rec in enumerate(records)
-    }
+    results = {}
+    for p, sets in preds.items():
+        run = evaluate_model(p.value, records, {road.map_id: road},
+                             {s.scenario_id: s for s in sets}, CFG)
+        results.update({(p.value, sid): r for sid, r in run.per_scenario.items()})
     return tags, results
 
 

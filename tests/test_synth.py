@@ -14,7 +14,7 @@ def spec(kind=synth.MapKind.STRAIGHT, seed=0, **kwargs):
 
 
 def triad_for(rec, road, pred):
-    return metrics.att(pred, road, AlignmentConfig(), KinematicConfig())
+    return metrics.att([pred], road, AlignmentConfig(), KinematicConfig())[0]
 
 
 @pytest.mark.parametrize("counts", [{"n_scenarios": 0}, {"lanes_per_direction": 0}],
