@@ -9,7 +9,7 @@ from . import metrics
 from .errors import DataConsistencyError, SettingError, ShapeError
 from .map_model import RoadMap
 from .metrics import TriadResult
-from .scenario import Difficulty, ScenarioRecord, ScenarioTag, check_maps
+from .scenario import AXES, ScenarioRecord, ScenarioTag, check_maps
 from .trajectory import PredictionSet
 
 if TYPE_CHECKING:  # io imports this module
@@ -30,6 +30,8 @@ METRIC_DIRECTIONS = {
 }
 METRIC_NAMES = tuple(METRIC_DIRECTIONS)
 TEST_NAMES = ("boundary", "alignment", "kinematic")
+# the axes of a report's blocks: structure and length, difficulties pooled
+BLOCK_AXES = ("structure", "length")
 # evaluate_model scores the triads of at most this many prediction points
 # in one call, so its memory stays bounded however many scenarios share a map
 TRIAD_BATCH_POINTS = 1 << 16
@@ -52,12 +54,9 @@ class WeightConfig:
         if all(getattr(self, name) == 0 for name in names):
             raise SettingError("weights must not all be zero")
 
-    def of(self, d: Difficulty) -> float:
-        return {
-            Difficulty.HARD: self.w_hard,
-            Difficulty.MIDDLE: self.w_middle,
-            Difficulty.EASY: self.w_easy,
-        }[d]
+    def of(self, difficulty: str) -> float:
+        """The weight of a difficulty level's key, such as ``"HARD"``."""
+        return getattr(self, f"w_{difficulty.lower()}")
 
 
 @dataclass
@@ -78,7 +77,7 @@ class MetricReport:
     model_name: str
     # category key "STRUCTURE/DIFFICULTY/LENGTH" -> metric -> mean
     per_category: dict[str, dict[str, float]]
-    # block key "STRUCTURE/LENGTH" (difficulties pooled) -> metric -> mean
+    # block key "STRUCTURE/LENGTH" (``BLOCK_AXES``) -> metric -> mean
     per_block: dict[str, dict[str, float]]
     overall: dict[str, float]
     att_ablation: dict[str, float]
@@ -170,12 +169,17 @@ def check_tags(ids: Iterable[str], tags: Mapping[str, ScenarioTag]) -> None:
         raise DataConsistencyError(f"tags missing for scenarios: {missing}")
 
 
-def _group_means(groups: Iterable[tuple]) -> dict:
-    """Group key -> metric -> mean over the group's results."""
+def level_means(run: EvaluationRun, tags: Mapping[str, ScenarioTag],
+                axes: Sequence[str] = tuple(AXES)) -> dict[str, dict[str, float]]:
+    """Key -> metric -> mean over the scenarios of ``run`` whose tags have
+    that key at the level ``axes``, in the order each key is first seen."""
+    groups: dict[str, list[ScenarioResult]] = {}
+    for sid, result in run.per_scenario.items():
+        groups.setdefault(tags[sid].key(axes), []).append(result)
     return {
         key: {name: metrics.mean([r.values[name] for r in results])
               for name in METRIC_NAMES}
-        for key, results in groups
+        for key, results in groups.items()
     }
 
 
@@ -184,29 +188,21 @@ def aggregate(
     tags: Mapping[str, ScenarioTag],
     weights: WeightConfig = WeightConfig(),
 ) -> MetricReport:
-    """Category, block and weighted overall means of one run, grouped by tag
-    in one pass, and the ATT ablation."""
+    """The category, block and overall means of one run, and the ATT
+    ablation. Only the overall is weighted by difficulty, as the weighted
+    mean of the difficulty level's means; every other group is a plain mean
+    over its scenarios."""
     if not run.per_scenario:
         raise DataConsistencyError(
             f"model {run.model_name!r}: no scenarios to aggregate")
     check_tags(run.per_scenario, tags)
 
-    by_category: dict[str, list[ScenarioResult]] = {}
-    by_block: dict[str, list[ScenarioResult]] = {}
-    by_difficulty: dict[Difficulty, list[ScenarioResult]] = {}
-    for sid, result in run.per_scenario.items():
-        tag = tags[sid]
-        by_category.setdefault(tag.category(), []).append(result)
-        by_block.setdefault(f"{tag.structure.value}/{tag.length.value}",
-                            []).append(result)
-        by_difficulty.setdefault(tag.difficulty, []).append(result)
-
+    # not sorted: the weighted sums add difficulties in first-seen order
+    per_difficulty = level_means(run, tags, ("difficulty",))
     # weights divided by the largest present one: no weighted sum overflows
-    top = max(weights.of(d) for d in by_difficulty)
+    top = max(weights.of(d) for d in per_difficulty)
     if top == 0:
         raise DataConsistencyError("weights are 0 for every difficulty present")
-    # not sorted: the weighted sums add difficulties in first-seen order
-    per_difficulty = _group_means(by_difficulty.items())
     w = {d: weights.of(d) / top for d in per_difficulty}
     overall = {
         name: metrics.total(w[d] * per_difficulty[d][name] for d in w)
@@ -221,8 +217,8 @@ def aggregate(
     }
     return MetricReport(
         model_name=run.model_name,
-        per_category=_group_means(sorted(by_category.items())),
-        per_block=_group_means(by_block.items()),
+        per_category=dict(sorted(level_means(run, tags).items())),
+        per_block=level_means(run, tags, BLOCK_AXES),
         overall=overall,
         att_ablation=att_ablation,
     )

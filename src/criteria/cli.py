@@ -88,9 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--metrics", nargs="+", required=True)
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--balance", choices=["aae", "amv"])
-    p_rep.add_argument("--category", choices=[
-        scenario.ScenarioTag(s, d, l).category() for s in scenario.Structure
-        for d in scenario.Difficulty for l in scenario.LengthClass])
+    p_rep.add_argument("--category", choices=scenario.level_keys())
     return parser
 
 
@@ -206,18 +204,13 @@ def cmd_eval(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    runs = []
-    inputs = {}
-    paths = {}
+    runs, reports, inputs, paths = [], [], {}, {}
     for path in args.metrics:
         run, tags = io.load_metrics(path)
         _claim(paths, run.model_name, path)
+        # each run aggregated once, for the report, the tables and the chart
         with _in_file(path):
-            if not run.per_scenario:
-                raise DataConsistencyError("metrics file carries no scenarios")
-            if not tags:
-                raise DataConsistencyError("metrics file carries no scenario tags")
-            check_tags(run.per_scenario, tags)
+            reports.append(aggregate(run, tags, run.config.weights))
         if runs and run.config != runs[0][0].config:
             raise DataConsistencyError(
                 f"{args.metrics[0]} and {path} were evaluated under "
@@ -235,8 +228,6 @@ def cmd_report(args) -> int:
         inputs[f"metrics[{run.model_name}]"] = io.sha256_file(path)
     cfg = runs[0][0].config
 
-    # each run aggregated once, for the report, the tables and the chart
-    reports = [aggregate(run, tags, cfg.weights) for run, tags in runs]
     doc = report_mod.build_report(reports)
     doc["config"] = cfg.to_dict()
     doc["inputs"] = inputs

@@ -529,7 +529,7 @@ _SCENARIO = {
     "past": _Block(2),
     "future": _Block(2),
 }
-_SCENARIOS = {"scenarios": _List(_SCENARIO)}
+_SCENARIOS = {"scenarios": _List(_SCENARIO, 1)}
 
 
 def scenarios_to_dict(records: list[ScenarioRecord]) -> dict:

@@ -7,16 +7,12 @@ import csv
 from io import StringIO
 from typing import Mapping, Sequence
 
-from .bench import METRIC_NAMES, MetricReport, rank
+from .bench import BLOCK_AXES, METRIC_NAMES, MetricReport, rank
 # not called here: perfbench/layers.py hooks ``report.aggregate`` by name
 from .bench import aggregate  # noqa: F401
-from .scenario import Structure, LengthClass
+from .scenario import level_keys
 
-BLOCKS = [
-    f"{s.value}/{l.value}"
-    for s in (Structure.TURN, Structure.CRUISING)
-    for l in (LengthClass.SHORT, LengthClass.LONG)
-]
+BLOCKS = level_keys(BLOCK_AXES)
 
 
 def _table_rows(

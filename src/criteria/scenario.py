@@ -1,11 +1,13 @@
 """Scenario extraction: road-structure, difficulty, and length tagging.
 
 The three axes (turn/cruising, hard/middle/easy, short/long) form a
-12-category grid used for fine-grained reporting.
+12-category grid used for fine-grained reporting. Any subset of the axes is
+a level of specificity, whose keys join a tag's values on those axes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -35,6 +37,10 @@ class Difficulty(Enum):
 class LengthClass(Enum):
     SHORT = "SHORT"
     LONG = "LONG"
+
+
+# each axis of a tag, in key order, and the enum of its values
+AXES = {"structure": Structure, "difficulty": Difficulty, "length": LengthClass}
 
 
 @dataclass(frozen=True)
@@ -73,8 +79,18 @@ class ScenarioTag:
     difficulty: Difficulty
     length: LengthClass
 
+    def key(self, axes: Sequence[str] = tuple(AXES)) -> str:
+        """The tag's values on ``axes``, joined by ``/``: its key at that level."""
+        return "/".join(getattr(self, axis).value for axis in axes)
+
     def category(self) -> str:
-        return f"{self.structure.value}/{self.difficulty.value}/{self.length.value}"
+        return self.key()
+
+
+def level_keys(axes: Sequence[str] = tuple(AXES)) -> list[str]:
+    """Every key of the level ``axes``, in the order of the enums."""
+    return ["/".join(v.value for v in values)
+            for values in itertools.product(*(AXES[axis] for axis in axes))]
 
 
 def check_maps(records: Sequence[ScenarioRecord], maps: Mapping[str, RoadMap]) -> None:

@@ -637,7 +637,9 @@ class TestReport:
         assert main([
             "report", "--metrics", str(path), "--out", str(tmp_path / "r"),
         ]) == EXIT_DATA
-        assert "carries no scenario tags" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error: tags missing for scenarios: "), err
+        assert err.rstrip().endswith(f"(in {path})"), err
 
     def test_repeated_model_is_data_error(self, fixtures, tmp_path, capsys):
         paths = {}
@@ -786,6 +788,39 @@ class TestReport:
         for name in ("balance.csv", "tables.md"):
             assert not re.search(r"\b(inf|nan)\b", (out / name).read_text())
 
+    def test_zero_weights_for_every_present_difficulty_name_the_file(
+            self, tmp_path, capsys):
+        """A run with no HARD scenario, weighted by HARD alone, has no
+        overall: a data error that names the metrics file."""
+        data = tmp_path / "data"
+        assert main(["synth", "--kind", "STRAIGHT", "--n", "20", "--seed", "0",
+                     "--out", str(data)]) == EXIT_OK
+        tag_config, eval_config = tmp_path / "tag.json", tmp_path / "eval.json"
+        # 0.01 of 20 scenarios rounds to no HARD one
+        tag_config.write_text(json.dumps({"scenario": {"alpha": [0.01, 0.49, 0.5]}}))
+        eval_config.write_text(json.dumps(
+            {"weights": {"w_hard": 1, "w_middle": 0, "w_easy": 0}}))
+        inputs = ["--scenarios", str(data / "scenarios.json"),
+                  "--maps", str(data / "map.json")]
+        preds = str(data / "predictions_noisy.json")
+        tags = tmp_path / "tags.json"
+        assert main(["tag", *inputs, "--predictions", preds, "--config",
+                     str(tag_config), "--out", str(tags)]) == EXIT_OK
+        counts = json.loads(tags.read_text())["category_counts"]
+        assert not any("/HARD/" in category for category in counts)
+        metrics = tmp_path / "m.json"
+        assert main(["eval", *inputs, "--predictions", preds, "--tags", str(tags),
+                     "--config", str(eval_config), "--out", str(metrics)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert main(["report", "--metrics", str(metrics),
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "data error: weights are 0 for every difficulty present "), err
+        assert err.rstrip().endswith(f"(in {metrics})"), err
+        assert not out.exists()
+
 
 # the input documents, each with one fault: the stage that reads it, its
 # option, the fixture file it is edited from (None: built by ``_doc``), the
@@ -822,6 +857,13 @@ NAMED_FAULTS = {
     "scenarios": ("tag", "--scenarios", "scenarios.json",
                   lambda d: d["scenarios"][0].__setitem__("dt", 0),
                   "schema error: $.scenarios[0].dt: "),
+    "no scenarios to tag": ("tag", "--scenarios", "scenarios.json",
+                            lambda d: d["scenarios"].clear(),
+                            "schema error: $.scenarios: expected a list of >= 1 "),
+    "no scenarios to evaluate": ("eval", "--scenarios", "scenarios.json",
+                                 lambda d: d["scenarios"].clear(),
+                                 "schema error: $.scenarios: expected a list of "
+                                 ">= 1 "),
     "duplicate scenario": ("tag", "--scenarios", "scenarios.json",
                            lambda d: d["scenarios"].append(d["scenarios"][0]),
                            "data error: duplicate scenario id "),
@@ -848,10 +890,11 @@ NAMED_FAULTS = {
                              "schema error: $.tags: missing required field "),
     "metrics with no scenarios": ("report", "--metrics", None,
                                   lambda d: d["per_scenario"].clear(),
-                                  "data error: metrics file carries no scenarios "),
+                                  "data error: model 'noisy': no scenarios to "
+                                  "aggregate "),
     "metrics with no tags": ("report", "--metrics", None,
                              lambda d: d["tags"].clear(),
-                             "data error: metrics file carries no scenario tags "),
+                             "data error: tags missing for scenarios: "),
     "metrics tags missing a scenario": ("report", "--metrics", None,
                                         lambda d: d["tags"].pop(max(d["tags"])),
                                         "data error: tags missing for scenarios: "),

@@ -25,7 +25,7 @@ from conftest import (
     reference_test_boundary,
 )
 from test_kernels import mode_sets, road_of
-from test_rotation import _turned
+from test_rotation import _moved
 
 ALIGN, KIN, CFG = AlignmentConfig(), KinematicConfig(), RunConfig()
 
@@ -66,7 +66,7 @@ class TestGroupedTriad:
     def test_turned_maps(self, kind, degrees):
         """Every toy predictor's 25 sets on a turned map as one group; the
         first three also against the references."""
-        road, _, preds = _turned(kind, degrees)
+        road, _, preds = _moved(kind, degrees)
         for sets in preds.values():
             _assert_group_answers_each_set(sets, road, False)
             _assert_group_answers_each_set(sets[:3], road, True)
@@ -164,7 +164,7 @@ def _probe_points(road) -> np.ndarray:
 @functools.cache
 def _heading_roads():
     return [*(road_of(kind) for kind in synth.MapKind),
-            *(_turned(kind, 137)[0] for kind in synth.MapKind)]
+            *(_moved(kind, 137)[0] for kind in synth.MapKind)]
 
 
 def _assert_headings_match(road, points) -> None:

@@ -1,5 +1,6 @@
 import csv
 import io as stdio
+import itertools
 import xml.etree.ElementTree as ET
 import xml.sax.saxutils
 
@@ -8,11 +9,13 @@ from hypothesis import example, given, strategies as st
 
 from criteria.io import RunConfig
 from criteria.bench import (
+    BLOCK_AXES,
     METRIC_NAMES,
     EvaluationRun,
     ScenarioResult,
     WeightConfig,
     aggregate,
+    level_means,
 )
 from criteria import report
 from criteria.metrics import TriadResult
@@ -26,10 +29,12 @@ from criteria.report import (
     render_markdown,
 )
 from criteria.scenario import (
+    AXES,
     Difficulty,
     LengthClass,
     ScenarioTag,
     Structure,
+    level_keys,
 )
 
 from conftest import reference_mean
@@ -86,30 +91,66 @@ class TestBlockMeans:
         assert means["TURN/LONG"]["minADE"] == pytest.approx(want)
 
 
+LEVELS = {"category": tuple(AXES), "block": BLOCK_AXES,
+          "difficulty": ("difficulty",)}
+ONE_HARD_LONG_TURN = [(ScenarioTag(Structure.TURN, Difficulty.HARD, LengthClass.LONG),
+                       [0.1 * i for i in range(len(METRIC_NAMES))])]
+
+
 class TestPerBlock:
-    @given(st.lists(st.tuples(TAGS, VALUES), min_size=1, max_size=12))
-    @example([(ScenarioTag(Structure.TURN, Difficulty.HARD, LengthClass.LONG),
-               [0.1 * i for i in range(len(METRIC_NAMES))])])
-    def test_matches_a_plain_loop(self, drawn):
-        """Block means pool difficulties; a block with no scenario is
-        absent. Compared exactly with one loop per block."""
+    @given(st.sampled_from(list(LEVELS)),
+           st.lists(st.tuples(TAGS, VALUES), min_size=1, max_size=12))
+    @example("category", ONE_HARD_LONG_TURN)
+    @example("block", ONE_HARD_LONG_TURN)
+    @example("difficulty", ONE_HARD_LONG_TURN)
+    def test_matches_a_plain_loop(self, level, drawn):
+        """A level's means pool the axes it leaves out; a key with no
+        scenario is absent, and keys come in the order first seen. Compared
+        exactly with one filtering loop per combination of the level's
+        values, and so are the category and block means of ``aggregate``."""
         run, tags = EvaluationRun("m", {}, RunConfig()), {}
         for i, (tag, values) in enumerate(drawn):
             run.per_scenario[f"s{i:02d}"] = ScenarioResult(
                 dict(zip(METRIC_NAMES, values)), result().triad)
             tags[f"s{i:02d}"] = tag
-        want = {}
-        for block in BLOCKS:
+        axes = LEVELS[level]
+        want, first_seen = {}, {}
+        for combo in itertools.product(*(AXES[axis] for axis in axes)):
             members = [
-                r for sid, r in run.per_scenario.items()
-                if f"{tags[sid].structure.value}/{tags[sid].length.value}" == block
+                (i, r) for i, (sid, r) in enumerate(run.per_scenario.items())
+                if all(getattr(tags[sid], axis) is value
+                       for axis, value in zip(axes, combo))
             ]
             if members:
-                want[block] = {
-                    name: reference_mean([r.values[name] for r in members])
+                key = "/".join(value.value for value in combo)
+                want[key] = {
+                    name: reference_mean([r.values[name] for _, r in members])
                     for name in METRIC_NAMES
                 }
-        assert aggregate(run, tags).per_block == want
+                first_seen[key] = members[0][0]
+        got = level_means(run, tags, axes)
+        assert got == want
+        assert list(got) == sorted(want, key=first_seen.get)
+        rep = aggregate(run, tags)
+        if level == "category":
+            assert rep.per_category == want
+            assert list(rep.per_category) == sorted(want)
+        if level == "block":
+            assert rep.per_block == want
+
+
+class TestLevelKeys:
+    def test_blocks_in_table_order(self):
+        assert BLOCKS == ["TURN/SHORT", "TURN/LONG", "CRUISING/SHORT",
+                          "CRUISING/LONG"]
+
+    def test_the_twelve_categories(self):
+        assert level_keys() == [
+            "TURN/HARD/SHORT", "TURN/HARD/LONG", "TURN/MIDDLE/SHORT",
+            "TURN/MIDDLE/LONG", "TURN/EASY/SHORT", "TURN/EASY/LONG",
+            "CRUISING/HARD/SHORT", "CRUISING/HARD/LONG", "CRUISING/MIDDLE/SHORT",
+            "CRUISING/MIDDLE/LONG", "CRUISING/EASY/SHORT", "CRUISING/EASY/LONG",
+        ]
 
 
 class TestRenderCsv:
