@@ -463,55 +463,44 @@ def angles_between(v1, v2) -> np.ndarray:
     return np.array([math.acos(x) for x in c.tolist()])
 
 
-class Polyline:
-    """A validated polyline with its segments laid out once, for
-    ``nearest_segments`` queries: its ``points``, and for each segment its
-    start ``a``, vector ``ab``, length ``seg_len`` and tangent heading
-    ``tangents``. A segment's tangent is its ``headings`` value; a segment
-    with none (no longer than ``DEGENERATE_EPS``) takes the tangent of the
-    polyline's first segment that has one. Built only by ``many``."""
+def lay_out_polylines(polylines):
+    """Each of ``polylines`` checked to have at least 2 points and a segment
+    with a heading, and all their segments laid out in one pass over their
+    concatenated points, in input order, for ``nearest_segments`` queries.
 
-    @classmethod
-    def many(cls, polylines) -> list["Polyline"]:
-        """Each of ``polylines`` as ``as_points`` returns it, checked to have
-        at least 2 points and a segment with a heading, with the segments of
-        all of them laid out and their tangents computed in one pass over the
-        concatenated points. The first bad polyline raises its error, with
-        its position as the error's ``index``."""
-        arrays, pts, sizes, fault = _point_blocks(
-            polylines, 2, lambda n: ValueError("polyline needs >= 2 points"))
-        lines = []
-        if arrays:
-            # segment j joins points j and j + 1; drop those that join two lines
-            keep = np.ones(len(pts) - 1, dtype=bool)
-            keep[sizes.cumsum()[:-1] - 1] = False
-            a, ab = pts[:-1][keep], (pts[1:] - pts[:-1])[keep]
-            denom = np.einsum("ij,ij->i", ab, ab)
-            seg_len = np.sqrt(denom)
-            sizes = sizes - 1  # segments per line
-            seg_ends = sizes.cumsum()
-            seg_starts = seg_ends - sizes
-            heads = headings(ab)
-            has = ~np.isnan(heads)
-            usable = np.flatnonzero(has)
-            # each line's first segment with a heading; a line has none when
-            # that lands past its end
-            first = np.append(usable, seg_ends[-1])[np.searchsorted(usable, seg_starts)]
-            blind = np.flatnonzero(first >= seg_ends)
-            if len(blind):
-                fault = ValueError("polyline has no usable direction")
-                fault.index = int(blind[0])
-                raise fault
-            tangents = np.where(has, heads, np.repeat(heads[first], sizes))
-            for p, lo, hi in zip(arrays, seg_starts.tolist(), seg_ends.tolist()):
-                line = cls.__new__(cls)
-                line.points, line.a, line.ab = p, a[lo:hi], ab[lo:hi]
-                line.seg_len = seg_len[lo:hi]
-                line.tangents = tangents[lo:hi]
-                lines.append(line)
-        if fault is not None:
-            raise fault
-        return lines
+    Returns ``(lines, points, segs, tangents, lo, hi)``: each polyline as
+    ``as_points`` returns it, their concatenated points, the ``(4, S)``
+    segment table of rows ``x1, y1, dx, dy``, each segment's tangent heading,
+    and each line's run ``lo[i]:hi[i]`` of segments (its points are
+    ``points[lo[i] + i:hi[i] + i + 1]``). A segment's tangent is its
+    ``headings`` value; a segment with none (no longer than
+    ``DEGENERATE_EPS``) takes the tangent of its line's first segment that
+    has one. The first bad polyline raises its error, with its position as
+    the error's ``index``.
+    """
+    lines, pts, sizes, fault = _point_blocks(
+        polylines, 2, lambda n: ValueError("polyline needs >= 2 points"))
+    # segment j joins points j and j + 1; drop those that join two lines
+    keep = np.ones(max(len(pts) - 1, 0), dtype=bool)
+    keep[sizes.cumsum()[:-1] - 1] = False
+    a, ab = pts[:-1][keep], (pts[1:] - pts[:-1])[keep]
+    sizes = sizes - 1  # segments per line
+    hi = sizes.cumsum()
+    lo = hi - sizes
+    heads = headings(ab)
+    has = ~np.isnan(heads)
+    usable = np.flatnonzero(has)
+    # each line's first segment with a heading; a line has none when that
+    # lands past its end
+    first = np.append(usable, len(ab))[np.searchsorted(usable, lo)]
+    blind = np.flatnonzero(first >= hi)
+    if len(blind):
+        fault = ValueError("polyline has no usable direction")
+        fault.index = int(blind[0])
+    if fault is not None:
+        raise fault
+    tangents = np.where(has, heads, np.repeat(heads[first], sizes))
+    return lines, pts, np.vstack([a.T, ab.T]), tangents, lo, hi
 
 
 def nearest_segments(points, lo, hi, segs) -> tuple[np.ndarray, np.ndarray]:
@@ -532,11 +521,12 @@ def nearest_segments(points, lo, hi, segs) -> tuple[np.ndarray, np.ndarray]:
 
 def nearest_on_polyline(p, polyline) -> tuple[np.ndarray, float]:
     """Closest point on a polyline: ``(foot, arc_offset)``."""
-    line = Polyline.many([polyline])[0]
-    (i,), (t,) = nearest_segments(p, np.zeros(1, int), np.array([len(line.a)]),
-                                  np.vstack([line.a.T, line.ab.T]))
-    offset = float(line.seg_len[:i].sum() + t * line.seg_len[i])
-    return line.a[i] + t * line.ab[i], offset
+    _, _, segs, _, lo, hi = lay_out_polylines([polyline])
+    (i,), (t,) = nearest_segments(p, lo, hi, segs)
+    a, ab = segs[:2].T, segs[2:].T
+    seg_len = np.sqrt(np.einsum("ij,ij->i", ab, ab))
+    offset = float(seg_len[:i].sum() + t * seg_len[i])
+    return a[i] + t * ab[i], offset
 
 
 class GridIndex:

@@ -39,12 +39,6 @@ class LaneSegment:
     right_neighbor: str | None = None
 
 
-def _stack(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n_i, 2)`` ``arrays`` stacked, and the row where each starts."""
-    sizes = np.array([len(a) for a in arrays], dtype=np.int64)
-    return np.concatenate([np.empty((0, 2)), *arrays]), np.cumsum(sizes) - sizes
-
-
 def is_turn_lane(lane: LaneSegment) -> bool:
     """An intersection lane tagged LEFT or RIGHT."""
     return lane.is_intersection and lane.turn in (Turn.LEFT, Turn.RIGHT)
@@ -52,11 +46,14 @@ def is_turn_lane(lane: LaneSegment) -> bool:
 
 class RoadMap:
     """Immutable lane map, checked and laid out once when built: one
-    ``geom.Polyline.many`` call lays out every centerline and refuses one
-    with no direction, one ``geom.normalize_rings`` call turns every lane
-    polygon and drivable ring counter-clockwise, the drivable rings and lane
-    polygons are two ``geom.RingTable``s for batched point queries, and all
-    centerline segments one table, in ``lane_ids`` order."""
+    ``geom.lay_out_polylines`` call lays out every centerline segment as one
+    table, in file order, and refuses a centerline with no direction; one
+    ``geom.normalize_rings`` call turns every lane polygon and drivable ring
+    counter-clockwise; the drivable rings and lane polygons are two
+    ``geom.RingTable``s for batched point queries. ``lane_ids`` are the lane
+    ids in sorted order; the lane table's rings, the lane masks' columns,
+    the ``turn_lanes`` mask and each lane's run of centerline segments
+    follow it."""
 
     def __init__(
         self,
@@ -66,7 +63,8 @@ class RoadMap:
     ):
         self.map_id = map_id
         try:
-            lines = geom.Polyline.many([lane.centerline for lane in lanes])
+            lines, points, self._segs, self._tangents, lo, hi = geom.lay_out_polylines(
+                [lane.centerline for lane in lanes])
         except (TypeError, ValueError) as e:
             raise InvalidMapError(f"lane {lanes[e.index].id!r}: centerline: {e}") from e
         try:
@@ -77,27 +75,26 @@ class RoadMap:
             raise InvalidMapError(f"{where}: {e}") from e
         self.drivable = rings[len(lanes):]
         self.lanes = {}
-        line_of = {}
         for lane, line, polygon in zip(lanes, lines, rings):
             if lane.id in self.lanes:
                 raise InvalidMapError(f"duplicate lane id {lane.id!r}")
-            if line.points is not lane.centerline or polygon is not lane.polygon:
-                lane = dataclasses.replace(lane, centerline=line.points, polygon=polygon)
+            if line is not lane.centerline or polygon is not lane.polygon:
+                lane = dataclasses.replace(lane, centerline=line, polygon=polygon)
             self.lanes[lane.id] = lane
-            line_of[lane.id] = line
         self._drivable = geom.RingTable(self.drivable)
-        # lane ids in sorted order; the lane table's rings, the lane masks'
-        # columns and the centerline segment runs seg_lo[c]:seg_hi[c] follow it
-        self.lane_ids = tuple(sorted(self.lanes))
-        self._lanes = geom.RingTable([self.lanes[i].polygon for i in self.lane_ids])
-        ordered = [line_of[i] for i in self.lane_ids]
-        a, self._seg_lo = _stack([line.a for line in ordered])
-        self._segs = np.vstack([a.T, _stack([line.ab for line in ordered])[0].T])
-        self._seg_hi = self._seg_lo + np.array([len(line.a) for line in ordered], int)
-        self._tangents = np.concatenate([np.empty(0), *(line.tangents for line in ordered)])
-        self._validate()
+        # order[c] is the file position of lane_ids[c]
+        order = sorted(range(len(lanes)), key=lambda i: lanes[i].id)
+        self.lane_ids = tuple(lanes[i].id for i in order)
+        self._lanes = geom.RingTable([rings[i] for i in order])
+        self.turn_lanes = np.array([is_turn_lane(lanes[i]) for i in order], dtype=bool)
+        self._seg_lo, self._seg_hi = lo[order], hi[order]
+        self._validate(points, lo + np.arange(len(lanes)), np.argsort(order))
 
-    def _validate(self) -> None:
+    def _validate(self, points: np.ndarray, starts: np.ndarray, cols: np.ndarray) -> None:
+        """Check the map in file order: each lane's successors, then its
+        centerline ``points[starts[i]:starts[i + 1]]`` against its own
+        polygon, column ``cols[i]`` of the lane table; and warn of each lane
+        polygon with a vertex off the drivable area."""
         lanes = list(self.lanes.values())
         for lane in lanes:
             for succ in lane.successors:
@@ -109,10 +106,7 @@ class RoadMap:
             return
         # every centerline point against its own lane's edges, with the
         # tolerance as the boundary band: a point outside it strays too far
-        col = {lane_id: c for c, lane_id in enumerate(self.lane_ids)}
-        points, starts = _stack([lane.centerline for lane in lanes])
-        own = np.repeat([col[lane.id] for lane in lanes],
-                        [len(lane.centerline) for lane in lanes])
+        own = np.repeat(cols, np.diff(starts, append=len(points)))
         near = self._lanes.holds(points, own, CENTERLINE_TOL)
         stray = np.flatnonzero(~np.logical_and.reduceat(near, starts))
         if len(stray):
@@ -123,10 +117,11 @@ class RoadMap:
                 f"lane {lane.id!r}: centerline strays "
                 f"{d.max():.2f} m outside its polygon"
             )
-        # one drivable-area query for every lane polygon vertex
-        vertices, starts = _stack([lane.polygon for lane in lanes])
-        covered = np.logical_and.reduceat(self.contains_many(vertices), starts)
-        for j in np.flatnonzero(~covered):
+        # one drivable-area query for every lane polygon vertex: the start
+        # of each edge of the lane table
+        off = np.zeros(len(lanes), dtype=bool)
+        off[self._lanes.ring_of[~self.contains_many(self._lanes.edges[:2].T)]] = True
+        for j in np.flatnonzero(off[cols]):
             log.warning(
                 "map %s: lane %s polygon not fully inside drivable area",
                 self.map_id,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geom
 from .errors import DataConsistencyError, SettingError
-from .map_model import RoadMap, is_turn_lane
+from .map_model import RoadMap
 from .metrics import mean, total
 from .trajectory import Trajectory
 
@@ -111,8 +111,7 @@ def tag_structure(
     check_maps([rec], {road.map_id: road})
     points = np.vstack([rec.past.points, rec.future.points])
     near = road.lanes_within_radius(points, cfg.turn_radius)
-    turn = [is_turn_lane(road.lanes[lane_id]) for lane_id in road.lane_ids]
-    return Structure.TURN if near[:, turn].any() else Structure.CRUISING
+    return Structure.TURN if near[:, road.turn_lanes].any() else Structure.CRUISING
 
 
 def difficulty_scores(

@@ -110,16 +110,15 @@ def reference_points(block) -> np.ndarray:
 
 
 def reference_polyline(polyline) -> dict[str, np.ndarray]:
-    """A polyline checked and laid out on its own, segment by segment: the
-    fields of ``geom.Polyline``."""
+    """A polyline checked and laid out on its own, segment by segment: its
+    points, and each segment's start ``a``, vector ``ab`` and tangent, as
+    ``geom.lay_out_polylines`` lays them out for each line."""
     pts = reference_points(polyline)
     if len(pts) < 2:
         raise ValueError("polyline needs >= 2 points")
     ab = pts[1:] - pts[:-1]
-    denom = np.einsum("ij,ij->i", ab, ab)
     tangents = np.array([reference_tangent(ab, i) for i in range(len(ab))])
-    return dict(points=pts, a=pts[:-1], ab=ab, seg_len=np.sqrt(denom),
-                tangents=tangents)
+    return dict(points=pts, a=pts[:-1], ab=ab, tangents=tangents)
 
 
 def reference_normalize_ring(ring) -> np.ndarray:

@@ -319,10 +319,9 @@ class TestNearestOnPolyline:
         foot, offset = geom.nearest_on_polyline((5, 0), pl)
         assert foot == pytest.approx([5, 0])
         assert offset == pytest.approx(5)
-        line = geom.Polyline.many([pl])[0]
-        (seg,), _ = geom.nearest_segments((5, 0), np.array([0]), np.array([2]),
-                                          np.vstack([line.a.T, line.ab.T]))
-        assert line.tangents[seg] == pytest.approx(math.pi / 2)  # the next segment's
+        _, _, segs, tangents, lo, hi = geom.lay_out_polylines([pl])
+        (seg,), _ = geom.nearest_segments((5, 0), lo, hi, segs)
+        assert tangents[seg] == pytest.approx(math.pi / 2)  # the next segment's
 
     def test_dense_sampling_oracle(self):
         rng = np.random.default_rng(17)
@@ -396,9 +395,22 @@ def _per_item(make):
 
 
 def _polyline_fields(lines):
-    return [line[key] if isinstance(line, dict) else getattr(line, key)
-            for line in lines
-            for key in ("points", "a", "ab", "seg_len", "tangents")]
+    return [line[key] for line in lines for key in ("points", "a", "ab", "tangents")]
+
+
+def _laid_out(lines):
+    """``geom.lay_out_polylines(lines)`` split into each line's fields, after
+    checking that the runs tile the segment table and the points in order."""
+    arrays, points, segs, tangents, lo, hi = geom.lay_out_polylines(lines)
+    bounds = np.append(0, hi)
+    assert lo.tolist() == bounds[:-1].tolist() and bounds[-1] == segs.shape[1]
+    assert len(points) == segs.shape[1] + len(arrays) and len(tangents) == segs.shape[1]
+    out = []
+    for i, p in enumerate(arrays):
+        assert points[lo[i] + i:hi[i] + i + 1].tobytes() == p.tobytes()
+        out.append(dict(points=p, a=segs[:2, lo[i]:hi[i]].T, ab=segs[2:, lo[i]:hi[i]].T,
+                        tangents=tangents[lo[i]:hi[i]]))
+    return out
 
 
 class TestBatchedConstructors:
@@ -428,15 +440,14 @@ class TestBatchedConstructors:
     def test_polyline_many_matches_per_line(self, lines):
         want = _outcome(lambda ls: _polyline_fields(_per_item(reference_polyline)(ls)),
                         lines)
-        assert _outcome(lambda ls: _polyline_fields(geom.Polyline.many(ls)),
-                        lines) == want
+        assert _outcome(lambda ls: _polyline_fields(_laid_out(ls)), lines) == want
 
     def test_tangent_raises_where_there_is_none(self):
         """A line with no segment longer than DEGENERATE_EPS has no tangent
         anywhere, so it is refused at its position, before a later bad line."""
         lines = [[(0, 0), (1, 0)], [(0, 0), (0, 0), (1e-6, 0)], [(0, 0)]]
         with pytest.raises(ValueError, match="no usable direction") as e:
-            geom.Polyline.many(lines)
+            geom.lay_out_polylines(lines)
         assert e.value.index == 1
 
 

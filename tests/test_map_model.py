@@ -478,6 +478,45 @@ class TestLaneSegmentMany:
             RoadMap("bad", lanes, synth_road(synth.MapKind.CROSSROADS).drivable)
         assert str(e.value) == error.format(lanes[1].id)
 
+    @pytest.mark.parametrize("bad,error", [
+        ((np.zeros((3, 2)), np.zeros((1, 2))), "polyline has no usable direction"),
+        ((np.zeros((1, 2)), np.zeros((3, 2))), "polyline needs >= 2 points"),
+    ], ids=["directionless_then_short", "short_then_directionless"])
+    def test_first_bad_centerline_in_file_order(self, bad, error):
+        """Lanes 3 and 4 (``EL0``, ``E1a``) sort in the reverse of their file
+        order; the one that comes first in the file is named."""
+        lanes = self.lanes(synth.MapKind.CROSSROADS)
+        for i, centerline in zip((3, 4), bad):
+            lanes[i] = dataclasses.replace(lanes[i], centerline=centerline)
+        assert lanes[4].id < lanes[3].id
+        with pytest.raises(InvalidMapError) as e:
+            RoadMap("bad", lanes, synth_road(synth.MapKind.CROSSROADS).drivable)
+        assert str(e.value) == f"lane {lanes[3].id!r}: centerline: {error}"
+
+    def test_first_stray_centerline_in_file_order(self):
+        lanes = self.lanes(synth.MapKind.CROSSROADS)
+        for i in (3, 4):
+            lanes[i] = dataclasses.replace(
+                lanes[i], centerline=np.asarray(lanes[i].centerline) + 20.0)
+        with pytest.raises(InvalidMapError) as e:
+            RoadMap("bad", lanes, synth_road(synth.MapKind.CROSSROADS).drivable)
+        assert str(e.value).startswith(f"lane {lanes[3].id!r}: centerline strays ")
+
+    def test_off_drivable_warnings_in_file_order(self, caplog):
+        """Lanes 3 and 4 moved, centerline and polygon, far off the
+        drivable area: one warning each, in file order."""
+        lanes = self.lanes(synth.MapKind.CROSSROADS)
+        for i in (3, 4):
+            lanes[i] = dataclasses.replace(
+                lanes[i], centerline=np.asarray(lanes[i].centerline) + 1000.0,
+                polygon=lanes[i].polygon + 1000.0)
+        with caplog.at_level(logging.WARNING, logger="criteria.map_model"):
+            RoadMap("m", lanes, synth_road(synth.MapKind.CROSSROADS).drivable)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"map m: lane {lanes[i].id} polygon not fully inside drivable area"
+            for i in (3, 4)
+        ]
+
     def test_zero_area_drivable_ring_raises(self):
         """Drivable rings are oriented after the lane polygons, in the same
         call; the first bad ring is named by its place in the drivable area."""
@@ -487,6 +526,41 @@ class TestLaneSegmentMany:
         with pytest.raises(InvalidMapError) as e:
             RoadMap("bad", lanes, drivable)
         assert str(e.value) == "drivable_area[1]: degenerate polygon (zero area)"
+
+
+class TestLaneOrder:
+    """The centerline segment table stays in file order, while the lane
+    masks' columns and each lane's run of segments follow ``lane_ids``: a
+    map built from its lanes in another order answers every query alike."""
+
+    @pytest.mark.parametrize("kind", list(synth.MapKind))
+    @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+    def test_queries_ignore_lane_order(self, kind, reorder):
+        road = synth_road(kind)
+        lanes = list(road.lanes.values())
+        if reorder == "reversed":
+            lanes.reverse()
+        else:
+            np.random.default_rng(5).shuffle(lanes)
+        other = RoadMap(road.map_id, lanes, road.drivable)
+        assert other.lane_ids == road.lane_ids
+        assert other.turn_lanes.tolist() == road.turn_lanes.tolist() == [
+            is_turn_lane(road.lanes[i]) for i in road.lane_ids]
+        rng = np.random.default_rng(6)
+        lim = synth.ROAD_HALF + 10.0
+        pts = np.vstack([probe_anchors(kind, True), probe_anchors(kind, False),
+                         rng.uniform(-lim, lim, size=(500, 2))])
+        for query in (RoadMap.lanes_containing, RoadMap.contains_many,
+                      lambda r, p: r.lanes_within_radius(p, 3.7)):
+            np.testing.assert_array_equal(query(other, pts), query(road, pts))
+        cols = rng.integers(len(road.lane_ids), size=len(pts))
+        assert (other.lane_heading_at(cols, pts).tobytes()
+                == road.lane_heading_at(cols, pts).tobytes())
+        xs, ys = np.linspace(-lim, lim, 97), np.linspace(-lim, lim, 89)
+        want = road.contains_grid(xs, ys)
+        ix, iy = np.meshgrid(np.arange(len(xs)), np.arange(len(ys)), indexing="ij")
+        assert_cover_matches(other.contains_grid(xs, ys),
+                             want.contains(ix.ravel(), iy.ravel()).reshape(ix.shape))
 
 
 class TestDrivable:
