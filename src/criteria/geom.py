@@ -63,37 +63,6 @@ def signed_area(ring: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
-def normalize_rings(rings) -> list[np.ndarray]:
-    """Each of ``rings`` as ``as_points`` returns it, checked to have at
-    least 3 vertices and a nonzero area, and turned counter-clockwise.
-
-    The shoelace terms of all rings are computed in one pass over their
-    concatenated vertices, and each ring's terms are summed by
-    ``np.add.reduce`` over its own slice, as ``signed_area`` sums them, so
-    every orientation decision is the one-ring decision. The first bad ring
-    raises its error, with its position as the error's ``index``.
-    """
-    arrays, pts, sizes, fault = _point_blocks(
-        rings, 3, lambda n: InvalidMapError(f"polygon needs >= 3 vertices, got {n}"))
-    out = []
-    if arrays:
-        x, y = pts.T
-        succ = _ring_successors(sizes)
-        terms = x * y[succ] - x[succ] * y
-        bounds = [0, *sizes.cumsum().tolist()]
-        for i, a in enumerate(arrays):
-            # np.add.reduce is np.sum without its Python wrapper
-            area = 0.5 * float(np.add.reduce(terms[bounds[i]:bounds[i + 1]]))
-            if abs(area) < 1e-12:
-                e = InvalidMapError("degenerate polygon (zero area)")
-                e.index = i
-                raise e
-            out.append(a[::-1].copy() if area < 0 else a)
-    if fault is not None:
-        raise fault
-    return out
-
-
 def _point_blocks(blocks, min_len: int, short):
     """The blocks of ``blocks`` before the first bad one, each as
     ``as_points`` returns it, their concatenated points, their sizes, and
@@ -129,16 +98,6 @@ def _point_blocks(blocks, min_len: int, short):
     if fault is not None:
         fault.index = n
     return arrays[:n], pts[:sizes[:n].sum()], sizes[:n], fault
-
-
-def _ring_successors(sizes: np.ndarray) -> np.ndarray:
-    """The index of each vertex's successor in the concatenation of rings of
-    ``sizes`` vertices each: the next vertex, except that each ring's last
-    vertex closes on its first."""
-    ends = np.cumsum(sizes)
-    succ = np.arange(1, ends[-1] + 1)
-    succ[ends - 1] = ends - sizes
-    return succ
 
 
 def distance_to_ring(points, ring) -> np.ndarray:
@@ -192,33 +151,63 @@ def _in_runs(keys: np.ndarray, depth: np.ndarray, cells: np.ndarray) -> np.ndarr
 
 
 class RingTable:
-    """Validated polygon rings laid out once as one edge table, for batched
-    point and grid queries against all of them.
+    """Polygon rings checked, turned counter-clockwise and laid out as one
+    edge table in a single pass over their concatenated vertices, in input
+    order, for batched point and grid queries against all of them.
 
-    ``edges`` is the ``(8, E)`` table of every edge of every ring, in ring
-    order, with the rows ``x1, y1, dx, dy, ex0, ey0, ex1, ey1`` (start,
+    Each ring must pass ``_point_blocks`` with at least 3 vertices and have
+    a nonzero area: the shoelace terms of all rings are computed at once and
+    each ring's terms are summed by ``np.add.reduce`` over its own slice, as
+    ``signed_area`` sums them, so every orientation decision is the one-ring
+    decision. The first bad ring raises its error, with its position as the
+    error's ``index``. A clockwise ring is reversed in place among the
+    concatenated vertices, and the edges are built from them.
+
+    ``rings`` holds each ring as the table has it: a copy for a ring that
+    was turned around, and the array ``as_points`` returns for one that was
+    not. ``edges`` is the ``(8, E)`` table of every edge of every ring, in
+    ring order, with the rows ``x1, y1, dx, dy, ex0, ey0, ex1, ey1`` (start,
     vector to the next vertex, unpadded bounding box), ``ring_of`` the
     ``(E,)`` index of each edge's ring and ``boxes`` the ``(4, R)`` padded
-    ``min_x, min_y, max_x, max_y`` of every ring; all are built in one pass
-    over the concatenated vertices.
+    ``min_x, min_y, max_x, max_y`` of every ring.
     """
 
     def __init__(self, rings):
-        self.n_rings = len(rings)
+        arrays, pts, sizes, fault = _point_blocks(
+            rings, 3, lambda n: InvalidMapError(f"polygon needs >= 3 vertices, got {n}"))
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        # each vertex's successor: the next one, except that each ring's
+        # last vertex closes on its first
+        succ = np.arange(1, len(pts) + 1)
+        succ[ends - 1] = starts
+        x1, y1 = pts.T  # views, so a ring turned in ``pts`` is turned here
+        terms = x1 * y1[succ] - x1[succ] * y1
+        self.rings = []
+        for i, (a, lo, hi) in enumerate(zip(arrays, starts.tolist(), ends.tolist())):
+            # np.add.reduce is np.sum without its Python wrapper
+            area = 0.5 * float(np.add.reduce(terms[lo:hi]))
+            if abs(area) < 1e-12:
+                e = InvalidMapError("degenerate polygon (zero area)")
+                e.index = i
+                raise e
+            if area < 0:
+                a = a[::-1].copy()
+                pts[lo:hi] = a
+            self.rings.append(a)
+        if fault is not None:
+            raise fault
+        self.n_rings = len(arrays)
         if not self.n_rings:
             self.edges, self.ring_of = np.empty((8, 0)), np.empty(0, dtype=np.int64)
             self.boxes = np.empty((4, 0))
             return
-        sizes = np.array([len(r) for r in rings])
-        x1, y1 = np.concatenate(rings).T
-        succ = _ring_successors(sizes)
         x2, y2 = x1[succ], y1[succ]
         self.edges = np.array([
             x1, y1, x2 - x1, y2 - y1,
             np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2),
         ])
         self.ring_of = np.repeat(np.arange(self.n_rings), sizes)
-        starts = np.cumsum(sizes) - sizes
         lo = np.minimum.reduceat(self.edges[4:6], starts, axis=1) - BOX_PAD
         hi = np.maximum.reduceat(self.edges[6:8], starts, axis=1) + BOX_PAD
         self.boxes = np.vstack([lo, hi])
@@ -390,9 +379,6 @@ def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
     """``_ranges(lo, hi)`` in blocks of whole runs ``e`` holding about
     ``PAIR_BLOCK`` pairs each (or one run, if it alone holds more)."""
     ends = np.cumsum(hi - lo)
-    if ends[-1] <= PAIR_BLOCK:
-        yield _ranges(lo, hi)
-        return
     marks = np.arange(PAIR_BLOCK, ends[-1], PAIR_BLOCK)
     cuts = ends.searchsorted(marks, "right").tolist()
     for e0, e1 in zip([0, *cuts], [*cuts, len(lo)]):
@@ -403,12 +389,9 @@ def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
 
 def points_in_polygon(points, ring, eps: float = BOUNDARY_EPS) -> np.ndarray:
     """Even-odd containment test; points within ``eps`` of the boundary count
-    as inside. The one-ring query of ``RingTable.contains``."""
-    pts = as_points(points)
-    ring = as_points(ring)
-    if len(ring) < 3 or abs(signed_area(ring)) < 1e-12:
-        raise InvalidMapError("degenerate polygon (zero area)")
-    return RingTable([ring]).contains(pts, eps)[:, 0]
+    as inside. The one-ring query of ``RingTable.contains``, so ``ring`` is
+    checked, and turned counter-clockwise, as a map's rings are."""
+    return RingTable([ring]).contains(as_points(points), eps)[:, 0]
 
 
 def arc_length(polyline) -> float:

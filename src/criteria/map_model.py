@@ -47,13 +47,12 @@ def is_turn_lane(lane: LaneSegment) -> bool:
 class RoadMap:
     """Immutable lane map, checked and laid out once when built: one
     ``geom.lay_out_polylines`` call lays out every centerline segment as one
-    table, in file order, and refuses a centerline with no direction; one
-    ``geom.normalize_rings`` call turns every lane polygon and drivable ring
-    counter-clockwise; the drivable rings and lane polygons are two
-    ``geom.RingTable``s for batched point queries. ``lane_ids`` are the lane
-    ids in sorted order; the lane table's rings, the lane masks' columns,
-    the ``turn_lanes`` mask and each lane's run of centerline segments
-    follow it."""
+    table, in file order, and refuses a centerline with no direction; the
+    lane polygons and the drivable rings are two ``geom.RingTable``s, each
+    checked, turned counter-clockwise and laid out in one pass, in file
+    order, for batched point queries. ``lane_ids`` are the lane ids in
+    sorted order; the lane masks' columns, the ``turn_lanes`` mask and each
+    lane's run of centerline segments follow it."""
 
     def __init__(
         self,
@@ -68,33 +67,34 @@ class RoadMap:
         except (TypeError, ValueError) as e:
             raise InvalidMapError(f"lane {lanes[e.index].id!r}: centerline: {e}") from e
         try:
-            rings = geom.normalize_rings([lane.polygon for lane in lanes] + list(drivable))
+            self._lanes = geom.RingTable([lane.polygon for lane in lanes])
         except (TypeError, ValueError, InvalidMapError) as e:
-            where = (f"lane {lanes[e.index].id!r}: polygon" if e.index < len(lanes)
-                     else f"drivable_area[{e.index - len(lanes)}]")
-            raise InvalidMapError(f"{where}: {e}") from e
-        self.drivable = rings[len(lanes):]
+            raise InvalidMapError(f"lane {lanes[e.index].id!r}: polygon: {e}") from e
+        try:
+            self._drivable = geom.RingTable(drivable)
+        except (TypeError, ValueError, InvalidMapError) as e:
+            raise InvalidMapError(f"drivable_area[{e.index}]: {e}") from e
+        self.drivable = self._drivable.rings
         self.lanes = {}
-        for lane, line, polygon in zip(lanes, lines, rings):
+        for lane, line, polygon in zip(lanes, lines, self._lanes.rings):
             if lane.id in self.lanes:
                 raise InvalidMapError(f"duplicate lane id {lane.id!r}")
             if line is not lane.centerline or polygon is not lane.polygon:
                 lane = dataclasses.replace(lane, centerline=line, polygon=polygon)
             self.lanes[lane.id] = lane
-        self._drivable = geom.RingTable(self.drivable)
         # order[c] is the file position of lane_ids[c]
         order = sorted(range(len(lanes)), key=lambda i: lanes[i].id)
+        self._order = np.array(order, dtype=np.int64)
         self.lane_ids = tuple(lanes[i].id for i in order)
-        self._lanes = geom.RingTable([rings[i] for i in order])
         self.turn_lanes = np.array([is_turn_lane(lanes[i]) for i in order], dtype=bool)
         self._seg_lo, self._seg_hi = lo[order], hi[order]
-        self._validate(points, lo + np.arange(len(lanes)), np.argsort(order))
+        self._validate(points, lo + np.arange(len(lanes)))
 
-    def _validate(self, points: np.ndarray, starts: np.ndarray, cols: np.ndarray) -> None:
+    def _validate(self, points: np.ndarray, starts: np.ndarray) -> None:
         """Check the map in file order: each lane's successors, then its
         centerline ``points[starts[i]:starts[i + 1]]`` against its own
-        polygon, column ``cols[i]`` of the lane table; and warn of each lane
-        polygon with a vertex off the drivable area."""
+        polygon, ring ``i`` of the lane table; and warn of each lane polygon
+        with a vertex off the drivable area."""
         lanes = list(self.lanes.values())
         for lane in lanes:
             for succ in lane.successors:
@@ -106,7 +106,7 @@ class RoadMap:
             return
         # every centerline point against its own lane's edges, with the
         # tolerance as the boundary band: a point outside it strays too far
-        own = np.repeat(cols, np.diff(starts, append=len(points)))
+        own = np.repeat(np.arange(len(lanes)), np.diff(starts, append=len(points)))
         near = self._lanes.holds(points, own, CENTERLINE_TOL)
         stray = np.flatnonzero(~np.logical_and.reduceat(near, starts))
         if len(stray):
@@ -121,7 +121,7 @@ class RoadMap:
         # of each edge of the lane table
         off = np.zeros(len(lanes), dtype=bool)
         off[self._lanes.ring_of[~self.contains_many(self._lanes.edges[:2].T)]] = True
-        for j in np.flatnonzero(off[cols]):
+        for j in np.flatnonzero(off):
             log.warning(
                 "map %s: lane %s polygon not fully inside drivable area",
                 self.map_id,
@@ -133,7 +133,8 @@ class RoadMap:
     def lanes_containing(self, points) -> np.ndarray:
         """Lane membership of ``(N, 2)`` points (boundary counts) as an
         ``(N, len(lane_ids))`` mask whose columns follow ``lane_ids``."""
-        return self._lanes.contains(geom.as_points(points), geom.BOUNDARY_EPS)
+        mask = self._lanes.contains(geom.as_points(points), geom.BOUNDARY_EPS)
+        return mask.take(self._order, axis=1)
 
     def lanes_within_radius(self, points, r: float) -> np.ndarray:
         """Lanes inside or within ``r`` of each of ``(N, 2)`` points as an
@@ -141,8 +142,9 @@ class RoadMap:
         lane's boundary band is never narrower than the containment test's."""
         if not r > 0:
             raise ValueError("radius must be positive")
-        return self._lanes.contains(geom.as_points(points),
+        mask = self._lanes.contains(geom.as_points(points),
                                     max(float(r), geom.BOUNDARY_EPS))
+        return mask.take(self._order, axis=1)
 
     def lane_heading_at(self, cols, points) -> np.ndarray:
         """Tangent heading of the centerline of lane ``lane_ids[cols[m]]``,

@@ -133,6 +133,22 @@ def reference_normalize_ring(ring) -> np.ndarray:
     return ring[::-1].copy() if area < 0 else ring
 
 
+def reference_ring_table(rings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counter-clockwise rings laid out one ring at a time, as
+    ``geom.RingTable`` lays them out: the ``(8, E)`` edge table (start,
+    vector to the next vertex, unpadded bounding box), each edge's ring and
+    each ring's box padded by ``BOX_PAD``."""
+    edges, ring_of, boxes = [np.empty((8, 0))], [np.empty(0, np.int64)], []
+    for r, a in enumerate(rings):
+        b = np.roll(a, -1, axis=0)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        edges.append(np.vstack([a.T, (b - a).T, lo.T, hi.T]))
+        ring_of.append(np.full(len(a), r))
+        boxes.append([*(lo.min(axis=0) - geom.BOX_PAD), *(hi.max(axis=0) + geom.BOX_PAD)])
+    return (np.concatenate(edges, axis=1), np.concatenate(ring_of),
+            np.array(boxes).reshape(-1, 4).T)
+
+
 def lane_ids_of(road, row) -> list[str]:
     """The ids of the lanes flagged in one row of a lane mask."""
     return [road.lane_ids[c] for c in np.flatnonzero(row)]

@@ -143,7 +143,7 @@ def test_criterion_6_geometry_oracles():
     angles = np.sort(rng.uniform(0, 2 * np.pi, size=9))
     radius = float(rng.uniform(6, 10))
     poly = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    ring = geom.normalize_rings([poly])[0]
+    ring = geom.RingTable([poly]).rings[0]
     pts = rng.uniform(-12, 12, size=(10000, 2))
     a = ring
     b = np.roll(ring, -1, axis=0)

@@ -15,6 +15,7 @@ from conftest import (
     reference_normalize_ring,
     reference_polyline,
     reference_rasterize_occupancy,
+    reference_ring_table,
 )
 
 
@@ -26,7 +27,7 @@ def random_convex_polygon(rng, n=8, radius=10.0):
 
 def halfplane_contains(p, ring):
     """Convex-polygon oracle: point left of (or on) every CCW edge."""
-    ring = geom.normalize_rings([ring])[0]
+    ring = geom.RingTable([ring]).rings[0]
     a = ring
     b = np.roll(ring, -1, axis=0)
     cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
@@ -97,10 +98,10 @@ class TestRing:
         pts = np.vstack([rng.uniform(-12, 12, size=(500, 2)), near])
         want = reference_in_polygon(pts, poly, eps)
         np.testing.assert_array_equal(geom.points_in_polygon(pts, poly, eps), want)
-        # a clockwise ring is tested as given, not reoriented
+        # a clockwise ring is turned counter-clockwise first, as a map's is
         np.testing.assert_array_equal(
             geom.points_in_polygon(pts, poly[::-1], eps),
-            reference_in_polygon(pts, poly[::-1], eps),
+            reference_in_polygon(pts, reference_normalize_ring(poly[::-1]), eps),
         )
 
     def test_degenerate_polygon_rejected(self):
@@ -111,10 +112,15 @@ class TestRing:
     @pytest.mark.parametrize("ring,error", [
         ([[0.0, 0.0], [1.0, 1.0]], InvalidMapError),  # two vertices
         ([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]], ValueError),
+        ([[0.0, 0.0], [2e150, 0.0], [0.0, 2e150]], ValueError),  # beyond COORD_LIMIT
     ])
     def test_bad_ring_rejected(self, ring, error):
-        with pytest.raises(error):
+        """The ring is refused as a map refuses it, with the same message."""
+        with pytest.raises(error) as e:
             geom.points_in_polygon([(0.5, 0.25)], np.array(ring))
+        with pytest.raises(error) as want:
+            geom.RingTable([ring])
+        assert str(e.value) == str(want.value)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 0.13])
@@ -339,7 +345,7 @@ class TestNearestOnPolyline:
 
 
 # coordinates that make good rings and lines, collinear or repeated points,
-# areas near normalize_rings' 1e-12 threshold, and points out of range
+# areas near RingTable's 1e-12 zero-area threshold, and points out of range
 COORDS = st.one_of(
     st.floats(-100, 100),
     st.integers(-3, 3),
@@ -394,6 +400,16 @@ def _per_item(make):
     return run
 
 
+def _ring_table(rings):
+    table = geom.RingTable(rings)
+    return [*table.rings, table.edges, table.ring_of, table.boxes]
+
+
+def _reference_ring_table(rings):
+    rings = _per_item(reference_normalize_ring)(rings)
+    return [*rings, *reference_ring_table(rings)]
+
+
 def _polyline_fields(lines):
     return [line[key] for line in lines for key in ("points", "a", "ab", "tangents")]
 
@@ -419,22 +435,23 @@ class TestBatchedConstructors:
     first bad item's error, at its position."""
 
     @given(POINT_LISTS)
-    def test_normalize_rings_matches_per_ring(self, rings):
-        want = _outcome(_per_item(reference_normalize_ring), rings)
-        assert _outcome(geom.normalize_rings, rings) == want
+    def test_ring_table_matches_per_ring(self, rings):
+        """Each ring as the table has it, its edge table, each edge's ring
+        and each ring's padded box."""
+        assert _outcome(_ring_table, rings) == _outcome(_reference_ring_table, rings)
 
     @given(st.lists(st.one_of(
         st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
                  min_size=3, max_size=200),
         _near_flat_rings(),
     ), min_size=1, max_size=4))
-    def test_signed_areas_match_per_ring(self, rings):
+    def test_ring_table_signed_areas_match_per_ring(self, rings):
         """Rings of 8 or more vertices, whose shoelace terms ``np.sum`` adds
         pairwise, some of them flat up to rounding, so that the order of the
         sum decides their orientation or rejection: each ring is turned
-        around exactly when its ``signed_area`` is negative."""
-        want = _outcome(_per_item(reference_normalize_ring), rings)
-        assert _outcome(geom.normalize_rings, rings) == want
+        around exactly when its ``signed_area`` is negative, and its edges
+        are laid out as turned."""
+        assert _outcome(_ring_table, rings) == _outcome(_reference_ring_table, rings)
 
     @given(POINT_LISTS)
     def test_polyline_many_matches_per_line(self, lines):

@@ -493,6 +493,22 @@ class TestLaneSegmentMany:
             RoadMap("bad", lanes, synth_road(synth.MapKind.CROSSROADS).drivable)
         assert str(e.value) == f"lane {lanes[3].id!r}: centerline: {error}"
 
+    @pytest.mark.parametrize("bad,error", [
+        ((np.zeros((3, 2)), np.zeros((2, 2))), "degenerate polygon (zero area)"),
+        ((np.zeros((2, 2)), np.zeros((3, 2))), "polygon needs >= 3 vertices, got 2"),
+    ], ids=["flat_then_short", "short_then_flat"])
+    def test_first_bad_polygon_in_file_order(self, bad, error):
+        """The lane table is laid out in file order, so of lanes 3 and 4
+        (``EL0``, ``E1a``) the one that comes first in the file is named,
+        whichever check refuses it."""
+        lanes = self.lanes(synth.MapKind.CROSSROADS)
+        for i, polygon in zip((3, 4), bad):
+            lanes[i] = dataclasses.replace(lanes[i], polygon=polygon)
+        assert (lanes[3].id, lanes[4].id) == ("EL0", "E1a")
+        with pytest.raises(InvalidMapError) as e:
+            RoadMap("bad", lanes, synth_road(synth.MapKind.CROSSROADS).drivable)
+        assert str(e.value) == f"lane 'EL0': polygon: {error}"
+
     def test_first_stray_centerline_in_file_order(self):
         lanes = self.lanes(synth.MapKind.CROSSROADS)
         for i in (3, 4):
@@ -518,8 +534,9 @@ class TestLaneSegmentMany:
         ]
 
     def test_zero_area_drivable_ring_raises(self):
-        """Drivable rings are oriented after the lane polygons, in the same
-        call; the first bad ring is named by its place in the drivable area."""
+        """Drivable rings are checked after the lane polygons, in a table of
+        their own; the first bad ring is named by its place in the drivable
+        area."""
         lanes = self.lanes(synth.MapKind.CROSSROADS)
         drivable = list(synth_road(synth.MapKind.CROSSROADS).drivable)
         drivable[1] = drivable[3] = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -529,20 +546,29 @@ class TestLaneSegmentMany:
 
 
 class TestLaneOrder:
-    """The centerline segment table stays in file order, while the lane
-    masks' columns and each lane's run of segments follow ``lane_ids``: a
-    map built from its lanes in another order answers every query alike."""
+    """The centerline segment table and the lane table stay in file order,
+    while the lane masks' columns and each lane's run of segments follow
+    ``lane_ids``: a map built from its lanes in another order, or from
+    clockwise rings, answers every query alike."""
 
     @pytest.mark.parametrize("kind", list(synth.MapKind))
-    @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+    @pytest.mark.parametrize("reorder", ["reversed", "shuffled", "clockwise"])
     def test_queries_ignore_lane_order(self, kind, reorder):
         road = synth_road(kind)
-        lanes = list(road.lanes.values())
+        lanes, drivable = list(road.lanes.values()), road.drivable
         if reorder == "reversed":
             lanes.reverse()
         else:
             np.random.default_rng(5).shuffle(lanes)
-        other = RoadMap(road.map_id, lanes, road.drivable)
+        if reorder == "clockwise":
+            lanes = [dataclasses.replace(lane, polygon=lane.polygon[::-1])
+                     for lane in lanes]
+            drivable = [ring[::-1] for ring in drivable]
+        other = RoadMap(road.map_id, lanes, drivable)
+        # turned back, every ring is the original, bit for bit
+        want = io.map_to_dict(road)
+        by_id = {lane["id"]: lane for lane in want["lanes"]}
+        assert io.map_to_dict(other) == dict(want, lanes=[by_id[lane.id] for lane in lanes])
         assert other.lane_ids == road.lane_ids
         assert other.turn_lanes.tolist() == road.turn_lanes.tolist() == [
             is_turn_lane(road.lanes[i]) for i in road.lane_ids]
